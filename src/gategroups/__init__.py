@@ -54,7 +54,7 @@ from gategroups.gates import (
     yang_baxter_check,
 )
 from gategroups.pauligraph import (
-    max_independent_set,
+    maximum_independent_set,
     mub_chain,
     pauli_graph,
     quadrangle_checks,

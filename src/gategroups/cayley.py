@@ -30,7 +30,7 @@ class ElementTable:
         self._classes = None
         self._orders = None
         self._perm_elements = None  # optional: element index -> permutation tuple
-        self.parent_indices = None  # set for subgroup tables
+        self._index = None  # permutation tuple -> element index, built on demand
 
     # -- constructors ------------------------------------------------------
 
@@ -78,6 +78,24 @@ class ElementTable:
         if self._perm_elements is not None:
             return self._perm_elements[i]
         return tuple(self.column(i))
+
+    def index_of(self, imgs):
+        """Index of the element acting as the permutation ``imgs``.
+
+        Raises ValueError if no element of the table acts that way.
+        """
+        imgs = tuple(imgs)
+        if self._perm_elements is None:
+            # regular table: the element is determined by the image of 0
+            i = imgs[0] if len(imgs) == self.n else -1
+            if 0 <= i < self.n and tuple(self.column(i)) == imgs:
+                return i
+        else:
+            if self._index is None:
+                self._index = {p: i for i, p in enumerate(self._perm_elements)}
+            if imgs in self._index:
+                return self._index[imgs]
+        raise ValueError("permutation is not an element of the group")
 
     def _ensure_tree(self):
         if self._bfs is None:
@@ -412,7 +430,7 @@ class ElementTable:
         return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
 
     def subgroup_table(self, gen_indices, members=None):
-        """Standalone table for a subgroup; parent_indices maps back."""
+        """Standalone table for a subgroup; element p is sorted(members)[p]."""
         if members is None:
             members = self.subgroup_closure(gen_indices)
         elems = sorted(members)
@@ -421,9 +439,7 @@ class ElementTable:
         for g in gen_indices:
             col = self.column(g)
             cols.append([pos[col[e]] for e in elems])
-        table = ElementTable(len(elems), [pos[g] for g in gen_indices], cols)
-        table.parent_indices = elems
-        return table
+        return ElementTable(len(elems), [pos[g] for g in gen_indices], cols)
 
     # -- commutator sets -------------------------------------------------------
 

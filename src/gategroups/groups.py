@@ -24,6 +24,7 @@ __all__ = [
     "direct",
     "semidirect",
     "wreath",
+    "split_args",
 ]
 
 
@@ -243,7 +244,8 @@ def construct(spec):
     raise TypeError(f"cannot construct a group from {spec!r}")
 
 
-def _split_args(text):
+def split_args(text):
+    """Split a comma-separated argument list at bracket depth zero."""
     parts = []
     depth = 0
     cur = []
@@ -273,7 +275,7 @@ def parse_spec(text):
         name, args = text.split("(", 1)
         name = name.strip()
         args = args[:-1]
-    parts = _split_args(args) if args.strip() else []
+    parts = split_args(args) if args.strip() else []
 
     def intarg(i):
         return int(parts[i])

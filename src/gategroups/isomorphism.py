@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError, CapacityError
 from gategroups.perm import Permutation, PermGroup, StabilizerChain
-from gategroups.structure import _fingerprint_of, subgroup_indices
+from gategroups.structure import _fingerprint_of
 
 __all__ = [
     "IsomorphismResult",
@@ -182,16 +182,9 @@ def isomorphic(g, h, node_budget=None):
     seq, images, img = _tables_isomorphic(tg, th, node_budget)
     if img is None:
         return IsomorphismResult(False)
-    gen_perms = [_element_perm(g, tg, i) for i in seq]
-    img_perms = [_element_perm(h, th, j) for j in images]
+    gen_perms = [g.perm_of(i) for i in seq]
+    img_perms = [h.perm_of(j) for j in images]
     return IsomorphismResult(True, gen_perms, img_perms)
-
-
-def _element_perm(group, own, i):
-    """Element i of the own table as a permutation of the group's domain."""
-    if own.parent_indices is not None:
-        return Permutation(group.ambient_table().perm_of(own.parent_indices[i]))
-    return Permutation(own.perm_of(i))
 
 
 @dataclass
@@ -393,11 +386,7 @@ def find_complement(g, n, budget=200_000):
     otherwise the search is inconclusive.
     """
     own = g.own_table()
-    to_parent = own.parent_indices
-    members = subgroup_indices(g, n)
-    if to_parent is not None:
-        back = {p: o for o, p in enumerate(to_parent)}
-        members = {back[i] for i in members}
+    members = g.indices_of(n)
     sub_gens = [i for i in members if i != 0]
     if not own.is_normal_set(members, sub_gens):
         raise ValueError("can only search complements of a normal subgroup")
@@ -405,8 +394,7 @@ def find_complement(g, n, budget=200_000):
     quotient, _, reps = own.coset_action(members)
     index = quotient.n
     if index == 1:
-        triv = g.subgroup_from_indices([], {0 if to_parent is None else to_parent[0]})
-        return ComplementResult("found", triv, True)
+        return ComplementResult("found", g.subgroup_from_indices([], {0}), True)
 
     qseq = _min_generating_sequence(quotient)
     nlist = sorted(members)
@@ -427,12 +415,7 @@ def find_complement(g, n, budget=200_000):
             continue
         if any(x in members for x in sub if x != 0):
             continue
-        gens = list(combo)
-        mem = set(sub)
-        if to_parent is not None:
-            gens = [to_parent[i] for i in gens]
-            mem = {to_parent[i] for i in mem}
-        return ComplementResult("found", g.subgroup_from_indices(gens, mem), True)
+        return ComplementResult("found", g.subgroup_from_indices(combo, sub), True)
     if exhaustive:
         return ComplementResult("not-found", None, True)
     return ComplementResult("inconclusive", None, False)

@@ -171,8 +171,8 @@ class MatrixGroup:
     """A finite matrix group with a fully enumerated element table.
 
     ``elements[0]`` is the identity and the indexing is deterministic for a
-    fixed generator order.  The table is immutable after construction and
-    safe to share.
+    fixed generator order.  The index-level table and the regular
+    permutation group are built on first use and cached.
     """
 
     def __init__(self, generators, elements, index):
@@ -181,6 +181,7 @@ class MatrixGroup:
         self.elements = elements
         self.index = index
         self._table = None
+        self._perm_group = None
 
     def order(self):
         return len(self.elements)
@@ -208,7 +209,10 @@ class MatrixGroup:
         return self._table
 
     def perm_group(self):
-        return regular_perm_rep(self)
+        """The right-regular permutation group (cached)."""
+        if self._perm_group is None:
+            self._perm_group = regular_perm_rep(self)
+        return self._perm_group
 
 
 def closure(generators, budget=None):

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from gategroups.gates import catalog
-from gategroups.matrix import closure, kron, matmul
+from gategroups.matrix import closure, kron
 
 __all__ = [
     "PauliGraph",
     "pauli_graph",
     "maximum_independent_set",
-    "max_independent_set",
     "QuadrangleReport",
     "quadrangle_checks",
     "graph_automorphism_count",
@@ -73,19 +72,6 @@ def _label_matrix(label):
     return m
 
 
-def _canonical_representative(m):
-    """Canonical phase-class representative: the Hermitian lift with +1 phase.
-
-    The plain tensor product of sigma matrices squares to the identity;
-    among {g, -g, ig, -ig} the two Hermitian choices generate the same
-    subgroups (a product of two anticommuting involutions already has
-    square -1), so this pins the chain groups of the independent set.
-    The +-i variants would flip the squares to -1 and generate the other
-    extraspecial type, whose automorphism group is smaller.
-    """
-    return m
-
-
 _GRAPHS = {}
 
 
@@ -100,11 +86,18 @@ def pauli_graph(n):
         if set(label) != {"I"}:
             labels.append(label)
     labels.sort(key=_label_bits)
-    reps = [_canonical_representative(_label_matrix(lb)) for lb in labels]
+    # The plain tensor products are the Hermitian lifts with phase +1: they
+    # square to the identity, which pins the extraspecial type of the chain
+    # groups of the independent set (the +-i lifts square to -1 and
+    # generate the other type, whose automorphism group is smaller).
+    reps = [_label_matrix(lb) for lb in labels]
+    bits = [_label_bits(lb) for lb in labels]
     neighbors = [set() for _ in labels]
-    for a in range(len(labels)):
+    for a, (xa, za) in enumerate(bits):
         for b in range(a + 1, len(labels)):
-            if matmul(reps[a], reps[b]) == matmul(reps[b], reps[a]):
+            xb, zb = bits[b]
+            # operators commute iff their symplectic form vanishes
+            if not bin((xa & zb) ^ (xb & za)).count("1") % 2:
                 neighbors[a].add(b)
                 neighbors[b].add(a)
     graph = PauliGraph(n, labels, reps, neighbors)
@@ -183,13 +176,6 @@ def maximum_independent_set(neighbors):
             if len(chosen) == size:
                 break
     return chosen
-
-
-def max_independent_set(graph_or_neighbors):
-    """Maximum independent set of a PauliGraph (or raw adjacency sets)."""
-    if isinstance(graph_or_neighbors, PauliGraph):
-        return maximum_independent_set(graph_or_neighbors.neighbors)
-    return maximum_independent_set(list(graph_or_neighbors))
 
 
 # -- graph isomorphism / automorphisms -------------------------------------

@@ -288,9 +288,18 @@ class PermGroup:
 
     ``order`` may be passed when already known (regular representations);
     ``table`` attaches an ElementTable so structural computations reuse it.
+
+    Elements are also named by index.  A group enumerated on its own uses
+    the indices of its ambient table.  A subgroup made by
+    ``subgroup_from_indices`` shares its parent's ambient table and keeps
+    the sorted ambient indices of its members: its own index ``p`` names
+    the ambient element ``members[p]``, which is also element ``p`` of
+    ``own_table()``.  This class is the only code that knows the encoding;
+    callers speak own indices through ``index_of``, ``indices_of``,
+    ``perm_of`` and ``subgroup_from_indices``.
     """
 
-    def __init__(self, degree, generators, order=None, table=None, members=None):
+    def __init__(self, degree, generators, order=None, table=None):
         self.degree = degree
         self.generators = [
             g if isinstance(g, Permutation) else Permutation(g) for g in generators
@@ -301,8 +310,10 @@ class PermGroup:
         self._order = order
         self._chain = None
         self._table = table  # ElementTable of the ambient enumeration
-        self._members = members  # element indices inside _table, None = whole
+        self._members = None  # sorted ambient indices of a subgroup, None = whole
+        self._gen_idx = None  # ambient indices of a subgroup's generators
         self._own = None  # standalone ElementTable of this very group
+        self._pos = None  # ambient index -> own index of a subgroup
 
     @property
     def is_trivial(self):
@@ -327,14 +338,9 @@ class PermGroup:
     def __contains__(self, perm):
         return self.contains(perm)
 
-    # -- element table plumbing -------------------------------------------
+    # -- element indices ----------------------------------------------------
 
-    def attach(self, table, members=None):
-        self._table = table
-        self._members = members
-        return self
-
-    def ambient_table(self):
+    def _ambient_table(self):
         """ElementTable of the enumeration this group lives in (cached)."""
         if self._table is None:
             if not self.generators:
@@ -349,45 +355,64 @@ class PermGroup:
             self._table = ElementTable.from_permutations(
                 self.degree, [g.imgs for g in self.generators], cap
             )
-            self._members = None
         return self._table
 
-    def member_indices(self):
-        table = self.ambient_table()
-        if self._members is None:
-            return range(table.n)
-        return self._members
+    def _ambient_members(self):
+        table = self._ambient_table()
+        return range(table.n) if self._members is None else self._members
 
     def own_table(self):
-        """Standalone ElementTable of this group; identity mapping if whole."""
+        """Standalone ElementTable of this group, indexed by own indices."""
         if self._own is None:
-            table = self.ambient_table()
+            table = self._ambient_table()
             if self._members is None:
                 self._own = table
             else:
-                gen_idx = self._gen_indices_in(table)
-                self._own = table.subgroup_table(gen_idx, set(self._members))
+                self._own = table.subgroup_table(self._gen_idx, self._members)
         return self._own
 
-    def _gen_indices_in(self, table):
-        if table._perm_elements is not None:
-            index = {p: i for i, p in enumerate(table._perm_elements)}
-            return [index[g.imgs] for g in self.generators]
-        # regular table: an element is determined by the image of point 0
-        out = []
-        for g in self.generators:
-            i = g.imgs[0]
-            out.append(i)
-        return out
+    def perm_of(self, i):
+        """The element with own index ``i`` as a permutation."""
+        table = self._ambient_table()
+        return Permutation(table.perm_of(i if self._members is None else self._members[i]))
+
+    def index_of(self, perm):
+        """Own index of a permutation; ValueError if it lies outside the group."""
+        imgs = perm.imgs if isinstance(perm, Permutation) else tuple(perm)
+        (i,) = self._own_indices([self._ambient_table().index_of(imgs)])
+        return i
+
+    def indices_of(self, sub):
+        """Own indices of the members of ``sub``; ValueError unless a subgroup."""
+        table = self._ambient_table()
+        sub_table = sub._ambient_table()
+        if sub_table is table:
+            return self._own_indices(sub._ambient_members())
+        return {self.index_of(sub_table.perm_of(a)) for a in sub._ambient_members()}
+
+    def _own_indices(self, ambient):
+        """Own indices of ambient indices; ValueError if one lies outside."""
+        if self._members is None:
+            return set(ambient)
+        if self._pos is None:
+            self._pos = {a: p for p, a in enumerate(self._members)}
+        try:
+            return {self._pos[a] for a in ambient}
+        except KeyError:
+            raise ValueError("permutation is not an element of the group") from None
 
     def subgroup_from_indices(self, gen_indices, members):
-        """Wrap a subgroup (indices of the ambient table) as a PermGroup."""
-        table = self.ambient_table()
+        """The subgroup with the given generators and members (own indices)."""
+        table = self._ambient_table()
+        if self._members is not None:
+            gen_indices = [self._members[i] for i in gen_indices]
+            members = [self._members[i] for i in members]
         gens = [Permutation(table.perm_of(i)) for i in gen_indices]
         if not gens:
             gens = [Permutation.identity(self.degree)]
-        sub = PermGroup(self.degree, gens, order=len(members))
-        sub.attach(table, tuple(sorted(members)))
+        sub = PermGroup(self.degree, gens, order=len(members), table=table)
+        sub._members = tuple(sorted(members))
+        sub._gen_idx = list(gen_indices) or [0]
         return sub
 
     def __repr__(self):

@@ -23,93 +23,32 @@ __all__ = [
     "normal_subgroups",
     "abelian_invariants",
     "fingerprint",
-    "element_index",
-    "subgroup_indices",
 ]
-
-
-def element_index(group, perm):
-    """Index of a permutation inside the group's ambient element table."""
-    table = group.ambient_table()
-    imgs = perm.imgs if isinstance(perm, Permutation) else tuple(perm)
-    if table._perm_elements is not None:
-        index = getattr(table, "_index_cache", None)
-        if index is None:
-            index = {p: i for i, p in enumerate(table._perm_elements)}
-            table._index_cache = index
-        if imgs not in index:
-            raise ValueError("permutation is not an element of the group")
-        return index[imgs]
-    # regular table: the element is determined by the image of point 0
-    i = imgs[0]
-    if tuple(table.perm_of(i)) != tuple(imgs):
-        raise ValueError("permutation is not an element of the group")
-    return i
-
-
-def subgroup_indices(group, sub):
-    """Element indices of ``sub`` inside ``group``'s ambient table."""
-    if sub._table is group.ambient_table() and sub._table is not None:
-        return set(sub.member_indices())
-    own = sub.own_table()
-    members = set()
-    for i in range(own.n):
-        members.add(element_index(group, Permutation(own.perm_of(i))))
-    return members
-
-
-def _own_with_map(group):
-    own = group.own_table()
-    return own, own.parent_indices
-
-
-def _wrap(group, own, gen_indices, members, to_parent):
-    if to_parent is not None:
-        gen_indices = [to_parent[i] for i in gen_indices]
-        members = {to_parent[i] for i in members}
-    return group.subgroup_from_indices(gen_indices, members)
 
 
 def center(group):
     """Subgroup of elements commuting with everything; normal in the group."""
-    own, to_parent = _own_with_map(group)
-    members = own.center_set()
-    return _wrap(group, own, [i for i in members if i != 0], set(members), to_parent)
+    members = group.own_table().center_set()
+    return group.subgroup_from_indices([i for i in members if i != 0], members)
 
 
 def derived_subgroup(group):
     """Normal closure of the commutators of the generators."""
-    own, to_parent = _own_with_map(group)
-    members, gens = own.derived_data()
-    return _wrap(group, own, gens, members, to_parent)
+    members, gens = group.own_table().derived_data()
+    return group.subgroup_from_indices(gens, members)
 
 
 def normal_closure(group, seeds):
     """Smallest normal subgroup containing the seed permutations."""
-    own, to_parent = _own_with_map(group)
-    seed_idx = []
-    for seed in seeds:
-        i = element_index(group, seed)
-        if to_parent is not None:
-            back = {p: o for o, p in enumerate(to_parent)}
-            if i not in back:
-                raise ValueError("seed lies outside the group")
-            i = back[i]
-        seed_idx.append(i)
-    members, gens = own.normal_closure_set(seed_idx)
-    return _wrap(group, own, gens, members, to_parent)
+    seed_idx = [group.index_of(seed) for seed in seeds]
+    members, gens = group.own_table().normal_closure_set(seed_idx)
+    return group.subgroup_from_indices(gens, members)
 
 
 def conjugacy_classes(group):
     """Class representatives with their sizes, in deterministic order."""
-    own, to_parent = _own_with_map(group)
-    _, reps, sizes = own.class_partition()
-    ambient = group.ambient_table()
-    out = []
-    for rep, size in zip(reps, sizes):
-        i = to_parent[rep] if to_parent is not None else rep
-        out.append((Permutation(ambient.perm_of(i)), size))
-    return out
+    _, reps, sizes = group.own_table().class_partition()
+    return [(group.perm_of(rep), size) for rep, size in zip(reps, sizes)]
 
 
 def coset_action(group, normal):
@@ -118,13 +57,9 @@ def coset_action(group, normal):
     For normal subgroups this is the regular representation of the
     quotient; its order equals the index.
     """
-    own, to_parent = _own_with_map(group)
-    members = subgroup_indices(group, normal)
-    if to_parent is not None:
-        back = {p: o for o, p in enumerate(to_parent)}
-        members = {back[i] for i in members}
-    sub_gens = [i for i in members if i != 0]
-    if not own.is_normal_set(members, sub_gens):
+    own = group.own_table()
+    members = group.indices_of(normal)
+    if not own.is_normal_set(members, [i for i in members if i != 0]):
         raise ValueError("subgroup is not normal; the quotient is undefined")
     quotient, _, _ = own.coset_action(members)
     gens = [Permutation(col) for col in quotient._rmul]
@@ -147,13 +82,12 @@ class NormalSubgroups:
 
 def normal_subgroups(group):
     """All normal subgroups (join closure of class normal-closures)."""
-    own, to_parent = _own_with_map(group)
-    sets = own.normal_subgroup_sets()
+    own = group.own_table()
     wrapped = []
     trivial = full = None
     proper = []
-    for members, gens in sets:
-        sub = _wrap(group, own, gens, members, to_parent)
+    for members, gens in own.normal_subgroup_sets():
+        sub = group.subgroup_from_indices(gens, members)
         wrapped.append(sub)
         if len(members) == 1:
             trivial = sub
@@ -166,8 +100,7 @@ def normal_subgroups(group):
 
 def abelian_invariants(group):
     """Invariant factors d1 | d2 | ... of the abelianization."""
-    own, _ = _own_with_map(group)
-    return own.abelian_invariants()
+    return group.own_table().abelian_invariants()
 
 
 @dataclass(frozen=True)
@@ -183,8 +116,7 @@ class GroupFingerprint:
 
 
 def fingerprint(group):
-    own, _ = _own_with_map(group)
-    return _fingerprint_of(own)
+    return _fingerprint_of(group.own_table())
 
 
 def _fingerprint_of(table):

@@ -124,3 +124,20 @@ def test_unknown_recipe_raises():
         ev.value("frobnicate(c1)")
     with pytest.raises(ValueError):
         ev.group("nonsense(1)")
+
+
+def test_gate_subgroup_shares_the_parent_perm_group():
+    ev = Evaluator()
+    parent, child = ev._subgroup_of("c1", "p1")
+    assert parent is ev.group("c1") is ev.matrix_group("c1").perm_group()
+    assert len(parent.indices_of(child)) == 16
+    assert ev.value("is_subgroup(p1, c1)") is True
+    assert ev.value("subgroup_index(c1, p1)") == 12
+
+
+def test_is_normal_with_a_subgroup_parent():
+    ev = Evaluator()
+    assert ev.value("is_normal(derived(symmetric(4)), derived(derived(symmetric(4))))") is True
+    assert ev.value("subgroup_index(derived(symmetric(4)), derived(derived(symmetric(4))))") == 3
+    assert ev.value("is_subgroup(derived(symmetric(4)), symmetric(4))") is True
+    assert ev.value("is_subgroup(symmetric(4), derived(symmetric(4)))") is False

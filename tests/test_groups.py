@@ -78,8 +78,7 @@ def test_wreath_orders():
 def test_wreath_base_is_normal():
     w = groups.wreath(groups.cyclic(2), groups.symmetric(3))
     base_gens = [g for g in w.generators[:3]]
-    table = w.own_table()
-    from gategroups.structure import element_index, normal_closure
+    from gategroups.structure import normal_closure
 
     closed = normal_closure(w, base_gens)
     assert closed.order() == 8  # the base Z2^3 is normal

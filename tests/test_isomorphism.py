@@ -17,7 +17,7 @@ from gategroups.isomorphism import (
     isomorphic,
 )
 from gategroups.perm import Permutation
-from gategroups.structure import center, derived_subgroup, element_index, normal_closure
+from gategroups.structure import center, derived_subgroup, normal_closure
 
 
 def test_iso_basic():
@@ -33,8 +33,8 @@ def test_iso_witness_is_a_homomorphism():
     g = groups.dihedral(12)
     h = groups.direct(groups.cyclic(2), groups.symmetric(3))
     tg, th = g.own_table(), h.own_table()
-    seq = [element_index(g, p) for p in res.generators]
-    images = [element_index(h, p) for p in res.images]
+    seq = [g.index_of(p) for p in res.generators]
+    images = [h.index_of(p) for p in res.images]
     img = _hom_image(tg, th, seq, images)
     assert img is not None  # bijective homomorphism on the full table
 
@@ -203,11 +203,19 @@ def test_q8_center_has_no_complement():
 
 def test_complement_requires_normal_subgroup():
     s4 = groups.symmetric(4)
-    table = s4.ambient_table()
-    i = element_index(s4, Permutation.parse("(1,2)", 4))
-    sub = s4.subgroup_from_indices([i], table.subgroup_closure([i]))
+    i = s4.index_of(Permutation.parse("(1,2)", 4))
+    sub = s4.subgroup_from_indices([i], s4.own_table().subgroup_closure([i]))
     with pytest.raises(ValueError):
         find_complement(s4, sub)
+
+
+def test_complement_across_ambient_tables():
+    s4 = groups.symmetric(4)
+    a4 = derived_subgroup(groups.symmetric(4))
+    res = find_complement(s4, a4)
+    assert res.status == "found" and res.exhaustive
+    assert res.complement.order() == 2
+    assert s4.indices_of(res.complement) & s4.indices_of(a4) == {0}
 
 
 def test_complement_budget_inconclusive():

@@ -162,3 +162,9 @@ def test_sqrt2_entries_survive_round_trip(tmp_path):
     write_group(g, path)
     back = read_group(path)
     assert back.generators[0] == c.bell
+
+
+def test_perm_group_is_cached():
+    g = pauli_group(1)
+    assert g.perm_group() is g.perm_group()
+    assert g.perm_group().own_table() is g.element_table()

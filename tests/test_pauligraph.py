@@ -6,7 +6,6 @@ from gategroups.matrix import matmul
 from gategroups.pauligraph import (
     graph_automorphism_count,
     graphs_isomorphic,
-    max_independent_set,
     maximum_independent_set,
     mub_chain,
     pauli_graph,
@@ -50,10 +49,12 @@ def test_vertex_order_is_symplectic_label_order():
     assert keys == sorted(keys)
 
 
-def test_representatives_commute_iff_edges():
-    g = pauli_graph(2)
-    for a in range(15):
-        for b in range(a + 1, 15):
+@pytest.mark.parametrize("n", [2, 3])
+def test_representatives_commute_iff_edges(n):
+    """Exact-product oracle for the symplectic edge rule."""
+    g = pauli_graph(n)
+    for a in range(g.vertex_count):
+        for b in range(a + 1, g.vertex_count):
             lhs = matmul(g.representatives[a], g.representatives[b])
             rhs = matmul(g.representatives[b], g.representatives[a])
             assert (lhs == rhs) == (b in g.neighbors[a])
@@ -71,22 +72,22 @@ def test_max_independent_set_generic_graphs():
 
 
 def test_max_independent_sets_of_pauli_graphs():
-    assert len(max_independent_set(pauli_graph(2))) == 5
+    assert len(maximum_independent_set(pauli_graph(2).neighbors)) == 5
 
 
 @pytest.mark.long
 def test_three_qubit_independent_set():
-    assert len(max_independent_set(pauli_graph(3))) == 7
+    assert len(maximum_independent_set(pauli_graph(3).neighbors)) == 7
 
 
 def test_independent_set_is_independent_and_deterministic():
     g = pauli_graph(2)
-    mis = max_independent_set(g)
+    mis = maximum_independent_set(g.neighbors)
     for a in mis:
         for b in mis:
             if a != b:
                 assert b not in g.neighbors[a]
-    assert mis == max_independent_set(g)  # deterministic
+    assert mis == maximum_independent_set(g.neighbors)  # deterministic
 
 
 def test_petersen_graph_shape():

@@ -100,3 +100,56 @@ def test_group_file_round_trip(tmp_path):
     assert back.degree == 5
     assert back.generators == g.generators
     assert back.order() == 120
+
+
+def test_index_translation_round_trips_in_a_subgroup():
+    from gategroups import groups
+    from gategroups.structure import coset_action, derived_subgroup
+
+    s4 = groups.symmetric(4)
+    a4 = derived_subgroup(s4)
+    s3 = coset_action(s4, derived_subgroup(a4))  # regular representation
+    for group in (s4, a4, s3):
+        n = group.order()
+        assert group.own_table().n == n
+        perms = [group.perm_of(i) for i in range(n)]
+        assert {p.imgs for p in perms} == brute_force_elements(group)
+        assert [group.index_of(p) for p in perms] == list(range(n))
+        assert group.index_of(perms[1].imgs) == 1  # image tuples work too
+    with pytest.raises(ValueError):
+        a4.index_of(Permutation.parse("(1,2)", 4))
+    with pytest.raises(ValueError):
+        s4.index_of(Permutation.identity(5))
+    with pytest.raises(ValueError):
+        s3.index_of(Permutation.parse("(1,2)", 6))
+
+
+def test_subgroup_from_indices_takes_own_indices():
+    from gategroups import groups
+    from gategroups.structure import derived_subgroup
+
+    a4 = derived_subgroup(groups.symmetric(4))
+    i = a4.index_of(Permutation.parse("(1,2,3)", 4))
+    c3 = a4.subgroup_from_indices([i], a4.own_table().subgroup_closure([i]))
+    assert c3.order() == 3
+    assert {c3.perm_of(p) for p in range(3)} == {
+        Permutation.parse(t, 4) for t in ("()", "(1,2,3)", "(1,3,2)")
+    }
+    assert a4.indices_of(c3) == a4.own_table().subgroup_closure([i])
+
+
+def test_indices_of_across_ambient_tables():
+    """A4 built on a second S4 object is still found inside the first S4."""
+    from gategroups import groups
+    from gategroups.structure import derived_subgroup
+
+    s4 = groups.symmetric(4)
+    a4 = derived_subgroup(groups.symmetric(4))
+    members = s4.indices_of(a4)
+    assert {s4.perm_of(i).imgs for i in members} == brute_force_elements(a4)
+    assert s4.indices_of(PermGroup(4, a4.generators)) == members
+    assert a4.indices_of(s4.subgroup_from_indices([], {0})) == {0}
+    with pytest.raises(ValueError):
+        a4.indices_of(s4)
+    with pytest.raises(ValueError):
+        s4.indices_of(groups.symmetric(5))

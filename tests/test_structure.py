@@ -30,8 +30,8 @@ def test_center_elements_commute_with_random_elements():
     rng = random.Random(5)
     for name, group in small_corpus():
         z = center(group)
-        table = group.ambient_table()
-        for zi in z.member_indices():
+        table = group.own_table()
+        for zi in group.indices_of(z):
             for _ in range(min(100, table.n)):
                 x = rng.randrange(table.n)
                 assert table.mult(zi, x) == table.mult(x, zi), name
@@ -48,7 +48,7 @@ def test_derived_subgroup_is_normal_and_quotient_abelian():
     for name, group in small_corpus():
         d = derived_subgroup(group)
         own = group.own_table()
-        members = set(d.member_indices())
+        members = group.indices_of(d)
         assert own.is_normal_set(members, [i for i in members if i]), name
         q = coset_action(group, d)
         qt = q.own_table()
@@ -87,11 +87,8 @@ def test_coset_action_examples():
     q = coset_action(s4, a4)
     assert q.order() == 2
     # a non-normal subgroup is rejected
-    from gategroups.structure import element_index
-
-    table = s4.ambient_table()
-    i = element_index(s4, Permutation.parse("(1,2)", 4))
-    sub = s4.subgroup_from_indices([i], table.subgroup_closure([i]))
+    i = s4.index_of(Permutation.parse("(1,2)", 4))
+    sub = s4.subgroup_from_indices([i], s4.own_table().subgroup_closure([i]))
     with pytest.raises(ValueError):
         coset_action(s4, sub)
 
@@ -142,7 +139,7 @@ def test_normal_subgroups_against_brute_force_scan():
             for sub, gens in all_subs.items()
             if table.is_normal_set(sub, list(gens))
         }
-        found = {frozenset(s.member_indices()) for s in normal_subgroups(group).all}
+        found = {frozenset(group.indices_of(s)) for s in normal_subgroups(group).all}
         assert found == normal_sets, (name, sorted(map(len, found ^ normal_sets)))
 
 
@@ -186,3 +183,51 @@ def test_capacity_error_on_huge_enumeration():
     big = groups.symmetric(9)  # order 362880 > default cap
     with pytest.raises(CapacityError):
         center(big)
+
+
+def _compose(p, q):
+    """Apply p, then q."""
+    return tuple(q[v] for v in p)
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "top",
+    [groups.symmetric(4), groups.wreath(groups.cyclic(2), groups.symmetric(4))],
+    ids=["S4>A4>V4", "Z2wrS4>D>D2"],
+)
+def test_subgroup_chain_against_brute_force(top):
+    """indices_of, normal_closure and coset_action along the derived series,
+    for subgroups on the same ambient table and on the table of a second
+    copy of the top group, checked against naive closures over permutation
+    tuples."""
+
+    def derived_series(group):
+        series = [group, derived_subgroup(group)]
+        return series + [derived_subgroup(series[1])]
+
+    chain = derived_series(top)
+    twin = derived_series(PermGroup(top.degree, top.generators))
+    elements = [brute_force_elements(g) for g in chain]
+    assert [len(e) for e in elements] == [g.order() for g in chain]
+    for hi, lo in ((0, 1), (1, 2), (0, 2)):
+        parent, child = chain[hi], chain[lo]
+        p_elems, c_elems = elements[hi], elements[lo]
+        assert c_elems < p_elems
+        for sub in (child, twin[lo]):
+            members = parent.indices_of(sub)
+            assert {parent.perm_of(i).imgs for i in members} == c_elems
+            cosets = {frozenset(_compose(h, x) for h in c_elems) for x in p_elems}
+            assert coset_action(parent, sub).order() == len(cosets)
+        seed = next(g.imgs for g in child.generators if not g.is_identity)
+        conjugates = [_compose(_compose(_inverse(x), seed), x) for x in p_elems]
+        oracle = brute_force_elements(PermGroup(top.degree, conjugates))
+        closed = normal_closure(parent, [Permutation(seed)])
+        assert {closed.perm_of(i).imgs for i in range(closed.order())} == oracle
+        assert oracle <= c_elems
