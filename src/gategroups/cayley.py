@@ -7,14 +7,54 @@ words, general products) is derived from those columns, so structural
 computations on groups of order up to ~2*10^5 stay cheap even when the
 elements themselves are large objects such as 4x4 cyclotomic matrices or
 permutations of 92160 points.
+
+Every group is enumerated by ``orbit``, one breadth-first search that names
+each element by its base images and fills the columns in the same pass.
 """
 
 from __future__ import annotations
 
-from gategroups.config import limit
-from gategroups.errors import CapacityError
+from gategroups.errors import ClosureOverflowError
 
-__all__ = ["ElementTable"]
+__all__ = ["ElementTable", "orbit", "base_image_table"]
+
+
+def orbit(seeds, actions, cap, limit_name):
+    """Breadth-first orbit of the seed points under one action per generator.
+
+    Returns ``(index, columns)``: the points mapped to their positions in
+    discovery order, seeds first, and for every action the column
+    ``i -> position of action(point i)``.  Raises ClosureOverflowError once
+    more than ``cap`` points appear.
+    """
+    points = list(seeds)
+    index = {p: i for i, p in enumerate(points)}
+    columns = [[] for _ in actions]
+    for x in points:
+        for act, col in zip(actions, columns):
+            y = act(x)
+            j = index.get(y)
+            if j is None:
+                if len(points) >= cap:
+                    raise ClosureOverflowError(
+                        f"enumeration exceeded {cap}, the cap set by GATEGROUPS_{limit_name}"
+                    )
+                j = index[y] = len(points)
+                points.append(y)
+            col.append(j)
+    return index, columns
+
+
+def base_image_table(perms, base, cap, limit_name):
+    """Enumerate the group of the point permutations ``perms`` by base images.
+
+    An element's key is its tuple of images of ``base``, and a generator
+    acts on a key entrywise.  Returns the key -> element index map and the
+    regular ElementTable of the columns the search filled.
+    """
+    actions = [lambda key, p=p: tuple(map(p.__getitem__, key)) for p in perms]
+    index, rmul = orbit([tuple(base)], actions, cap, limit_name)
+    return index, ElementTable(len(index), [col[0] for col in rmul], rmul)
 
 
 class ElementTable:
@@ -29,8 +69,9 @@ class ElementTable:
         self._bfs = None  # (order, prev, genpos): spanning tree from the identity
         self._classes = None
         self._orders = None
-        self._perm_elements = None  # optional: element index -> permutation tuple
-        self._index = None  # permutation tuple -> element index, built on demand
+        self._perms = None  # generator image tuples of a permutation group
+        self._base = None  # base points whose images name an element
+        self._index = None  # base images -> element index
 
     # -- constructors ------------------------------------------------------
 
@@ -40,31 +81,15 @@ class ElementTable:
         return cls(len(perms[0]), [p[0] for p in perms], perms)
 
     @classmethod
-    def from_permutations(cls, degree, perms, max_order=None):
-        """Enumerate the group generated by permutation tuples on 0..degree-1."""
-        if max_order is None:
-            max_order = limit("MAX_ENUMERATION")
-        ident = tuple(range(degree))
-        elements = [ident]
-        index = {ident: 0}
-        pos = 0
-        while pos < len(elements):
-            x = elements[pos]
-            for p in perms:
-                y = tuple(p[v] for v in x)
-                if y not in index:
-                    if len(elements) >= max_order:
-                        raise CapacityError(
-                            f"group enumeration exceeded {max_order} elements"
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-            pos += 1
-        rmul = [
-            [index[tuple(p[v] for v in x)] for x in elements] for p in perms
-        ]
-        table = cls(len(elements), [index[tuple(p)] for p in perms], rmul)
-        table._perm_elements = elements
+    def from_permutations(cls, perms, base, max_order):
+        """Enumerate the group generated by permutation tuples with this base.
+
+        Element i is named by its images of the base points; the generator
+        tuples are kept so ``perm_of`` can replay an element's word.
+        """
+        perms = [tuple(p) for p in perms]
+        index, table = base_image_table(perms, base, max_order, "MAX_ENUMERATION")
+        table._perms, table._base, table._index = perms, tuple(base), index
         return table
 
     # -- element access ------------------------------------------------------
@@ -75,9 +100,12 @@ class ElementTable:
 
     def perm_of(self, i):
         """The element as a permutation of the table's natural domain."""
-        if self._perm_elements is not None:
-            return self._perm_elements[i]
-        return tuple(self.column(i))
+        if self._perms is None:
+            return tuple(self.column(i))
+        x = tuple(range(len(self._perms[0])))
+        for g in self.word(i):
+            x = tuple(map(self._perms[g].__getitem__, x))
+        return x
 
     def index_of(self, imgs):
         """Index of the element acting as the permutation ``imgs``.
@@ -85,16 +113,15 @@ class ElementTable:
         Raises ValueError if no element of the table acts that way.
         """
         imgs = tuple(imgs)
-        if self._perm_elements is None:
+        if self._perms is None:
             # regular table: the element is determined by the image of 0
             i = imgs[0] if len(imgs) == self.n else -1
             if 0 <= i < self.n and tuple(self.column(i)) == imgs:
                 return i
-        else:
-            if self._index is None:
-                self._index = {p: i for i, p in enumerate(self._perm_elements)}
-            if imgs in self._index:
-                return self._index[imgs]
+        elif len(imgs) == len(self._perms[0]):
+            i = self._index.get(tuple(imgs[b] for b in self._base))
+            if i is not None and self.perm_of(i) == imgs:
+                return i
         raise ValueError("permutation is not an element of the group")
 
     def _ensure_tree(self):

@@ -60,9 +60,10 @@ class Claim:
 @dataclass
 class ClaimReport:
     claim: Claim
-    status: str  # pass, fail, inconclusive, disputed-match, disputed-mismatch
+    status: str  # pass, fail, error, inconclusive, disputed-match, disputed-mismatch
     computed: object
     seconds: float
+    error: str = ""  # the recipe's ValueError message when status is "error"
 
 
 def _parse_literal(text):
@@ -192,13 +193,12 @@ class Evaluator:
     def _gate_subgroup(self, parent_name, child_name):
         """Child gate group embedded in the parent's element table."""
         pm = self.matrix_group(parent_name)
-        cm = self.matrix_group(child_name)
         try:
-            members = {pm.index_of(m) for m in cm.elements}
-            gens = [pm.index_of(g) for g in cm.generators]
+            gens = [pm.index_of(g) for g in self.matrix_group(child_name).generators]
         except KeyError:
             raise ValueError(f"{child_name} is not a subgroup of {parent_name}")
-        return pm.perm_group().subgroup_from_indices(gens, members)
+        parent = pm.perm_group()
+        return parent.subgroup_from_indices(gens, parent.own_table().subgroup_closure(gens))
 
     def _subgroup_of(self, parent_expr, child_expr):
         parent_expr = _normalize(parent_expr)
@@ -332,9 +332,8 @@ class Evaluator:
             ).order
         if name == "mub_same":
             n, k = int(parts[0]), int(parts[1])
-            a = self._mub_group(n, k)
-            b = self._mub_group(n, k - 1)
-            return set(a.elements) == set(b.elements)
+            # the prefix groups nest, so equal orders mean equal groups
+            return self._mub_group(n, k).order() == self._mub_group(n, k - 1).order()
         raise ValueError(f"unknown recipe {expr!r}")
 
     def _commutators(self, group_expr):
@@ -395,7 +394,9 @@ def _status_for(claim, computed, failed):
 def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, evaluator=None):
     """Execute every ledger claim in the suite; returns (reports, exit_code).
 
-    The exit code is nonzero iff a non-disputed claim fails.  The machine
+    A recipe that raises ValueError gets the status ``error`` and the
+    remaining claims still run.  The exit code is nonzero iff a claim has
+    status ``error`` or a non-disputed claim fails.  The machine
     report is JSON-lines: one volatile header line (timestamps, wall
     times), then one deterministic line per claim.
     """
@@ -412,16 +413,19 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
         t0 = time.time()
         computed = None
         failed = False
+        error = ""
         try:
             computed = ev.value(claim.recipe, claim.tier)
         except (CapacityError, BudgetExceededError, _Inconclusive):
             failed = True
-        status = _status_for(claim, computed, failed)
-        report = ClaimReport(claim, status, computed, time.time() - t0)
+        except ValueError as exc:
+            error = str(exc) or type(exc).__name__
+        status = "error" if error else _status_for(claim, computed, failed)
+        report = ClaimReport(claim, status, computed, time.time() - t0, error)
         reports.append(report)
         if echo:
             echo(_human_line(report))
-    exit_code = 1 if any(r.status == "fail" for r in reports) else 0
+    exit_code = 1 if any(r.status in ("fail", "error") for r in reports) else 0
     if report_path:
         _write_report(reports, report_path, suite, time.time() - started)
     return reports, exit_code
@@ -429,11 +433,12 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
 
 def _human_line(report):
     c = report.claim
-    return (
+    line = (
         f"{c.id:32} {c.tier:8} {report.status:18} "
         f"expected {format_value(c.expected):>14}  computed {format_value(report.computed):>14}  "
         f"{report.seconds:7.2f}s"
     )
+    return f"{line}  ({report.error})" if report.error else line
 
 
 def _write_report(reports, path, suite, elapsed):
@@ -456,4 +461,6 @@ def _write_report(reports, path, suite, elapsed):
                 "provenance": r.claim.provenance,
                 "citation": r.claim.citation,
             }
+            if r.error:
+                body["error"] = r.error
             fh.write(json.dumps(body, sort_keys=True) + "\n")

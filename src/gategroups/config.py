@@ -28,13 +28,24 @@ _DEFAULTS = {
 
 
 def limit(name: str) -> int:
-    """Return the configured value for one of the capacity limits."""
+    """Return the configured value for one of the capacity limits.
+
+    Raises ValueError, naming the variable, for a value that is not a
+    positive integer.
+    """
     if name not in _DEFAULTS:
         raise KeyError(f"unknown limit {name!r}")
-    raw = os.environ.get(f"GATEGROUPS_{name}")
-    if raw is not None:
-        return int(raw)
-    return _DEFAULTS[name]
+    var = f"GATEGROUPS_{name}"
+    raw = os.environ.get(var)
+    if raw is None:
+        return _DEFAULTS[name]
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{var}={raw!r} is not an integer") from None
+    if value <= 0:
+        raise ValueError(f"{var}={raw!r} must be positive")
+    return value
 
 
 def long_tests_enabled() -> bool:

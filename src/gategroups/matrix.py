@@ -1,16 +1,19 @@
 """Exact unitary matrices over cyclotomics and finite matrix groups.
 
-A ``MatrixGroup`` is an enumerated element table built by Dimino-style
-inductive closure from its generators; the table gives every element a
-stable index (identity is element 0) so matrix groups can be handed over
-to the permutation machinery through their right-regular action.
+A matrix is determined by its rows, and a finite matrix group permutes the
+finite orbit of row vectors ``e_i^T * x``.  ``closure`` computes that orbit,
+then enumerates the group by base images: element i is named by the orbit
+positions of its d rows, and right multiplication by a generator permutes
+those names.  Identity is element 0, and the right-multiplication columns
+filled by the same search hand matrix groups over to the permutation
+machinery through their right-regular action.
 """
 
 from __future__ import annotations
 
 from gategroups import cyclo
 from gategroups.config import limit
-from gategroups.errors import ClosureOverflowError
+from gategroups.errors import GroupFileError
 
 __all__ = [
     "UnitaryMatrix",
@@ -56,6 +59,12 @@ class UnitaryMatrix:
     def rows(self):
         d = self.dim
         return [self.entries[i * d : (i + 1) * d] for i in range(d)]
+
+    def row_times(self, row):
+        """The row vector ``row`` times this matrix, as a tuple."""
+        d, e = self.dim, self.entries
+        nonzero = [(k, x) for k, x in enumerate(row) if x is not _ZERO]
+        return tuple(sum((x * e[k * d + j] for k, x in nonzero), _ZERO) for j in range(d))
 
     def __mul__(self, other):
         return matmul(self, other)
@@ -118,24 +127,7 @@ def matmul(a, b):
     """Exact matrix product."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    d = a.dim
-    ae = a.entries
-    be = b.entries
-    out = []
-    for i in range(d):
-        arow = ae[i * d : (i + 1) * d]
-        for j in range(d):
-            acc = _ZERO
-            for k in range(d):
-                x = arow[k]
-                if x is _ZERO:
-                    continue
-                y = be[k * d + j]
-                if y is _ZERO:
-                    continue
-                acc = acc + x * y
-            out.append(acc)
-    return UnitaryMatrix(d, tuple(out))
+    return UnitaryMatrix(a.dim, tuple(e for row in a.rows() for e in b.row_times(row)))
 
 
 def kron(a, b):
@@ -168,44 +160,46 @@ def dagger(a):
 
 
 class MatrixGroup:
-    """A finite matrix group with a fully enumerated element table.
+    """A finite matrix group, enumerated by the base images of its elements.
 
-    ``elements[0]`` is the identity and the indexing is deterministic for a
-    fixed generator order.  The index-level table and the regular
-    permutation group are built on first use and cached.
+    The rows of every element lie in the orbit of the standard row vectors,
+    and element i is keyed by the orbit positions of its rows; element 0 is
+    the identity and the indexing is deterministic for a fixed generator
+    order.  The element matrices are built on first access to ``elements``.
     """
 
-    def __init__(self, generators, elements, index):
+    def __init__(self, generators, row_index, index, table):
         self.generators = list(generators)
-        self.dim = generators[0].dim
-        self.elements = elements
-        self.index = index
-        self._table = None
+        self.dim = self.generators[0].dim
+        self._row_index = row_index  # row vector -> orbit position
+        self._index = index  # orbit positions of an element's rows -> element index
+        self._table = table
+        self._elements = None
         self._perm_group = None
 
     def order(self):
-        return len(self.elements)
+        return len(self._index)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._index)
 
     def __contains__(self, m):
-        return m in self.index
+        return tuple(self._row_index.get(r) for r in m.rows()) in self._index
 
     def index_of(self, m):
-        return self.index[m]
+        """Index of the matrix m; KeyError if it is not an element."""
+        return self._index[tuple(self._row_index[r] for r in m.rows())]
+
+    @property
+    def elements(self):
+        """Element matrices in index order (built on first access)."""
+        if self._elements is None:
+            rows = list(self._row_index)
+            self._elements = [matrix_from_rows([rows[k] for k in key]) for key in self._index]
+        return self._elements
 
     def element_table(self):
-        """Index-level multiplication engine for this group (cached)."""
-        from gategroups.cayley import ElementTable
-
-        if self._table is None:
-            gen_idx = []
-            rmul = []
-            for g in self.generators:
-                gen_idx.append(self.index[g])
-                rmul.append([self.index[matmul(x, g)] for x in self.elements])
-            self._table = ElementTable(len(self.elements), gen_idx, rmul)
+        """Regular ElementTable: the right-multiplication columns of the enumeration."""
         return self._table
 
     def perm_group(self):
@@ -216,11 +210,13 @@ class MatrixGroup:
 
 
 def closure(generators, budget=None):
-    """Enumerate the group generated by unitary matrices (Dimino closure).
+    """Enumerate the group generated by unitary matrices by base images.
 
-    Raises ClosureOverflowError if more than ``budget`` elements appear,
-    which signals wrong generators or a non-finite group.
+    Raises ClosureOverflowError if more than ``budget`` elements (or dim *
+    budget rows) appear, which signals wrong generators or a non-finite group.
     """
+    from gategroups.cayley import base_image_table, orbit
+
     if budget is None:
         budget = limit("MAX_CLOSURE")
     gens = list(generators)
@@ -232,49 +228,12 @@ def closure(generators, budget=None):
     for g in gens:
         if not g.is_unitary():
             raise ValueError("generators must be unitary")
-
-    ident = identity_matrix(gens[0].dim)
-    elements = [ident]
-    index = {ident: 0}
-
-    def grow(m):
-        if len(elements) >= budget:
-            raise ClosureOverflowError(
-                f"closure exceeded the budget of {budget} elements"
-            )
-        index[m] = len(elements)
-        elements.append(m)
-
-    # cyclic group of the first generator
-    g = gens[0]
-    x = g
-    while x not in index:
-        grow(x)
-        x = matmul(x, g)
-
-    # inductively add the remaining generators; each round walks the coset
-    # space of the previous subgroup
-    for level in range(1, len(gens)):
-        s = gens[level]
-        if s in index:
-            continue
-        sub_order = len(elements)
-        sub = elements[:sub_order]
-        level_gens = gens[: level + 1]
-        grow(s)
-        for e in sub[1:]:
-            grow(matmul(e, s))
-        rep_pos = sub_order
-        while rep_pos < len(elements):
-            rep = elements[rep_pos]
-            for t in level_gens:
-                x = matmul(rep, t)
-                if x not in index:
-                    grow(x)
-                    for e in sub[1:]:
-                        grow(matmul(e, x))
-            rep_pos += sub_order
-    return MatrixGroup(gens, elements, index)
+    d = gens[0].dim
+    row_index, row_perms = orbit(
+        identity_matrix(d).rows(), [g.row_times for g in gens], d * budget, "MAX_CLOSURE"
+    )
+    index, table = base_image_table(row_perms, range(d), budget, "MAX_CLOSURE")
+    return MatrixGroup(gens, row_index, index, table)
 
 
 def regular_perm_rep(group):
@@ -286,7 +245,7 @@ def regular_perm_rep(group):
 
     table = group.element_table()
     gens = [Permutation(col) for col in table.rmul_columns()]
-    return PermGroup(len(group.elements), gens, order=len(group.elements), table=table)
+    return PermGroup(group.order(), gens, order=group.order(), table=table)
 
 
 # -- textual import/export -------------------------------------------------
@@ -332,22 +291,51 @@ def parse_matrix(text, dim=None):
     return m
 
 
+def _count_line(lines, pos, keyword):
+    """The positive count of the ``keyword N`` line at ``lines[pos]``."""
+    if pos >= len(lines):
+        raise GroupFileError(f"file ends before the '{keyword}' line", lines[-1][0] + 1)
+    lineno, text = lines[pos]
+    parts = text.split()
+    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdigit() or int(parts[1]) < 1:
+        raise GroupFileError(f"expected '{keyword} <positive count>', found {text!r}", lineno)
+    return int(parts[1])
+
+
+def _matrix_lines(lines, pos, count, dim):
+    """Parse the ``count`` matrix lines after the count line ``lines[pos - 1]``."""
+    if pos + count > len(lines):
+        raise GroupFileError(
+            f"{count} matrix lines declared, {len(lines) - pos} found", lines[pos - 1][0]
+        )
+    out = []
+    for lineno, text in lines[pos : pos + count]:
+        try:
+            out.append(parse_matrix(text, dim))
+        except ValueError as exc:
+            raise GroupFileError(str(exc), lineno) from None
+    return out
+
+
 def read_group(path):
-    """Read a matrix group file written by write_group; bit-exact round trip."""
+    """Read a matrix group file written by write_group; bit-exact round trip.
+
+    A malformed or truncated file raises GroupFileError naming the line.
+    """
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError("group file must start with a 'dim' line")
-    dim = int(lines[0].split()[1])
-    if not lines[1].startswith("generators "):
-        raise ValueError("group file must declare its generator count")
-    count = int(lines[1].split()[1])
-    gens = [parse_matrix(lines[2 + i], dim) for i in range(count)]
-    group = closure(gens)
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise GroupFileError("group file is empty", 1)
+    dim = _count_line(lines, 0, "dim")
+    count = _count_line(lines, 1, "generators")
+    group = closure(_matrix_lines(lines, 2, count, dim))
     pos = 2 + count
-    if pos < len(lines) and lines[pos].startswith("elements "):
-        declared = int(lines[pos].split()[1])
-        listed = [parse_matrix(ln, dim) for ln in lines[pos + 1 : pos + 1 + declared]]
-        if len(listed) != declared or set(listed) != set(group.elements):
-            raise ValueError("element list does not match the generated group")
+    if pos < len(lines):
+        declared = _count_line(lines, pos, "elements")
+        listed = _matrix_lines(lines, pos + 1, declared, dim)
+        if len(set(listed)) != group.order() or not all(m in group for m in listed):
+            raise GroupFileError("element list does not match the generated group", lines[pos][0])
+        if pos + 1 + declared < len(lines):
+            lineno, text = lines[pos + 1 + declared]
+            raise GroupFileError(f"unexpected text after the element list: {text!r}", lineno)
     return group

@@ -361,10 +361,11 @@ def mub_chain(n, with_aut=True, extended=False):
     mis = maximum_independent_set(graph.neighbors)
     mats = [graph.representatives[v] for v in mis]
     links = []
-    prev_elements = None
+    prev_order = None
     for k in range(2, len(mats) + 1):
         grp = closure(mats[:k])
-        same = prev_elements is not None and set(grp.elements) == prev_elements
+        # the prefix groups nest, so equal orders mean equal groups
+        same = grp.order() == prev_order
         aut_order = None
         status = "skipped"
         if with_aut:
@@ -386,7 +387,7 @@ def mub_chain(n, with_aut=True, extended=False):
                 same_as_previous=same,
             )
         )
-        prev_elements = set(grp.elements)
+        prev_order = grp.order()
     return links
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from gategroups.config import limit
-from gategroups.errors import CapacityError
+from gategroups.errors import CapacityError, GroupFileError
 
 __all__ = ["Permutation", "PermGroup", "StabilizerChain", "write_perm_group", "read_perm_group"]
 
@@ -348,12 +348,13 @@ class PermGroup:
             from gategroups.cayley import ElementTable
 
             cap = limit("MAX_ENUMERATION")
-            if self._order is not None and self._order > cap:
+            if self.order() > cap:
                 raise CapacityError(
                     f"group of order {self._order} exceeds the enumeration cap {cap}"
+                    " (GATEGROUPS_MAX_ENUMERATION)"
                 )
             self._table = ElementTable.from_permutations(
-                self.degree, [g.imgs for g in self.generators], cap
+                [g.imgs for g in self.generators], self.stabilizer_chain().base(), cap
             )
         return self._table
 
@@ -428,12 +429,24 @@ def write_perm_group(group, path):
 
 
 def read_perm_group(path):
+    """Read a group file written by write_perm_group.
+
+    A malformed file raises GroupFileError naming the line.
+    """
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("degree "):
-        raise ValueError("group file must start with a 'degree' line")
-    degree = int(lines[0].split()[1])
-    gens = [Permutation.parse(ln, degree) for ln in lines[1:]]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    head = lines[0][1].split() if lines else []
+    if len(head) != 2 or head[0] != "degree" or not head[1].isdigit() or int(head[1]) < 1:
+        raise GroupFileError(
+            "group file must start with 'degree <positive n>'", lines[0][0] if lines else 1
+        )
+    degree = int(head[1])
+    gens = []
+    for lineno, text in lines[1:]:
+        try:
+            gens.append(Permutation.parse(text, degree))
+        except ValueError as exc:
+            raise GroupFileError(str(exc), lineno) from None
     if not gens:
         gens = [Permutation.identity(degree)]
     return PermGroup(degree, gens)

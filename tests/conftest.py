@@ -1,8 +1,9 @@
 """Shared fixtures, the small-group corpus, and independent oracles.
 
 The oracles here are deliberately primitive (plain breadth-first set
-closures over permutation tuples) so they share no code path with the
-stabilizer chain or the element-table engine they cross-check.
+closures over permutation tuples, Dimino closure over matrices with an
+entrywise product) so they share no code path with the stabilizer chain,
+the base-image enumeration or the element-table engine they cross-check.
 """
 
 import os
@@ -10,6 +11,8 @@ import os
 import pytest
 
 from gategroups import groups
+from gategroups.cyclo import ZERO
+from gategroups.matrix import UnitaryMatrix, identity_matrix
 from gategroups.perm import PermGroup, Permutation
 
 
@@ -38,6 +41,60 @@ def brute_force_elements(group: PermGroup):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def matrix_product(a, b):
+    """Exact product entry by entry (oracle; independent of ``matmul``)."""
+    d = a.dim
+    return UnitaryMatrix(
+        d,
+        tuple(
+            sum((a[i, k] * b[k, j] for k in range(d)), ZERO)
+            for i in range(d)
+            for j in range(d)
+        ),
+    )
+
+
+def dimino_closure(generators):
+    """Elements and index map of a matrix group by Dimino's closure (oracle).
+
+    Element 0 is the identity; the cyclic group of the first generator
+    comes next, and each further generator adds whole cosets of the group
+    generated so far.
+    """
+    gens = list(generators)
+    ident = identity_matrix(gens[0].dim)
+    elements = [ident]
+    index = {ident: 0}
+
+    def grow(m):
+        index[m] = len(elements)
+        elements.append(m)
+
+    x = gens[0]
+    while x not in index:
+        grow(x)
+        x = matrix_product(x, gens[0])
+    for level in range(1, len(gens)):
+        s = gens[level]
+        if s in index:
+            continue
+        sub = elements[:]
+        grow(s)
+        for e in sub[1:]:
+            grow(matrix_product(e, s))
+        rep_pos = len(sub)
+        while rep_pos < len(elements):
+            rep = elements[rep_pos]
+            for t in gens[: level + 1]:
+                x = matrix_product(rep, t)
+                if x not in index:
+                    grow(x)
+                    for e in sub[1:]:
+                        grow(matrix_product(e, x))
+            rep_pos += len(sub)
+    return elements, index
 
 
 def small_corpus():

@@ -52,6 +52,18 @@ def test_small_suite_passes():
     assert [r.status for r in reports] == ["pass", "pass", "pass"]
 
 
+def test_recipe_value_error_is_a_per_claim_error():
+    ledger = (
+        "a | core | subgroup_index(symmetric(4), cyclic(5)) | 1 | derived | -\n"
+        "b | core | order(c1) | 192 | derived | -\n"
+    )
+    reports, exit_code = run_claims(suite="core", ledger_text=ledger)
+    assert exit_code == 1
+    assert [r.status for r in reports] == ["error", "pass"]
+    assert reports[0].computed is None
+    assert "not an element" in reports[0].error
+
+
 def test_wrong_expected_value_fails_with_computed_shown():
     ledger = "wrong | core | order(c2) | 1234 | derived | -\n"
     reports, exit_code = run_claims(suite="core", ledger_text=ledger)

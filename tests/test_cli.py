@@ -103,3 +103,51 @@ def test_analyze_group_file(tmp_path, capsys):
 def test_error_reporting(capsys):
     assert main(["analyze", "frobnicate(2)"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_closure_overflow_is_a_clean_error(monkeypatch, tmp_path, capsys):
+    from gategroups import gates
+
+    monkeypatch.setattr(gates, "_GROUPS", {})  # build c1 afresh under the small cap
+    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "100")
+    assert main(["build", "c1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GATEGROUPS_MAX_CLOSURE" in err
+
+    ledger = tmp_path / "c1.ledger"
+    ledger.write_text("a | core | order(c1) | 192 | derived | -\n")
+    assert main(["claims", "run", "--ledger", str(ledger)]) == 0
+    assert "inconclusive" in capsys.readouterr().out
+
+
+def test_bad_limit_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "abc")
+    assert main(["analyze", "symmetric(3)"]) == 2
+    assert "GATEGROUPS_MAX_ENUMERATION='abc' is not an integer" in capsys.readouterr().err
+
+
+def test_truncated_group_files_are_clean_errors(tmp_path, capsys):
+    only_dim = tmp_path / "dim.group"
+    only_dim.write_text("dim 2\n")
+    assert main(["analyze", str(only_dim)]) == 2
+    assert "error: line 2:" in capsys.readouterr().err
+
+    short = tmp_path / "short.group"
+    short.write_text("dim 2\ngenerators 2\n[[0, 1], [1, 0]]\n")
+    assert main(["analyze", str(short)]) == 2
+    assert "error: line 2: 2 matrix lines declared, 1 found" in capsys.readouterr().err
+
+
+def test_recipe_error_does_not_stop_the_run(tmp_path, capsys):
+    ledger = tmp_path / "two.ledger"
+    ledger.write_text(
+        "a | core | subgroup_index(symmetric(4), cyclic(5)) | 1 | derived | -\n"
+        "b | core | order(c1) | 192 | derived | -\n"
+    )
+    report = tmp_path / "report.jsonl"
+    assert main(["claims", "run", "--ledger", str(ledger), "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert "error: 1, pass: 1" in out
+    rows = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    assert [r["status"] for r in rows] == ["error", "pass"]
+    assert rows[0]["error"] == "permutation is not an element of the group"

@@ -1,12 +1,19 @@
-"""Exact matrices, Dimino closure, the regular representation, group files."""
+"""Exact matrices, base-image enumeration, the regular representation, group files."""
 
 import random
 
 import pytest
 
-from gategroups.cyclo import ONE, ZERO, root_of_unity, sqrt2
-from gategroups.errors import ClosureOverflowError
-from gategroups.gates import catalog, pauli_group
+from conftest import dimino_closure, matrix_product
+from gategroups.cyclo import ONE, ZERO, rational, root_of_unity, sqrt2
+from gategroups.errors import CapacityError, ClosureOverflowError, GroupFileError
+from gategroups.gates import (
+    bell_group,
+    catalog,
+    clifford_group,
+    pauli2_pair_generators,
+    pauli_group,
+)
 from gategroups.matrix import (
     closure,
     dagger,
@@ -19,6 +26,7 @@ from gategroups.matrix import (
     regular_perm_rep,
     write_group,
 )
+from gategroups.pauligraph import mub_chain
 
 
 def test_matmul_examples():
@@ -68,8 +76,14 @@ def test_closure_rejects_nonunitary():
 
 def test_closure_budget_overflow():
     c = catalog()
-    with pytest.raises(ClosureOverflowError):
+    assert issubclass(ClosureOverflowError, CapacityError)
+    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
         closure([c.hadamard, c.phase], budget=64)
+    # a rotation of infinite order overflows its row orbit
+    three, four = rational(3, 5), rational(4, 5)
+    rotation = matrix_from_rows([[three, -four], [four, three]])
+    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
+        closure([rotation], budget=50)
 
 
 def test_environment_capacity_override(monkeypatch):
@@ -80,6 +94,66 @@ def test_environment_capacity_override(monkeypatch):
     c = catalog()
     with pytest.raises(ClosureOverflowError):
         closure([c.hadamard, c.phase])  # order 192 > overridden budget
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "not an integer"), ("0", "must be positive"), ("-5", "must be positive")],
+)
+def test_limit_rejects_bad_values(monkeypatch, value, message):
+    from gategroups.config import limit
+
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", value)
+    with pytest.raises(ValueError, match=f"GATEGROUPS_MAX_ENUMERATION.*{message}"):
+        limit("MAX_ENUMERATION")
+
+
+def _oracle_group(name):
+    if name.startswith("mub"):
+        return mub_chain(2, with_aut=False)[int(name[-1]) - 2].group
+    return {
+        "p1": lambda: pauli_group(1),
+        "p2": lambda: pauli_group(2),
+        "c1": lambda: clifford_group(1),
+        "c2": lambda: clifford_group(2),
+        "b2": bell_group,
+        "p2pairs": lambda: closure(pauli2_pair_generators()),
+    }[name]()
+
+
+def _check_against_dimino(group):
+    elements, index = dimino_closure(group.generators)
+    assert group.order() == len(elements)
+    assert set(group.elements) == set(elements)
+    assert [group.index_of(m) for m in group.elements] == list(range(group.order()))
+    relabel = [group.index_of(m) for m in elements]
+    table = group.element_table()
+    assert table.gen_indices == [group.index_of(g) for g in group.generators]
+    for gen, col in zip(group.generators, table.rmul_columns()):
+        for i, m in enumerate(elements):
+            assert col[relabel[i]] == relabel[index[matrix_product(m, gen)]]
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "c1", "b2", "p2pairs", "mub2", "mub3", "mub4"])
+def test_enumeration_matches_dimino_oracle(name):
+    """Same element set and, after relabelling, the same generator columns."""
+    _check_against_dimino(_oracle_group(name))
+
+
+@pytest.mark.long
+def test_c2_enumeration_matches_dimino_oracle():
+    _check_against_dimino(clifford_group(2))
+
+
+def test_t_gate_is_not_in_c1():
+    """Every row of T is a row of some element of C1, yet T is not in C1."""
+    c1 = clifford_group(1)
+    t = diagonal_matrix([1, root_of_unity(8)])
+    rows = {r for m in c1.elements for r in m.rows()}
+    assert all(r in rows for r in t.rows())
+    assert t not in c1
+    with pytest.raises(KeyError):
+        c1.index_of(t)
 
 
 def test_closure_order_independent():
@@ -153,6 +227,26 @@ def test_group_file_with_elements(tmp_path):
     write_group(g, path, include_elements=True)
     back = read_group(path)
     assert set(back.elements) == set(g.elements)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("dim 2\n", 2),
+        ("dim two\ngenerators 1\n[[0, 1], [1, 0]]\n", 1),
+        ("dim 2\ngenerators 2\n[[0, 1], [1, 0]]\n", 2),
+        ("dim 2\n\ngenerators 1\n[[0, 1], [1, 0, 0]]\n", 4),
+        ("dim 2\ngenerators 1\n[[0, 1], [1, 0]]\nelements 3\n[[1, 0], [0, 1]]\n", 4),
+    ],
+)
+def test_group_file_errors_name_the_line(tmp_path, text, line):
+    path = tmp_path / "bad.group"
+    path.write_text(text)
+    with pytest.raises(GroupFileError) as err:
+        read_group(path)
+    assert err.value.line_number == line
+    assert str(err.value).startswith(f"line {line}: ")
 
 
 def test_sqrt2_entries_survive_round_trip(tmp_path):

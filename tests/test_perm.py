@@ -153,3 +153,45 @@ def test_indices_of_across_ambient_tables():
         a4.indices_of(s4)
     with pytest.raises(ValueError):
         s4.indices_of(groups.symmetric(5))
+
+
+@pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
+def test_base_image_enumeration_round_trips(name, group):
+    """perm_of replays words over the generators; index_of inverts it."""
+    n = group.order()
+    perms = [group.perm_of(i) for i in range(n)]
+    assert group.own_table().n == n
+    assert {p.imgs for p in perms} == brute_force_elements(group)
+    assert [group.index_of(p) for p in perms] == list(range(n))
+    assert perms[0].is_identity
+
+
+def test_index_of_rejects_a_permutation_with_a_members_base_images():
+    """(3,4) fixes the base of A4 like the identity does, yet lies outside A4."""
+    from gategroups import groups
+    from gategroups.structure import derived_subgroup
+
+    outsider = Permutation.parse("(3,4)", 4)
+    a4 = groups.alternating(4)
+    base = a4.stabilizer_chain().base()
+    assert [outsider.image(b) for b in base] == base
+    with pytest.raises(ValueError):
+        a4.index_of(outsider)
+    s4 = groups.symmetric(4)
+    with pytest.raises(ValueError):
+        derived_subgroup(s4).index_of(outsider)
+    assert s4.perm_of(s4.index_of(outsider)) == outsider
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("", 1), ("\n\norder 4\n(1,2)\n", 3), ("degree 4\n(1,2)\n\n(1,5)\n", 4), ("degree 3\n(1,x)\n", 2)],
+)
+def test_group_file_errors_name_the_line(tmp_path, text, line):
+    from gategroups.errors import GroupFileError
+
+    path = tmp_path / "bad.permgroup"
+    path.write_text(text)
+    with pytest.raises(GroupFileError) as err:
+        read_perm_group(path)
+    assert err.value.line_number == line
