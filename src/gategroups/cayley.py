@@ -10,9 +10,16 @@ permutations of 92160 points.
 
 Every group is enumerated by ``orbit``, one breadth-first search that names
 each element by its base images and fills the columns in the same pass.
+
+A whole column (multiplication by one element on either side, or
+conjugation) is filled in one O(n) pass along a spanning tree from the
+identity; a single product ``mult(i, j)`` replays the word of j and costs
+O(|word(j)|).
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from gategroups.errors import ClosureOverflowError
 
@@ -62,11 +69,11 @@ class ElementTable:
         self.n = n
         self.gen_indices = list(gen_indices)
         self._rmul = [list(col) for col in rmul]
-        self._rmul_inv = None
         self._lmul = None
         self._lmul_inv = None
         self._inv = None
-        self._bfs = None  # (order, prev, genpos): spanning tree from the identity
+        self._bfs = None  # (order, prev, genpos): right spanning tree from e
+        self._lbfs = None  # the same along the left multiplications
         self._classes = None
         self._orders = None
         self._perms = None  # generator image tuples of a permutation group
@@ -125,23 +132,16 @@ class ElementTable:
         raise ValueError("permutation is not an element of the group")
 
     def _ensure_tree(self):
+        """Spanning tree along the right multiplications: x_i = x_prev * s."""
         if self._bfs is None:
-            n = self.n
-            prev = [-1] * n
-            genpos = [-1] * n
-            order = [0]
-            prev[0] = 0
-            for i in order:
-                for g, col in enumerate(self._rmul):
-                    j = col[i]
-                    if prev[j] < 0:
-                        prev[j] = i
-                        genpos[j] = g
-                        order.append(j)
-            if len(order) != n:
-                raise ValueError("generator columns do not span the table")
-            self._bfs = (order, prev, genpos)
+            self._bfs = _spanning_tree(self._rmul)
         return self._bfs
+
+    def _ensure_left_tree(self):
+        """Spanning tree along the left multiplications: x_i = t * x_prev."""
+        if self._lbfs is None:
+            self._lbfs = _spanning_tree(self._ensure_lmul())
+        return self._lbfs
 
     def word(self, i):
         """Generator positions whose left-to-right product is element i."""
@@ -155,17 +155,7 @@ class ElementTable:
 
     def _ensure_lmul(self):
         if self._lmul is None:
-            order, prev, genpos = self._ensure_tree()
-            lmul = []
-            for g, col in enumerate(self._rmul):
-                gi = self.gen_indices[g]
-                lcol = [0] * self.n
-                lcol[0] = gi
-                for j in order[1:]:
-                    # x_j = x_prev * s  =>  g*x_j = (g*x_prev) * s
-                    lcol[j] = self._rmul[genpos[j]][lcol[prev[j]]]
-                lmul.append(lcol)
-            self._lmul = lmul
+            self._lmul = [self.lcolumn(g) for g in self.gen_indices]
         return self._lmul
 
     def _ensure_lmul_inv(self):
@@ -173,20 +163,10 @@ class ElementTable:
             self._lmul_inv = [_invert(col) for col in self._ensure_lmul()]
         return self._lmul_inv
 
-    def _ensure_rmul_inv(self):
-        if self._rmul_inv is None:
-            self._rmul_inv = [_invert(col) for col in self._rmul]
-        return self._rmul_inv
-
     def inverses(self):
         if self._inv is None:
-            order, prev, genpos = self._ensure_tree()
-            lmul_inv = self._ensure_lmul_inv()
-            inv = [0] * self.n
-            for j in order[1:]:
-                # (x * s)^-1 = s^-1 * x^-1
-                inv[j] = lmul_inv[genpos[j]][inv[prev[j]]]
-            self._inv = inv
+            # (x * s)^-1 = s^-1 * x^-1
+            self._inv = _fill(self._ensure_tree(), 0, self._ensure_lmul_inv())
         return self._inv
 
     def mult(self, i, j):
@@ -209,26 +189,25 @@ class ElementTable:
         return self.mult(self.mult(i, j), self.mult(inv[i], inv[j]))
 
     def column(self, j):
-        """Right-multiplication column: i -> i * x_j."""
-        w = self.word(j)
-        if not w:
-            return list(range(self.n))
-        col = list(self._rmul[w[0]])
-        for g in w[1:]:
-            rm = self._rmul[g]
-            col = [rm[x] for x in col]
-        return col
+        """Right-multiplication column: i -> x_i * x_j."""
+        # x_i = t * x_prev  =>  x_i * x_j = t * (x_prev * x_j)
+        return _fill(self._ensure_left_tree(), j, self._ensure_lmul())
 
     def lcolumn(self, j):
-        """Left-multiplication column: i -> x_j * i."""
-        w = self.word(j)
-        lmul = self._ensure_lmul()
-        if not w:
-            return list(range(self.n))
-        col = list(lmul[w[-1]])
-        for g in reversed(w[:-1]):
-            lm = lmul[g]
-            col = [lm[x] for x in col]
+        """Left-multiplication column: i -> x_j * x_i."""
+        # x_i = x_prev * s  =>  x_j * x_i = (x_j * x_prev) * s
+        return _fill(self._ensure_tree(), j, self._rmul)
+
+    def conj_column(self, j):
+        """Conjugation column: i -> x_i^-1 * x_j * x_i."""
+        order, prev, genpos = self._ensure_tree()
+        rmul, lmul_inv = self._rmul, self._ensure_lmul_inv()
+        col = [0] * self.n
+        col[0] = j
+        for i in islice(order, 1, None):
+            # x_i = x_prev * s  =>  x_i^-1 x_j x_i = s^-1 (x_prev^-1 x_j x_prev) s
+            g = genpos[i]
+            col[i] = rmul[g][lmul_inv[g][col[prev[i]]]]
         return col
 
     def order_of(self, i):
@@ -295,7 +274,9 @@ class ElementTable:
     def subgroup_closure(self, gens, cap=None):
         """Member set of the subgroup generated by the given element indices."""
         gens = [g for g in dict.fromkeys(gens) if g != 0]
-        cols = [self.column(g) for g in gens]
+        # closing under left multiplication gives the same subgroup and needs
+        # only the right spanning tree
+        cols = [self.lcolumn(g) for g in gens]
         members = {0}
         queue = [0]
         while queue:
@@ -315,7 +296,7 @@ class ElementTable:
         Returns (member set, subgroup generator indices).
         """
         gens = [s for s in dict.fromkeys(seeds) if s != 0]
-        cols = [self.column(g) for g in gens]
+        cols = [self.lcolumn(g) for g in gens]  # as in subgroup_closure
         members = {0}
         queue = [0]
 
@@ -338,7 +319,7 @@ class ElementTable:
                 if y not in members:
                     gens.append(y)
                     pending.append(y)
-                    col = self.column(y)
+                    col = self.lcolumn(y)
                     cols.append(col)
                     fresh = [m for m in members if col[m] not in members]
                     for m in fresh:
@@ -421,18 +402,29 @@ class ElementTable:
         return invs
 
     def normal_subgroup_sets(self):
-        """All normal subgroups as member sets (join closure of class closures)."""
+        """All normal subgroups as member sets (join closure of class closures).
+
+        The join of normal A and B is AB, of order |A||B|/|A & B|, so a pool
+        member of that order holding A and B is the join and needs no
+        closure.
+        """
         _, reps, _ = self.class_partition()
         pool = {}
         gens_of = {}
+        by_order = {}
 
         def add(members, gens):
             key = frozenset(members)
             if key not in pool:
                 pool[key] = members
                 gens_of[key] = gens
+                by_order.setdefault(len(key), []).append(key)
                 return key
             return None
+
+        def known_join(ka, kb):
+            size = len(ka) * len(kb) // len(ka & kb)
+            return any(ka <= k and kb <= k for k in by_order.get(size, ()))
 
         add({0}, [])
         for r in reps:
@@ -446,7 +438,7 @@ class ElementTable:
             keys = list(pool)
             for ka in new_keys:
                 for kb in keys:
-                    if ka == kb or ka <= kb or kb <= ka:
+                    if ka == kb or ka <= kb or kb <= ka or known_join(ka, kb):
                         continue
                     gens = gens_of[ka] + [g for g in gens_of[kb] if g not in ka]
                     members = self.subgroup_closure(gens)
@@ -472,15 +464,12 @@ class ElementTable:
 
     def commutator_set_all_pairs(self):
         """K(G) by brute force over all ordered pairs."""
+        # [a, b] = a * (b a^-1 b^-1) = lcolumn(a)[conj_column(a^-1)[b^-1]], and
+        # b^-1 runs over the whole table as b does
         inv = self.inverses()
         out = set()
         for a in range(self.n):
-            # x -> a * x * a^-1
-            lcol_a = self.lcolumn(a)
-            col_ainv = self.column(inv[a])
-            for b in range(self.n):
-                y = lcol_a[col_ainv[b]]  # a b a^-1
-                out.add(self.mult(y, inv[b]))
+            out.update(map(self.lcolumn(a).__getitem__, self.conj_column(inv[a])))
         return out
 
     def commutator_set_by_classes(self):
@@ -489,12 +478,44 @@ class ElementTable:
         inv = self.inverses()
         hit_classes = set()
         for r in reps:
-            lcol_r = self.lcolumn(r)
-            col_rinv = self.column(inv[r])
-            for b in range(self.n):
-                y = lcol_r[col_rinv[b]]  # r b r^-1
-                hit_classes.add(class_of[self.mult(y, inv[b])])
+            commutators = map(self.lcolumn(r).__getitem__, self.conj_column(inv[r]))
+            hit_classes.update(map(class_of.__getitem__, commutators))
         return {i for i in range(self.n) if class_of[i] in hit_classes}
+
+
+def _spanning_tree(cols):
+    """Breadth-first tree from element 0 along the columns.
+
+    Returns ``(order, prev, genpos)``: the elements in discovery order, and
+    for every element but 0 the element it was reached from and the
+    position of the column that reached it.
+    """
+    n = len(cols[0])
+    prev = [-1] * n
+    genpos = [-1] * n
+    order = [0]
+    prev[0] = 0
+    for i in order:
+        for g, col in enumerate(cols):
+            j = col[i]
+            if prev[j] < 0:
+                prev[j] = i
+                genpos[j] = g
+                order.append(j)
+    if len(order) != n:
+        raise ValueError("generator columns do not span the table")
+    return order, prev, genpos
+
+
+def _fill(tree, start, cols):
+    """The column with ``out[0] = start`` and, along the tree,
+    ``out[i] = cols[genpos[i]][out[prev[i]]]``, filled in one pass."""
+    order, prev, genpos = tree
+    out = [0] * len(order)
+    out[0] = start
+    for i in islice(order, 1, None):
+        out[i] = cols[genpos[i]][out[prev[i]]]
+    return out
 
 
 def _invert(col):

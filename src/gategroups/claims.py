@@ -157,6 +157,7 @@ class Evaluator:
         self._matrix = {}
         self._values = {}
         self._normals = {}
+        self._commutator_sets = {}
         self._mub = {}
         self.allow_extended = False
 
@@ -339,7 +340,12 @@ class Evaluator:
     def _commutators(self, group_expr):
         g = self.group(group_expr)
         method = "all-pairs" if g.order() <= 4096 else "class-reps"
-        return commutator_set(g, extended=self.allow_extended, method=method)
+        key = (_normalize(group_expr), method, self.allow_extended)
+        if key not in self._commutator_sets:
+            self._commutator_sets[key] = commutator_set(
+                g, extended=self.allow_extended, method=method
+            )
+        return self._commutator_sets[key]
 
     def _matrix_atom(self, name):
         c = catalog()

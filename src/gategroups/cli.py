@@ -84,8 +84,8 @@ def _cmd_build(args):
 def _load_group_file(path):
     """Group file -> PermGroup; matrix files go through their regular action."""
     with open(path, encoding="ascii") as fh:
-        first = fh.readline()
-    if first.startswith("dim "):
+        first = next((line.split() for line in fh if line.strip()), [])
+    if first[:1] == ["dim"]:
         from gategroups.matrix import read_group
 
         return read_group(path).perm_group()

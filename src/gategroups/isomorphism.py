@@ -50,19 +50,23 @@ def _min_generating_sequence(table):
     return seq
 
 
-def _hom_image(tg, th, seq, images):
-    """Full image array if seq -> images extends to a bijective homomorphism."""
-    n = tg.n
-    gcols = [tg.column(x) for x in seq]
+def _hom_image(gcols, th, images):
+    """Full image array if seq -> images extends to a bijective homomorphism.
+
+    ``gcols`` holds the right-multiplication columns of the generating
+    sequence seq, which a search computes once for all its leaves, and
+    ``images`` the indices in ``th`` that seq should map to.
+    """
+    n = len(gcols[0])
     hcols = [th.column(y) for y in images]
     img = [-1] * n
     img[0] = 0
     queue = [0]
     for e in queue:
         base = img[e]
-        for c in range(len(seq)):
-            e2 = gcols[c][e]
-            y2 = hcols[c][base]
+        for gcol, hcol in zip(gcols, hcols):
+            e2 = gcol[e]
+            y2 = hcol[base]
             cur = img[e2]
             if cur < 0:
                 img[e2] = y2
@@ -147,11 +151,12 @@ def _tables_isomorphic(tg, th, node_budget=None):
         if not lst:
             return None, None, None
         cand.append(lst)
+    gcols = [tg.column(x) for x in seq]
     chosen = []
 
     def backtrack(pos):
         if pos == len(seq):
-            return _hom_image(tg, th, seq, chosen)
+            return _hom_image(gcols, th, chosen)
         for y in cand[pos]:
             search.tick()
             if not search.compatible(seq, chosen, seq[pos], y):
@@ -235,17 +240,17 @@ def automorphism_group(g, extended=False, node_budget=None, collect_limit=200_00
     cands = [search.candidates(x) for x in seq]
 
     def centralizer(y):
-        col = table.column(y)
-        lcol = table.lcolumn(y)
-        return [z for z in range(n) if col[z] == lcol[z]]
+        conj = table.conj_column(y)
+        return [z for z in range(n) if conj[z] == y]
 
+    gcols = [table.column(x) for x in seq]
     collected = []
     truncated = [False]
     chosen = []
 
     def count(pos, K):
         if pos == len(seq):
-            img = _hom_image(table, table, seq, chosen)
+            img = _hom_image(gcols, table, chosen)
             if img is None:
                 return 0
             if len(collected) < collect_limit:

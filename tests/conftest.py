@@ -4,6 +4,8 @@ The oracles here are deliberately primitive (plain breadth-first set
 closures over permutation tuples, Dimino closure over matrices with an
 entrywise product) so they share no code path with the stabilizer chain,
 the base-image enumeration or the element-table engine they cross-check.
+The normal-subgroup oracle closes every join, so it checks the shortcut of
+``ElementTable.normal_subgroup_sets`` that skips joins already found.
 """
 
 import os
@@ -95,6 +97,40 @@ def dimino_closure(generators):
                         grow(matrix_product(e, x))
             rep_pos += len(sub)
     return elements, index
+
+
+def normal_subgroup_sets_oracle(table):
+    """Normal subgroups as (member set, generators), closing every join (oracle)."""
+    _, reps, _ = table.class_partition()
+    pool = {}
+    gens_of = {}
+
+    def add(members, gens):
+        key = frozenset(members)
+        if key not in pool:
+            pool[key] = members
+            gens_of[key] = gens
+            return key
+        return None
+
+    add({0}, [])
+    for r in reps:
+        if r != 0:
+            add(*table.normal_closure_set([r]))
+    new_keys = list(pool)
+    while new_keys:
+        fresh = []
+        keys = list(pool)
+        for ka in new_keys:
+            for kb in keys:
+                if ka == kb or ka <= kb or kb <= ka:
+                    continue
+                gens = gens_of[ka] + [g for g in gens_of[kb] if g not in ka]
+                key = add(table.subgroup_closure(gens), gens)
+                if key is not None:
+                    fresh.append(key)
+        new_keys = fresh
+    return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
 
 
 def small_corpus():

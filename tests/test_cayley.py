@@ -1,0 +1,73 @@
+"""Element-table columns, normal subgroups and commutator sets against oracles.
+
+``ElementTable.mult`` replays the word of its second argument over the
+generator columns, one product at a time; it is the oracle for the columns
+that are filled in one pass along a spanning tree.
+"""
+
+import pytest
+
+from conftest import normal_subgroup_sets_oracle, small_corpus
+from gategroups import groups
+from gategroups.claims import Evaluator
+from gategroups.structure import center, coset_action, derived_subgroup
+
+
+def _c1_mod_center():
+    c1 = Evaluator().group("c1")
+    return coset_action(c1, center(c1))
+
+
+# (name, function returning the group); the last two tables index their elements in another order
+# than their spanning trees visit them
+TABLES = [(name, lambda g=g: g) for name, g in small_corpus()] + [
+    ("C1", lambda: Evaluator().group("c1")),
+    ("A5inS5", lambda: derived_subgroup(groups.symmetric(5))),  # a subgroup table
+    ("C1modZ", _c1_mod_center),  # a regular table on the cosets of Z(C1)
+]
+
+
+@pytest.mark.parametrize("name, build", TABLES, ids=[n for n, _ in TABLES])
+def test_columns_match_products(name, build):
+    table = build().own_table()
+    n, mult = table.n, table.mult
+    for j in sorted({0, 1, n // 3, n // 2, n - 1, *table.gen_indices}):
+        assert table.column(j) == [mult(i, j) for i in range(n)]
+        assert table.lcolumn(j) == [mult(j, i) for i in range(n)]
+        conj = table.conj_column(j)
+        # x_i^-1 x_j x_i is the element c with x_i c = x_j x_i
+        assert [mult(i, conj[i]) for i in range(n)] == [mult(j, i) for i in range(n)]
+    inv = table.inverses()
+    assert all(mult(i, inv[i]) == 0 for i in range(n))
+
+
+def test_tree_order_differs_from_index_order():
+    """The corpus holds tables whose spanning trees visit indices out of order."""
+    build = dict(TABLES)
+    for name in ("A5inS5", "C1modZ"):
+        table = build[name]().own_table()
+        assert table._ensure_left_tree()[0] != list(range(table.n)), name
+    table = build["A5inS5"]().own_table()
+    assert table._ensure_tree()[0] != list(range(table.n))
+
+
+C2_SQUARED = groups.direct(groups.cyclic(2), groups.cyclic(2))
+NORMAL_CASES = small_corpus() + [("C2^2wrS4", groups.wreath(C2_SQUARED, groups.symmetric(4)))]
+
+
+@pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
+def test_normal_subgroup_sets_match_the_closing_oracle(name, group):
+    """Same member sets and generator lists, in the same order, as closing every join."""
+    table = group.own_table()
+    assert table.normal_subgroup_sets() == normal_subgroup_sets_oracle(table)
+
+
+def test_commutator_set_all_pairs_m20_against_pairwise_products():
+    m20 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
+    table = m20.own_table()
+    n, mult = table.n, table.mult
+    inv = table.inverses()
+    brute = {mult(mult(a, b), mult(inv[a], inv[b])) for a in range(n) for b in range(n)}
+    assert len(brute) == 840
+    assert table.commutator_set_all_pairs() == brute
+    assert table.commutator_set_by_classes() == brute

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gategroups import claims
 from gategroups.claims import (
     Evaluator,
     default_ledger_text,
@@ -128,6 +129,25 @@ def test_recipe_evaluator_caches_groups():
     g1 = ev.group("derived(wreath(cyclic(2), symmetric(5)))")
     g2 = ev.group("derived(wreath(cyclic(2),  symmetric(5)))")
     assert g1 is g2
+
+
+def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
+    calls = []
+
+    def counting(group, **kwargs):
+        calls.append(kwargs)
+        return real(group, **kwargs)
+
+    real = claims.commutator_set
+    monkeypatch.setattr(claims, "commutator_set", counting)
+    ev = Evaluator()
+    m20 = "derived(wreath(cyclic(2), symmetric(5)))"
+    assert ev.value(f"commutator_deficiency({m20})") == 120
+    assert ev.value("commutators_equal_derived(derived(wreath(cyclic(2),symmetric(5))))") is False
+    assert calls == [{"extended": False, "method": "all-pairs"}]
+    # the capacity tier is part of the key
+    assert ev.value(f"commutator_deficiency({m20})", tier="extended") == 120
+    assert calls[1:] == [{"extended": True, "method": "all-pairs"}]
 
 
 def test_unknown_recipe_raises():

@@ -100,6 +100,17 @@ def test_analyze_group_file(tmp_path, capsys):
     assert "order:              16" in capsys.readouterr().out
 
 
+def test_group_file_reader_skips_leading_blank_lines(tmp_path, capsys):
+    matrix_file = tmp_path / "x.group"
+    matrix_file.write_text("\ndim 2\ngenerators 1\n[[0, 1], [1, 0]]\n")
+    assert main(["analyze", str(matrix_file)]) == 0
+    assert "order:              2" in capsys.readouterr().out
+    perm_file = tmp_path / "s3.permgroup"
+    perm_file.write_text("\n  \ndegree 3\n(1,2)\n(1,2,3)\n")
+    assert main(["analyze", str(perm_file)]) == 0
+    assert "order:              6" in capsys.readouterr().out
+
+
 def test_error_reporting(capsys):
     assert main(["analyze", "frobnicate(2)"]) == 2
     assert "error:" in capsys.readouterr().err

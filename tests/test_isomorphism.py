@@ -35,7 +35,7 @@ def test_iso_witness_is_a_homomorphism():
     tg, th = g.own_table(), h.own_table()
     seq = [g.index_of(p) for p in res.generators]
     images = [h.index_of(p) for p in res.images]
-    img = _hom_image(tg, th, seq, images)
+    img = _hom_image([tg.column(x) for x in seq], th, images)
     assert img is not None  # bijective homomorphism on the full table
 
 
@@ -58,9 +58,10 @@ def slow_automorphism_count(table):
         return 1
     orders = table.element_orders()
     cands = [[j for j in range(table.n) if orders[j] == orders[x]] for x in seq]
+    gcols = [table.column(x) for x in seq]
     count = 0
     for combo in itertools.product(*cands):
-        if _hom_image(table, table, seq, list(combo)) is not None:
+        if _hom_image(gcols, table, list(combo)) is not None:
             count += 1
     return count
 

@@ -155,6 +155,25 @@ def test_indices_of_across_ambient_tables():
         s4.indices_of(groups.symmetric(5))
 
 
+def test_indices_of_across_regular_tables():
+    """A quotient's derived subgroup is found in a second copy of the quotient.
+
+    Quotients have regular tables, where a lookup compares whole columns.
+    """
+    from gategroups import groups
+    from gategroups.structure import center, coset_action, derived_subgroup
+
+    def quotient():
+        g = groups.wreath(groups.cyclic(2), groups.symmetric(5))
+        return coset_action(g, center(g))
+
+    first, second = quotient(), quotient()
+    d = derived_subgroup(second)
+    members = first.indices_of(d)
+    assert len(members) == 960
+    assert members == second.indices_of(d)
+
+
 @pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
 def test_base_image_enumeration_round_trips(name, group):
     """perm_of replays words over the generators; index_of inverts it."""
