@@ -178,11 +178,6 @@ class ElementTable:
         """g^-1 * x_i * g for the g-th generator."""
         return self._rmul[g][self._ensure_lmul_inv()[g][i]]
 
-    def conjugate(self, i, j):
-        """x_j^-1 * x_i * x_j."""
-        inv = self.inverses()
-        return self.mult(self.mult(inv[j], i), j)
-
     def commutator(self, i, j):
         """[x_i, x_j] = x_i x_j x_i^-1 x_j^-1."""
         inv = self.inverses()

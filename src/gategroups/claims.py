@@ -185,11 +185,11 @@ class Evaluator:
 
     def group(self, expr):
         expr = _normalize(expr)
-        if expr in self._groups:
-            return self._groups[expr]
-        g = self._eval_group(expr)
-        self._groups[expr] = g
-        return g
+        # only aut(...) depends on the tier, through its capacity limit
+        key = (expr, self.allow_extended and "aut(" in expr)
+        if key not in self._groups:
+            self._groups[key] = self._eval_group(expr)
+        return self._groups[key]
 
     def _gate_subgroup(self, parent_name, child_name):
         """Child gate group embedded in the parent's element table."""
@@ -232,10 +232,7 @@ class Evaluator:
         if name == "normal_subgroup":
             return self._normal_subgroup(parts[0], int(parts[1]))
         if name == "aut":
-            aut = automorphism_group(self.group(parts[0]), extended=self.allow_extended)
-            if aut.group is None:
-                raise _Inconclusive("automorphism group was not fully collected")
-            return aut.group
+            return automorphism_group(self.group(parts[0]), extended=self.allow_extended).group
         # reference constructors
         return groupspec.parse_spec(expr).realized
 

@@ -46,7 +46,3 @@ def limit(name: str) -> int:
     if value <= 0:
         raise ValueError(f"{var}={raw!r} must be positive")
     return value
-
-
-def long_tests_enabled() -> bool:
-    return os.environ.get("GATEGROUPS_LONG", "") not in ("", "0")

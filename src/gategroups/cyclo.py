@@ -272,9 +272,6 @@ class Cyclotomic:
             complex(0),
         )
 
-    def sort_key(self):
-        return (self.conductor, tuple((k, c.numerator, c.denominator) for k, c in self._items))
-
     # -- housekeeping ----------------------------------------------------
 
     def __eq__(self, other):
@@ -545,4 +542,7 @@ class _Parser:
 
 def parse(text):
     """Parse the textual syntax; exact round-trip with str()."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in cyclotomic expression {text!r}") from None

@@ -265,6 +265,19 @@ def split_args(text):
     return parts
 
 
+# argument counts of the spec constructors; direct() takes one or more
+_ARITY = {
+    "cyclic": 1,
+    "dihedral": 1,
+    "symmetric": 1,
+    "alternating": 1,
+    "quaternion8": 0,
+    "sl23": 0,
+    "wreath": 2,
+    "semidirect": 3,
+}
+
+
 def parse_spec(text):
     """Parse the textual GroupSpec syntax."""
     text = text.strip()
@@ -276,9 +289,16 @@ def parse_spec(text):
         name = name.strip()
         args = args[:-1]
     parts = split_args(args) if args.strip() else []
+    if name in _ARITY and len(parts) != _ARITY[name]:
+        raise ValueError(f"{name}() takes {_ARITY[name]} argument(s), found {len(parts)}")
+    if name == "direct" and not parts:
+        raise ValueError("direct() needs at least one factor")
 
     def intarg(i):
-        return int(parts[i])
+        try:
+            return int(parts[i])
+        except ValueError:
+            raise ValueError(f"{name}() needs an integer argument, found {parts[i]!r}") from None
 
     if name == "cyclic":
         return GroupSpec("cyclic", (intarg(0),), cyclic(intarg(0)))

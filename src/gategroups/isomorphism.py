@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError, CapacityError
@@ -50,15 +51,14 @@ def _min_generating_sequence(table):
     return seq
 
 
-def _hom_image(gcols, th, images):
+def _hom_image(gcols, hcols):
     """Full image array if seq -> images extends to a bijective homomorphism.
 
     ``gcols`` holds the right-multiplication columns of the generating
-    sequence seq, which a search computes once for all its leaves, and
-    ``images`` the indices in ``th`` that seq should map to.
+    sequence seq in g, which a search computes once for all its leaves,
+    and ``hcols`` those of the images in a table of the same order.
     """
     n = len(gcols[0])
-    hcols = [th.column(y) for y in images]
     img = [-1] * n
     img[0] = 0
     queue = [0]
@@ -75,7 +75,7 @@ def _hom_image(gcols, th, images):
                 return None
     if len(queue) != n:
         return None
-    seen = bytearray(th.n)
+    seen = bytearray(n)
     for v in img:
         if seen[v]:
             return None
@@ -84,17 +84,38 @@ def _hom_image(gcols, th, images):
 
 
 class _Search:
-    """Shared backtracking state for isomorphism / automorphism searches."""
+    """Shared backtracking state for isomorphism / automorphism searches.
 
-    def __init__(self, tg, th, node_budget=None):
+    The images chosen so far sit on a stack, ``chosen``, next to the
+    columns of each image that later steps read: its right-multiplication
+    column (for the homomorphism check at a leaf), its conjugation column
+    (y_q commutes with y iff ``conj[y] == y_q``) and, below the last level,
+    its left-multiplication column (y_q * y).  The matching relations of
+    the generating sequence in g are fixed, so they are read once from its
+    columns.
+    """
+
+    def __init__(self, tg, th, seq, node_budget=None):
         self.tg = tg
         self.th = th
+        self.seq = seq
         self.g_orders = tg.element_orders()
         self.h_orders = th.element_orders()
         self.g_classes = tg.class_partition()
         self.h_classes = th.class_partition()
         self.nodes = 0
         self.budget = node_budget or limit("SEARCH_NODE_BUDGET")
+        # g_rel[pos][q]: (order of x_q * x_pos, whether x_q and x_pos commute)
+        self.g_rel = [[] for _ in seq]
+        for q, xq in enumerate(seq[:-1]):
+            lcol, conj = tg.lcolumn(xq), tg.conj_column(xq)
+            for pos in range(q + 1, len(seq)):
+                x = seq[pos]
+                self.g_rel[pos].append((self.g_orders[lcol[x]], conj[x] == xq))
+        self.chosen = []
+        self.h_rcols = []
+        self.h_conj = []
+        self.h_lcols = []
 
     def key_g(self, i):
         class_of, _, sizes = self.g_classes
@@ -108,14 +129,29 @@ class _Search:
         key = self.key_g(x)
         return [j for j in range(1, self.th.n) if self.key_h(j) == key]
 
-    def compatible(self, seq, chosen, x, y):
-        tg, th = self.tg, self.th
-        for xq, yq in zip(seq, chosen):
-            if self.g_orders[tg.mult(xq, x)] != self.h_orders[th.mult(yq, y)]:
+    def compatible(self, pos, y):
+        """Whether y may follow ``chosen`` as the image of ``seq[pos]``."""
+        h_orders = self.h_orders
+        for q, (order, commutes) in enumerate(self.g_rel[pos]):
+            if h_orders[self.h_lcols[q][y]] != order:
                 return False
-            if (tg.commutator(xq, x) == 0) != (th.commutator(yq, y) == 0):
+            if (self.h_conj[q][y] == self.chosen[q]) != commutes:
                 return False
         return True
+
+    def push(self, y):
+        """Choose y as the image of the next sequence element."""
+        self.chosen.append(y)
+        self.h_rcols.append(self.th.column(y))
+        self.h_conj.append(self.th.conj_column(y))
+        deeper = len(self.chosen) < len(self.seq)
+        self.h_lcols.append(self.th.lcolumn(y) if deeper else None)
+
+    def pop(self):
+        self.chosen.pop()
+        self.h_rcols.pop()
+        self.h_conj.pop()
+        self.h_lcols.pop()
 
     def tick(self):
         self.nodes += 1
@@ -144,7 +180,7 @@ def _tables_isomorphic(tg, th, node_budget=None):
     if _fingerprint_of(tg) != _fingerprint_of(th):
         return None, None, None
     seq = _min_generating_sequence(tg)
-    search = _Search(tg, th, node_budget)
+    search = _Search(tg, th, seq, node_budget)
     cand = []
     for x in seq:
         lst = search.candidates(x)
@@ -152,26 +188,25 @@ def _tables_isomorphic(tg, th, node_budget=None):
             return None, None, None
         cand.append(lst)
     gcols = [tg.column(x) for x in seq]
-    chosen = []
 
     def backtrack(pos):
         if pos == len(seq):
-            return _hom_image(gcols, th, chosen)
+            return _hom_image(gcols, search.h_rcols)
         for y in cand[pos]:
             search.tick()
-            if not search.compatible(seq, chosen, seq[pos], y):
+            if not search.compatible(pos, y):
                 continue
-            chosen.append(y)
+            search.push(y)
             img = backtrack(pos + 1)
             if img is not None:
                 return img
-            chosen.pop()
+            search.pop()
         return None
 
     img = backtrack(0)
     if img is None:
         return None, None, None
-    return seq, list(chosen), img
+    return seq, list(search.chosen), img
 
 
 def isomorphic(g, h, node_budget=None):
@@ -194,18 +229,44 @@ def isomorphic(g, h, node_budget=None):
 
 @dataclass
 class AutomorphismGroup:
+    """|Aut(G)| and |Inn(G)| of a group, counted by ``automorphism_group``.
+
+    ``group``, the automorphism group acting on the element table, is built
+    on first access from the inner automorphisms and the images of the
+    generating sequence at the accepted search leaves.
+    """
+
     order: int
-    group: PermGroup | None  # action on the element table, when collected
-    inner: PermGroup
     inner_order: int
-    complete: bool  # True when `group` carries the whole automorphism group
+    table: object  # the group's own element table
+    gcols: list  # right-multiplication columns of the generating sequence
+    leaves: list  # its images, one tuple per accepted leaf
 
     def outer_order(self):
         return self.order // self.inner_order
 
+    @cached_property
+    def group(self):
+        table = self.table
+        n = table.n
 
-def automorphism_group(g, extended=False, node_budget=None, collect_limit=200_000):
-    """Full automorphism group as permutations of the element table.
+        def leaf_maps():
+            for images in self.leaves:
+                img = _hom_image(self.gcols, [table.column(y) for y in images])
+                if img is None:
+                    raise AssertionError(f"leaf {images} is not an automorphism")
+                yield img
+
+        inner = (
+            [table.conj_by_gen(i, gpos) for i in range(n)]
+            for gpos in range(len(table.gen_indices))
+        )
+        gens = _reduce_perm_generators(itertools.chain(inner, leaf_maps()), n, self.order)
+        return PermGroup(n, gens, order=self.order)
+
+
+def automorphism_group(g, extended=False, node_budget=None):
+    """Automorphism group of g: its order is counted, the group built on demand.
 
     Counting is factored through the inner automorphisms: at each level
     of the generator-image backtracking, candidates split into orbits
@@ -213,9 +274,10 @@ def automorphism_group(g, extended=False, node_budget=None, collect_limit=200_00
     so far, and every orbit contributes |orbit| times the count at its
     representative (composing with an inner automorphism from K moves
     the next image around its K-orbit without disturbing earlier ones).
-    Every accepted leaf is still verified as a bijective homomorphism on
-    the whole table, and with the inner automorphisms the collected leaf
-    maps generate the full automorphism group.
+    Every accepted leaf is verified as a bijective homomorphism on the
+    whole table; with the inner automorphisms the accepted leaves
+    generate the full automorphism group, which ``group`` builds on
+    demand.
     """
     n = g.order()
     cap = limit("MAX_AUT_ORDER_EXTENDED") if extended else limit("MAX_AUT_ORDER")
@@ -223,87 +285,49 @@ def automorphism_group(g, extended=False, node_budget=None, collect_limit=200_00
         raise CapacityError(f"automorphism computation capped at order {cap}")
     table = g.own_table()
     seq = _min_generating_sequence(table)
-
-    center = table.center_set()
-    inner_order = n // len(center)
-    inner_perms = []
-    for gpos in range(len(table._rmul)):
-        inner_perms.append(tuple(table.conj_by_gen(i, gpos) for i in range(n)))
-
-    if not seq:  # trivial group
-        ident = Permutation.identity(1)
-        triv = PermGroup(1, [ident], order=1)
-        return AutomorphismGroup(1, triv, triv, 1, True)
-
-    search = _Search(table, table, node_budget)
-    class_of, _, _ = table.class_partition()
-    cands = [search.candidates(x) for x in seq]
-
-    def centralizer(y):
-        conj = table.conj_column(y)
-        return [z for z in range(n) if conj[z] == y]
-
+    inner_order = n // len(table.center_set())
+    leaves = []
     gcols = [table.column(x) for x in seq]
-    collected = []
-    truncated = [False]
-    chosen = []
+    if not seq:  # trivial group
+        return AutomorphismGroup(1, 1, table, gcols, leaves)
+
+    search = _Search(table, table, seq, node_budget)
+    cands = [search.candidates(x) for x in seq]
 
     def count(pos, K):
         if pos == len(seq):
-            img = _hom_image(gcols, table, chosen)
-            if img is None:
+            if _hom_image(gcols, search.h_rcols) is None:
                 return 0
-            if len(collected) < collect_limit:
-                collected.append(tuple(img))
-            else:
-                truncated[0] = True
+            leaves.append(tuple(search.chosen))
             return 1
         surv = []
         for y in cands[pos]:
             search.tick()
-            if search.compatible(seq[:pos], chosen, seq[pos], y):
+            if search.compatible(pos, y):
                 surv.append(y)
         subtotal = 0
-        if pos == 0:
-            # the stabilizer is all of Inn: orbits are conjugacy classes
-            seen = set()
-            for y in surv:
-                if class_of[y] in seen:
-                    continue
-                seen.add(class_of[y])
-                orbit_size = sum(1 for u in surv if class_of[u] == class_of[y])
-                chosen.append(y)
-                subtotal += orbit_size * count(1, centralizer(y))
-                chosen.pop()
-            return subtotal
         unseen = set(surv)
         while unseen:
             rep = min(unseen)
-            orbit = {table.conjugate(rep, z) for z in K} & unseen
-            chosen.append(rep)
-            k_next = [z for z in K if table.conjugate(rep, z) == rep]
+            search.push(rep)
+            conj = search.h_conj[-1]
+            orbit = {conj[z] for z in K} & unseen
+            k_next = [z for z in K if conj[z] == rep]
             subtotal += len(orbit) * count(pos + 1, k_next)
-            chosen.pop()
+            search.pop()
             unseen -= orbit
         return subtotal
 
-    total = count(0, None)
-
-    inner = PermGroup(n, _reduce_perm_generators(inner_perms, n, inner_order), order=inner_order)
-    group = None
-    complete = False
-    if not truncated[0]:
-        gens = _reduce_perm_generators(inner_perms + collected, n, total)
-        group = PermGroup(n, gens, order=total)
-        complete = True
-    return AutomorphismGroup(total, group, inner, inner_order, complete)
+    # at the first level K is all of G: the orbits are conjugacy classes
+    return AutomorphismGroup(count(0, range(n)), inner_order, table, gcols, leaves)
 
 
 def _reduce_perm_generators(perms, degree, order):
-    """Greedy small generating subset of a permutation list.
+    """Greedy small generating subset of an iterable of permutations.
 
     Membership goes through a stabilizer chain, so nothing is ever
-    materialised even when the generated group is large.
+    materialised even when the generated group is large.  ``perms`` is
+    read only until the chain reaches ``order``.
     """
     gens = []
     chain = None

@@ -315,10 +315,6 @@ class PermGroup:
         self._own = None  # standalone ElementTable of this very group
         self._pos = None  # ambient index -> own index of a subgroup
 
-    @property
-    def is_trivial(self):
-        return all(g.is_identity for g in self.generators)
-
     def stabilizer_chain(self):
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self.generators, self._order)

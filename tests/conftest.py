@@ -5,7 +5,8 @@ closures over permutation tuples, Dimino closure over matrices with an
 entrywise product) so they share no code path with the stabilizer chain,
 the base-image enumeration or the element-table engine they cross-check.
 The normal-subgroup oracle closes every join, so it checks the shortcut of
-``ElementTable.normal_subgroup_sets`` that skips joins already found.
+``ElementTable.normal_subgroup_sets`` that skips joins already found.  The
+search-compatibility oracle replays words where the search reads columns.
 """
 
 import os
@@ -131,6 +132,19 @@ def normal_subgroup_sets_oracle(table):
                     fresh.append(key)
         new_keys = fresh
     return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
+
+
+def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
+    """Whether y may follow ``chosen`` as the image of x in an isomorphism
+    or automorphism search, by word-replayed products and commutators
+    (oracle for the column form of ``_Search.compatible``)."""
+    g_orders, h_orders = tg.element_orders(), th.element_orders()
+    for xq, yq in zip(seq_prefix, chosen):
+        if g_orders[tg.mult(xq, x)] != h_orders[th.mult(yq, y)]:
+            return False
+        if (tg.commutator(xq, x) == 0) != (th.commutator(yq, y) == 0):
+            return False
+    return True
 
 
 def small_corpus():

@@ -91,6 +91,17 @@ def test_capacity_marks_inconclusive():
     assert exit_code == 0
 
 
+def test_group_cache_keeps_the_tier_of_aut():
+    ledger = (
+        "a | extended | order(aut(c1)) | 192 | derived | -\n"
+        "b | core | order(aut(c1)) | 192 | derived | -\n"
+    )
+    reports, _ = run_claims(suite="extended", ledger_text=ledger)
+    assert [r.status for r in reports] == ["pass", "inconclusive"]
+    alone, _ = run_claims(suite="core", ledger_text=ledger)
+    assert [r.status for r in alone] == ["inconclusive"]
+
+
 def test_suite_tier_filtering():
     ledger = (
         "a | core | clifford_formula(1) | 192 | derived | -\n"

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from gategroups.cli import main
+from gategroups.errors import GroupFileError
 from gategroups.matrix import read_group
 from gategroups.perm import read_perm_group
 
@@ -147,6 +150,30 @@ def test_truncated_group_files_are_clean_errors(tmp_path, capsys):
     short.write_text("dim 2\ngenerators 2\n[[0, 1], [1, 0]]\n")
     assert main(["analyze", str(short)]) == 2
     assert "error: line 2: 2 matrix lines declared, 1 found" in capsys.readouterr().err
+
+
+def test_bad_cyclotomic_entry_in_group_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "zero.group"
+    path.write_text("dim 2\ngenerators 1\n[[1/0, 0], [0, 1]]\n")
+    with pytest.raises(GroupFileError) as err:
+        read_group(path)
+    assert err.value.line_number == 3
+    assert main(["analyze", str(path)]) == 2
+    assert "error: line 3: division by zero in cyclotomic expression '1/0'" in capsys.readouterr().err
+
+
+def test_spec_errors_name_the_constructor_and_argument(capsys):
+    assert main(["analyze", "cyclic(x)"]) == 2
+    assert "error: cyclic() needs an integer argument, found 'x'" in capsys.readouterr().err
+    assert main(["analyze", "cyclic()"]) == 2
+    assert "error: cyclic() takes 1 argument(s), found 0" in capsys.readouterr().err
+
+
+def test_empty_direct_product_fails_before_any_report(capsys):
+    assert main(["analyze", "direct()"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: direct() needs at least one factor" in captured.err
 
 
 def test_recipe_error_does_not_stop_the_run(tmp_path, capsys):

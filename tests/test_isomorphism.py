@@ -4,19 +4,21 @@ import itertools
 
 import pytest
 
-from conftest import small_corpus
-from gategroups import groups
+from conftest import search_compatible_oracle, small_corpus
+from gategroups import groups, perm
+from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
 from gategroups.isomorphism import (
     _hom_image,
     _min_generating_sequence,
+    _Search,
     automorphism_group,
     commutator_set,
     find_complement,
     is_perfect,
     isomorphic,
 )
-from gategroups.perm import Permutation
+from gategroups.perm import PermGroup, Permutation
 from gategroups.structure import center, derived_subgroup, normal_closure
 
 
@@ -35,7 +37,7 @@ def test_iso_witness_is_a_homomorphism():
     tg, th = g.own_table(), h.own_table()
     seq = [g.index_of(p) for p in res.generators]
     images = [h.index_of(p) for p in res.images]
-    img = _hom_image([tg.column(x) for x in seq], th, images)
+    img = _hom_image([tg.column(x) for x in seq], [th.column(y) for y in images])
     assert img is not None  # bijective homomorphism on the full table
 
 
@@ -61,7 +63,7 @@ def slow_automorphism_count(table):
     gcols = [table.column(x) for x in seq]
     count = 0
     for combo in itertools.product(*cands):
-        if _hom_image(gcols, table, list(combo)) is not None:
+        if _hom_image(gcols, [table.column(y) for y in combo]) is not None:
             count += 1
     return count
 
@@ -74,34 +76,40 @@ def test_aut_examples():
 
 
 def test_aut_against_slow_oracle_up_to_64():
-    cases = [
-        groups.cyclic(12),
-        groups.direct(groups.cyclic(2), groups.cyclic(2)),
-        groups.dihedral(8),
-        groups.dihedral(12),
-        groups.quaternion8(),
-        groups.sl23(),
+    cases = [group for _, group in small_corpus() if group.order() <= 64] + [
         groups.direct(groups.cyclic(2), groups.quaternion8()),
-        groups.symmetric(4),
         groups.wreath(groups.cyclic(2), groups.cyclic(2)),
     ]
     for g in cases:
         assert g.order() <= 64
+        table = g.own_table()
         fast = automorphism_group(g)
-        slow = slow_automorphism_count(g.own_table())
+        slow = slow_automorphism_count(table)
         assert fast.order == slow
+        # the lazily built group: its order recomputed from scratch (no
+        # known-order shortcut), every generator a bijective homomorphism
+        assert PermGroup(fast.group.degree, fast.group.generators).order() == slow
+        for gen in fast.group.generators:
+            p = gen.imgs
+            assert sorted(p) == list(range(table.n))
+            for i in range(table.n):
+                for j in range(table.n):
+                    assert p[table.mult(i, j)] == table.mult(p[i], p[j])
 
 
 def test_inner_order_matches_central_quotient():
-    from gategroups.perm import PermGroup
-
     for name, group in small_corpus():
         if group.order() > 128:
             continue
         aut = automorphism_group(group)
         assert aut.inner_order == group.order() // center(group).order(), name
         # recompute the inner group's order from scratch (no known-order shortcut)
-        fresh = PermGroup(aut.inner.degree, aut.inner.generators)
+        table = group.own_table()
+        inner = [
+            [table.conj_by_gen(i, gpos) for i in range(table.n)]
+            for gpos in range(len(table.gen_indices))
+        ]
+        fresh = PermGroup(table.n, inner)
         assert fresh.order() == aut.inner_order, name
         assert aut.order % aut.inner_order == 0, name
 
@@ -109,9 +117,56 @@ def test_inner_order_matches_central_quotient():
 def test_aut_group_acts_on_element_table():
     g = groups.quaternion8()
     aut = automorphism_group(g)
-    assert aut.complete
     assert aut.group.degree == 8
     assert aut.group.order() == 24
+
+
+def test_search_compatibility_matches_word_oracle(monkeypatch):
+    answers = []
+    column_form = _Search.compatible
+
+    def checked(search, pos, y):
+        got = column_form(search, pos, y)
+        want = search_compatible_oracle(
+            search.tg, search.th, search.seq[:pos], search.chosen[:pos], search.seq[pos], y
+        )
+        assert got == want, (search.seq[:pos], search.chosen[:pos], search.seq[pos], y)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(_Search, "compatible", checked)
+    for name, group in small_corpus():
+        automorphism_group(group, extended=True)
+    aut_answers = len(answers)
+    pairs = [
+        (groups.dihedral(12), groups.direct(groups.cyclic(2), groups.symmetric(3))),
+        (groups.cyclic(6), groups.direct(groups.cyclic(2), groups.cyclic(3))),
+        (groups.symmetric(4), groups.wreath(groups.cyclic(2), groups.cyclic(2))),
+        (groups.alternating(4), groups.sl23()),
+    ]
+    for name, group in small_corpus():
+        if group.order() <= 128:
+            pairs.append((group, group))
+    for g, h in pairs:
+        isomorphic(g, h)
+    assert True in answers[:aut_answers] and False in answers[:aut_answers]
+    assert True in answers[aut_answers:] and False in answers[aut_answers:]
+
+
+def test_counting_automorphisms_builds_no_stabilizer_chain(monkeypatch):
+    ev = Evaluator()
+    ev.group("c1")
+    builds = []
+    chain_init = perm.StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        chain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perm.StabilizerChain, "__init__", counted)
+    assert ev.value("aut_order(c1)", "long") == 192
+    assert ev.value("out_order(c1)", "long") == 8
+    assert builds == []
 
 
 def test_aut_capacity_tiers():
