@@ -397,51 +397,94 @@ class ElementTable:
         return invs
 
     def normal_subgroup_sets(self):
-        """All normal subgroups as member sets (join closure of class closures).
+        """All normal subgroups as (member set, generators), smallest first.
 
+        A normal subgroup is a union of conjugacy classes, so the lattice is
+        found on bit masks of class ids: the class closures first, then the
+        joins of pool members until no new one appears.  A union S of classes
+        holding e is a normal subgroup iff r_c * A lies in S for every two
+        classes c, A in S (s = g^-1 r_c g gives s x = g^-1 r_c (g x g^-1) g),
+        so one left column per class representative decides every closure.
         The join of normal A and B is AB, of order |A||B|/|A & B|, so a pool
         member of that order holding A and B is the join and needs no
         closure.
         """
-        _, reps, _ = self.class_partition()
-        pool = {}
-        gens_of = {}
+        class_of, reps, sizes = self.class_partition()
+        # hits[c][a]: mask of the classes of r_c * x for x in class a; it equals
+        # hits[a][c], as r_c (g^-1 r_a g) is conjugate to (g r_c g^-1) r_a
+        hits = []
+        for r in reps:
+            row = [0] * len(reps)
+            for a, b in set(zip(class_of, map(class_of.__getitem__, self.lcolumn(r)))):
+                row[a] |= 1 << b
+            hits.append(row)
+
+        def close(mask, extra):
+            """Smallest normal mask holding ``mask`` (already closed) and ``extra``."""
+            done = _bits(mask)
+            todo = _bits(extra & ~mask)
+            mask |= extra
+            while todo:
+                c = todo.pop()
+                hc = hits[c]
+                done.append(c)
+                new = 0
+                for a in done:
+                    new |= hc[a]
+                new &= ~mask
+                if new:
+                    mask |= new
+                    todo.extend(_bits(new))
+            return mask
+
+        def size(mask):
+            return sum(sizes[c] for c in _bits(mask))
+
+        pool = {}  # mask -> (order, generators)
         by_order = {}
 
-        def add(members, gens):
-            key = frozenset(members)
-            if key not in pool:
-                pool[key] = members
-                gens_of[key] = gens
-                by_order.setdefault(len(key), []).append(key)
-                return key
-            return None
+        def add(mask, gens):
+            if mask in pool:
+                return False
+            order = size(mask)
+            pool[mask] = (order, gens)
+            by_order.setdefault(order, []).append(mask)
+            return True
 
         def known_join(ka, kb):
-            size = len(ka) * len(kb) // len(ka & kb)
-            return any(ka <= k and kb <= k for k in by_order.get(size, ()))
+            order = pool[ka][0] * pool[kb][0] // size(ka & kb)
+            u = ka | kb
+            return any(k & u == u for k in by_order.get(order, ()))
 
-        add({0}, [])
-        for r in reps:
+        add(1, [])  # class 0 is {e}
+        for c, r in enumerate(reps):
             if r == 0:
                 continue
-            members, gens = self.normal_closure_set([r])
-            add(members, gens)
+            mask = close(1, 1 << c)
+            if mask not in pool:
+                add(mask, self.normal_closure_set([r])[1])
         new_keys = list(pool)
         while new_keys:
             fresh = []
             keys = list(pool)
             for ka in new_keys:
                 for kb in keys:
-                    if ka == kb or ka <= kb or kb <= ka or known_join(ka, kb):
+                    u = ka | kb
+                    if u == ka or u == kb or known_join(ka, kb):
                         continue
-                    gens = gens_of[ka] + [g for g in gens_of[kb] if g not in ka]
-                    members = self.subgroup_closure(gens)
-                    key = add(members, gens)
-                    if key is not None:
+                    gens_a, gens_b = pool[ka][1], pool[kb][1]
+                    gens = gens_a + [g for g in gens_b if not ka >> class_of[g] & 1]
+                    key = close(ka, kb)
+                    if add(key, gens):
                         fresh.append(key)
             new_keys = fresh
-        return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
+        members_of = [[] for _ in reps]
+        for i, c in enumerate(class_of):
+            members_of[c].append(i)
+        return [
+            ({i for c in _bits(k) for i in members_of[c]}, pool[k][1])
+            for k in sorted(pool, key=lambda k: pool[k][0])
+        ]
 
     def subgroup_table(self, gen_indices, members=None):
         """Standalone table for a subgroup; element p is sorted(members)[p]."""
@@ -456,16 +499,6 @@ class ElementTable:
         return ElementTable(len(elems), [pos[g] for g in gen_indices], cols)
 
     # -- commutator sets -------------------------------------------------------
-
-    def commutator_set_all_pairs(self):
-        """K(G) by brute force over all ordered pairs."""
-        # [a, b] = a * (b a^-1 b^-1) = lcolumn(a)[conj_column(a^-1)[b^-1]], and
-        # b^-1 runs over the whole table as b does
-        inv = self.inverses()
-        out = set()
-        for a in range(self.n):
-            out.update(map(self.lcolumn(a).__getitem__, self.conj_column(inv[a])))
-        return out
 
     def commutator_set_by_classes(self):
         """K(G) via class representatives: K is a union of conjugacy classes."""
@@ -510,6 +543,16 @@ def _fill(tree, start, cols):
     out[0] = start
     for i in islice(order, 1, None):
         out[i] = cols[genpos[i]][out[prev[i]]]
+    return out
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -64,6 +64,7 @@ class ClaimReport:
     computed: object
     seconds: float
     error: str = ""  # the recipe's ValueError message when status is "error"
+    inconclusive_reason: str = ""  # the capacity or budget message when "inconclusive"
 
 
 def _parse_literal(text):
@@ -132,6 +133,68 @@ class _Inconclusive(Exception):
 
 def _normalize(expr):
     return re.sub(r"\s+", "", expr)
+
+
+# The arguments of each recipe: "e" a group expression or name, "i" an integer.
+_GROUP_RECIPES = {
+    "mub": "ii",
+    "derived": "e",
+    "center": "e",
+    "central_quotient": "e",
+    "quotient": "ee",
+    "normal_subgroup": "ei",
+    "aut": "e",
+}
+_VALUE_RECIPES = {
+    "order": "e",
+    "center_order": "e",
+    "derived_order": "e",
+    "abelianization": "e",
+    "is_perfect": "e",
+    "iso": "ee",
+    "aut_order": "e",
+    "out_order": "e",
+    "normal_subgroup_orders": "e",
+    "splits": "ee",
+    "commutators_equal_derived": "e",
+    "commutator_deficiency": "e",
+    "yang_baxter": "e",
+    "clifford_formula": "i",
+    "subgroup_index": "ee",
+    "is_subgroup": "ee",
+    "is_normal": "ee",
+    "mub_order": "ii",
+    "mub_aut_order": "ii",
+    "mub_same": "ii",
+}
+
+
+def _split_recipe(expr):
+    """``name(a, b)`` -> (name, [a, b]); a bare name has no arguments."""
+    if "(" not in expr:
+        return expr, []
+    if not expr.endswith(")"):
+        raise ValueError(f"unbalanced parentheses in {expr!r}")
+    name, args = expr[:-1].split("(", 1)
+    return name, groupspec.split_args(args) if args else []
+
+
+def _recipe_args(name, parts, kinds):
+    """The arguments checked against ``kinds``, integers converted.
+
+    Raises ValueError naming the recipe and the argument.
+    """
+    if len(parts) != len(kinds):
+        raise ValueError(f"{name}() takes {len(kinds)} argument(s), found {len(parts)}")
+    out = []
+    for kind, part in zip(kinds, parts):
+        if kind == "i":
+            try:
+                part = int(part)
+            except ValueError:
+                raise ValueError(f"{name}() needs an integer argument, found {part!r}") from None
+        out.append(part)
+    return out
 
 
 # Each builder looks its constructor up when called, so a module name that
@@ -212,13 +275,13 @@ class Evaluator:
     def _eval_group(self, expr):
         if expr in self.GATE_NAMES:
             return self.matrix_group(expr).perm_group()
-        name, args = expr, ""
-        if "(" in expr:
-            name, args = expr.split("(", 1)
-            args = args[:-1]
-        parts = groupspec.split_args(args) if args else []
+        name, parts = _split_recipe(expr)
+        if name not in _GROUP_RECIPES:
+            # reference constructors
+            return groupspec.parse_spec(expr).realized
+        parts = _recipe_args(name, parts, _GROUP_RECIPES[name])
         if name == "mub":
-            return self._mub_group(int(parts[0]), int(parts[1])).perm_group()
+            return self._mub_group(*parts).perm_group()
         if name == "derived":
             return structure.derived_subgroup(self.group(parts[0]))
         if name == "center":
@@ -230,11 +293,9 @@ class Evaluator:
             parent, child = self._subgroup_of(parts[0], parts[1])
             return structure.coset_action(parent, child)
         if name == "normal_subgroup":
-            return self._normal_subgroup(parts[0], int(parts[1]))
-        if name == "aut":
-            return automorphism_group(self.group(parts[0]), extended=self.allow_extended).group
-        # reference constructors
-        return groupspec.parse_spec(expr).realized
+            return self._normal_subgroup(*parts)
+        # aut
+        return automorphism_group(self.group(parts[0]), extended=self.allow_extended).group
 
     def _normal_subgroup(self, parent_expr, order):
         key = _normalize(parent_expr)
@@ -259,11 +320,12 @@ class Evaluator:
         return self._values[key]
 
     def _eval_value(self, expr):
-        name, args = expr, ""
-        if "(" in expr:
-            name, args = expr.split("(", 1)
-            args = args[:-1]
-        parts = groupspec.split_args(args) if args else []
+        name, parts = _split_recipe(expr)
+        if name.startswith("pg_"):
+            return self._pauli_graph_value(name, *_recipe_args(name, parts, "i"))
+        if name not in _VALUE_RECIPES:
+            raise ValueError(f"unknown recipe {expr!r}")
+        parts = _recipe_args(name, parts, _VALUE_RECIPES[name])
 
         if name == "order":
             if parts[0] in self.GATE_NAMES:
@@ -304,7 +366,7 @@ class Evaluator:
         if name == "yang_baxter":
             return yang_baxter_check(self._matrix_atom(parts[0]))
         if name == "clifford_formula":
-            return clifford_order_formula(int(parts[0]))
+            return clifford_order_formula(parts[0])
         if name == "subgroup_index":
             parent, child = self._subgroup_of(parts[0], parts[1])
             return parent.order() // len(parent.indices_of(child))
@@ -319,28 +381,21 @@ class Evaluator:
             parent, child = self._subgroup_of(parts[0], parts[1])
             members = parent.indices_of(child)
             return parent.own_table().is_normal_set(members, [i for i in members if i != 0])
-        if name.startswith("pg_"):
-            return self._pauli_graph_value(name, parts)
         if name == "mub_order":
-            return self._mub_group(int(parts[0]), int(parts[1])).order()
+            return self._mub_group(*parts).order()
         if name == "mub_aut_order":
-            grp = self._mub_group(int(parts[0]), int(parts[1]))
             return automorphism_group(
-                grp.perm_group(), extended=self.allow_extended
+                self._mub_group(*parts).perm_group(), extended=self.allow_extended
             ).order
-        if name == "mub_same":
-            n, k = int(parts[0]), int(parts[1])
-            # the prefix groups nest, so equal orders mean equal groups
-            return self._mub_group(n, k).order() == self._mub_group(n, k - 1).order()
-        raise ValueError(f"unknown recipe {expr!r}")
+        n, k = parts  # mub_same
+        # the prefix groups nest, so equal orders mean equal groups
+        return self._mub_group(n, k).order() == self._mub_group(n, k - 1).order()
 
     def _commutators(self, group_expr):
-        g = self.group(group_expr)
-        method = "all-pairs" if g.order() <= 4096 else "class-reps"
-        key = (_normalize(group_expr), method, self.allow_extended)
+        key = (_normalize(group_expr), self.allow_extended)
         if key not in self._commutator_sets:
             self._commutator_sets[key] = commutator_set(
-                g, extended=self.allow_extended, method=method
+                self.group(group_expr), extended=self.allow_extended
             )
         return self._commutator_sets[key]
 
@@ -352,8 +407,7 @@ class Evaluator:
             return c.cz
         raise ValueError(f"unknown matrix atom {name!r}")
 
-    def _pauli_graph_value(self, name, parts):
-        n = int(parts[0])
+    def _pauli_graph_value(self, name, n):
         graph = pauligraph.pauli_graph(n)
         if name == "pg_vertices":
             return graph.vertex_count
@@ -398,7 +452,8 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
     """Execute every ledger claim in the suite; returns (reports, exit_code).
 
     A recipe that raises ValueError gets the status ``error`` and the
-    remaining claims still run.  The exit code is nonzero iff a claim has
+    remaining claims still run; one that hits a capacity limit or a search
+    budget is ``inconclusive`` and keeps the message as its reason.  The exit code is nonzero iff a claim has
     status ``error`` or a non-disputed claim fails.  The machine
     report is JSON-lines: one volatile header line (timestamps, wall
     times), then one deterministic line per claim.
@@ -416,15 +471,16 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
         t0 = time.time()
         computed = None
         failed = False
-        error = ""
+        error = reason = ""
         try:
             computed = ev.value(claim.recipe, claim.tier)
-        except (CapacityError, BudgetExceededError, _Inconclusive):
+        except (CapacityError, BudgetExceededError, _Inconclusive) as exc:
             failed = True
+            reason = str(exc) or type(exc).__name__
         except ValueError as exc:
             error = str(exc) or type(exc).__name__
         status = "error" if error else _status_for(claim, computed, failed)
-        report = ClaimReport(claim, status, computed, time.time() - t0, error)
+        report = ClaimReport(claim, status, computed, time.time() - t0, error, reason)
         reports.append(report)
         if echo:
             echo(_human_line(report))
@@ -441,7 +497,8 @@ def _human_line(report):
         f"expected {format_value(c.expected):>14}  computed {format_value(report.computed):>14}  "
         f"{report.seconds:7.2f}s"
     )
-    return f"{line}  ({report.error})" if report.error else line
+    note = report.error or report.inconclusive_reason
+    return f"{line}  ({note})" if note else line
 
 
 def _write_report(reports, path, suite, elapsed):
@@ -466,4 +523,6 @@ def _write_report(reports, path, suite, elapsed):
             }
             if r.error:
                 body["error"] = r.error
+            if r.inconclusive_reason:
+                body["inconclusive_reason"] = r.inconclusive_reason
             fh.write(json.dumps(body, sort_keys=True) + "\n")

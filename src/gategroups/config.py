@@ -19,7 +19,7 @@ _DEFAULTS = {
     # automorphism-group tiers (required / extended)
     "MAX_AUT_ORDER": 128,
     "MAX_AUT_ORDER_EXTENDED": 8_192,
-    # commutator-set all-pairs tiers (required / extended)
+    # commutator-set tiers (required / extended)
     "MAX_COMMUTATOR_ORDER": 4_096,
     "MAX_COMMUTATOR_ORDER_EXTENDED": 20_000,
     # node budget for backtracking searches (automorphisms, complements)

@@ -362,12 +362,11 @@ class CommutatorSet:
     deficiency: int  # |G'| - |K(G)|
 
 
-def commutator_set(g, extended=False, method="all-pairs"):
+def commutator_set(g, extended=False):
     """K(G) = all commutators; a subset of G' that can be proper.
 
-    ``method`` is either "all-pairs" (brute force over |G|^2 ordered
-    pairs) or "class-reps" (first arguments restricted to conjugacy class
-    representatives, completed by closing under conjugacy).
+    K(G) is a union of conjugacy classes, so the first arguments run over
+    class representatives only.
     """
     n = g.order()
     cap = (
@@ -378,12 +377,7 @@ def commutator_set(g, extended=False, method="all-pairs"):
     if n > cap:
         raise CapacityError(f"commutator set enumeration capped at order {cap}")
     table = g.own_table()
-    if method == "all-pairs":
-        k = table.commutator_set_all_pairs()
-    elif method == "class-reps":
-        k = table.commutator_set_by_classes()
-    else:
-        raise ValueError(f"unknown commutator enumeration method {method!r}")
+    k = table.commutator_set_by_classes()
     derived, _ = table.derived_data()
     if not k <= derived:
         raise AssertionError("commutator set escaped the derived subgroup")

@@ -4,9 +4,12 @@ The oracles here are deliberately primitive (plain breadth-first set
 closures over permutation tuples, Dimino closure over matrices with an
 entrywise product) so they share no code path with the stabilizer chain,
 the base-image enumeration or the element-table engine they cross-check.
-The normal-subgroup oracle closes every join, so it checks the shortcut of
-``ElementTable.normal_subgroup_sets`` that skips joins already found.  The
-search-compatibility oracle replays words where the search reads columns.
+The normal-subgroup oracle closes every join with ``subgroup_closure`` on
+member sets, so it checks the class-mask closures of
+``ElementTable.normal_subgroup_sets`` and the joins it skips.  The
+commutator-set oracle visits all ordered pairs where the engine visits
+class representatives.  The search-compatibility oracle replays words
+where the search reads columns.
 """
 
 import os
@@ -132,6 +135,17 @@ def normal_subgroup_sets_oracle(table):
                     fresh.append(key)
         new_keys = fresh
     return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
+
+
+def commutator_set_all_pairs(table):
+    """K(G) by brute force over all ordered pairs (oracle)."""
+    # [a, b] = a * (b a^-1 b^-1) = lcolumn(a)[conj_column(a^-1)[b^-1]], and
+    # b^-1 runs over the whole table as b does
+    inv = table.inverses()
+    out = set()
+    for a in range(table.n):
+        out.update(map(table.lcolumn(a).__getitem__, table.conj_column(inv[a])))
+    return out
 
 
 def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):

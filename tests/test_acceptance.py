@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_force_elements, small_corpus
+from conftest import brute_force_elements, commutator_set_all_pairs, small_corpus
 from gategroups import groups
 from gategroups.claims import Evaluator
 from gategroups.cyclo import rational, root_of_unity
@@ -164,12 +164,14 @@ def test_criterion_5_m20_commutator_anomaly():
     with _criterion("5 M20 commutator anomaly"):
         m20 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
         assert m20.order() == 960
-        all_pairs = commutator_set(m20, method="all-pairs")
-        by_classes = commutator_set(m20, method="class-reps")
-        assert all_pairs.indices == by_classes.indices  # two independent paths
-        assert not all_pairs.equals_derived
-        assert all_pairs.deficiency == 120
-        assert all_pairs.deficiency == by_classes.deficiency
+        table = m20.own_table()
+        all_pairs = commutator_set_all_pairs(table)
+        by_classes = commutator_set(m20)
+        assert all_pairs == by_classes.indices  # two independent paths
+        derived, _ = table.derived_data()
+        assert all_pairs != derived
+        assert len(derived) - len(all_pairs) == 120
+        assert len(derived) - len(all_pairs) == by_classes.deficiency
 
 
 def test_criterion_6_yang_baxter():
@@ -230,7 +232,7 @@ def test_criterion_9_property_suites():
                 assert group.order() == len(brute_force_elements(group)), name
             # K(G) inside G' and generating it
             if group.order() <= 1000:
-                ks = commutator_set(group, method="class-reps")
+                ks = commutator_set(group)
                 table = group.own_table()
                 derived_members, _ = table.derived_data()
                 assert ks.indices <= derived_members, name
@@ -319,6 +321,6 @@ def test_criterion_10_noncommutators_in_15360():
         d = derived_subgroup(w)
         assert d.order() == 15360
         assert is_perfect(d)
-        ks = commutator_set(d, extended=True, method="class-reps")
+        ks = commutator_set(d, extended=True)
         assert not ks.equals_derived
         assert ks.deficiency > 0

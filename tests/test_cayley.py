@@ -7,7 +7,7 @@ that are filled in one pass along a spanning tree.
 
 import pytest
 
-from conftest import normal_subgroup_sets_oracle, small_corpus
+from conftest import commutator_set_all_pairs, normal_subgroup_sets_oracle, small_corpus
 from gategroups import groups
 from gategroups.claims import Evaluator
 from gategroups.structure import center, coset_action, derived_subgroup
@@ -52,7 +52,11 @@ def test_tree_order_differs_from_index_order():
 
 
 C2_SQUARED = groups.direct(groups.cyclic(2), groups.cyclic(2))
-NORMAL_CASES = small_corpus() + [("C2^2wrS4", groups.wreath(C2_SQUARED, groups.symmetric(4)))]
+C2_WR_S5 = groups.wreath(groups.cyclic(2), groups.symmetric(5))
+NORMAL_CASES = small_corpus() + [
+    ("C2^2wrS4", groups.wreath(C2_SQUARED, groups.symmetric(4))),
+    ("C2wrS5", C2_WR_S5),
+]
 
 
 @pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
@@ -62,6 +66,40 @@ def test_normal_subgroup_sets_match_the_closing_oracle(name, group):
     assert table.normal_subgroup_sets() == normal_subgroup_sets_oracle(table)
 
 
+@pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
+def test_normal_subgroup_sets_are_normal_unions_of_classes(name, group):
+    """Each result, checked without ``normal_closure_set``: a union of classes,
+    the subgroup its generators generate, and normal."""
+    table = group.own_table()
+    class_of, _, sizes = table.class_partition()
+    results = table.normal_subgroup_sets()
+    for members, gens in results:
+        classes = {class_of[i] for i in members}
+        assert len(members) == sum(sizes[c] for c in classes), name
+        assert table.subgroup_closure(gens) == members, name
+        assert table.is_normal_set(members, gens), name
+    orders = [len(members) for members, _ in results]
+    assert orders == sorted(orders) and orders[0] == 1 and orders[-1] == table.n
+    assert len({frozenset(members) for members, _ in results}) == len(results)
+
+
+def test_normal_subgroup_sets_fill_few_columns(monkeypatch):
+    """About one left column per conjugacy class, not one per closure step."""
+    table = C2_WR_S5.own_table()
+    _, reps, _ = table.class_partition()  # builds the generators' left columns first
+    calls = []
+    real = type(table).lcolumn
+
+    def counting(self, j):
+        calls.append(j)
+        return real(self, j)
+
+    monkeypatch.setattr(type(table), "lcolumn", counting)
+    assert len(table.normal_subgroup_sets()) == 9
+    assert len(reps) == 36
+    assert len(calls) <= 2 * len(reps)
+
+
 def test_commutator_set_all_pairs_m20_against_pairwise_products():
     m20 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
     table = m20.own_table()
@@ -69,5 +107,5 @@ def test_commutator_set_all_pairs_m20_against_pairwise_products():
     inv = table.inverses()
     brute = {mult(mult(a, b), mult(inv[a], inv[b])) for a in range(n) for b in range(n)}
     assert len(brute) == 840
-    assert table.commutator_set_all_pairs() == brute
+    assert commutator_set_all_pairs(table) == brute
     assert table.commutator_set_by_classes() == brute

@@ -91,6 +91,21 @@ def test_capacity_marks_inconclusive():
     assert exit_code == 0
 
 
+def test_inconclusive_rows_carry_their_reason(monkeypatch, tmp_path):
+    monkeypatch.setenv("GATEGROUPS_MAX_COMMUTATOR_ORDER", "10")
+    ledger = (
+        "small | core | commutator_deficiency(symmetric(3)) | 0 | derived | -\n"
+        "big | core | commutator_deficiency(symmetric(4)) | 0 | derived | -\n"
+    )
+    report = tmp_path / "report.jsonl"
+    reports, exit_code = run_claims(suite="core", ledger_text=ledger, report_path=str(report))
+    assert [r.status for r in reports] == ["pass", "inconclusive"]
+    assert exit_code == 0
+    rows = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    assert "inconclusive_reason" not in rows[0]
+    assert rows[1]["inconclusive_reason"] == "commutator set enumeration capped at order 10"
+
+
 def test_group_cache_keeps_the_tier_of_aut():
     ledger = (
         "a | extended | order(aut(c1)) | 192 | derived | -\n"
@@ -155,10 +170,10 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     m20 = "derived(wreath(cyclic(2), symmetric(5)))"
     assert ev.value(f"commutator_deficiency({m20})") == 120
     assert ev.value("commutators_equal_derived(derived(wreath(cyclic(2),symmetric(5))))") is False
-    assert calls == [{"extended": False, "method": "all-pairs"}]
+    assert calls == [{"extended": False}]
     # the capacity tier is part of the key
     assert ev.value(f"commutator_deficiency({m20})", tier="extended") == 120
-    assert calls[1:] == [{"extended": True, "method": "all-pairs"}]
+    assert calls[1:] == [{"extended": True}]
 
 
 def test_unknown_recipe_raises():

@@ -189,3 +189,22 @@ def test_recipe_error_does_not_stop_the_run(tmp_path, capsys):
     rows = [json.loads(line) for line in report.read_text().splitlines()[1:]]
     assert [r["status"] for r in rows] == ["error", "pass"]
     assert rows[0]["error"] == "permutation is not an element of the group"
+
+
+def test_recipe_with_missing_argument_is_a_per_claim_error(tmp_path, capsys):
+    ledger = tmp_path / "two.ledger"
+    ledger.write_text(
+        "bad | core | order(derived()) | 1 | derived | -\n"
+        "good | core | order(cyclic(3)) | 3 | derived | -\n"
+    )
+    report = tmp_path / "report.jsonl"
+    assert main(["claims", "run", "--ledger", str(ledger), "--report", str(report)]) == 1
+    assert "error: 1, pass: 1" in capsys.readouterr().out
+    rows = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    assert [r["status"] for r in rows] == ["error", "pass"]
+    assert rows[0]["error"] == "derived() takes 1 argument(s), found 0"
+
+
+def test_recipe_with_non_integer_argument_is_a_clean_error(capsys):
+    assert main(["analyze", "mub(x, 2)"]) == 2
+    assert "error: mub() needs an integer argument, found 'x'" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import search_compatible_oracle, small_corpus
+from conftest import commutator_set_all_pairs, search_compatible_oracle, small_corpus
 from gategroups import groups, perm
 from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
@@ -210,7 +210,7 @@ def test_commutator_subset_and_generation_corpus():
     for name, group in small_corpus():
         if group.order() > 1000:
             continue
-        ks = commutator_set(group, method="class-reps")
+        ks = commutator_set(group)
         table = group.own_table()
         derived_members, _ = table.derived_data()
         assert ks.indices <= derived_members, name
@@ -222,14 +222,14 @@ def test_m20_commutator_anomaly_two_paths():
     m20 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
     assert m20.order() == 960
     assert is_perfect(m20)
-    all_pairs = commutator_set(m20, method="all-pairs")
-    class_reps = commutator_set(m20, method="class-reps")
-    assert all_pairs.indices == class_reps.indices
-    assert not all_pairs.equals_derived
-    assert all_pairs.deficiency == 120
-    # the non-commutators still generate the derived subgroup
     table = m20.own_table()
-    assert table.subgroup_closure(list(all_pairs.indices)) == set(range(960))
+    all_pairs = commutator_set_all_pairs(table)
+    class_reps = commutator_set(m20)
+    assert all_pairs == class_reps.indices
+    assert not class_reps.equals_derived
+    assert class_reps.deficiency == 120
+    # the non-commutators still generate the derived subgroup
+    assert table.subgroup_closure(list(all_pairs)) == set(range(960))
 
 
 def test_complement_in_direct_product():
