@@ -23,7 +23,6 @@ from gategroups.matrix import (
     dagger,
     kron,
     matmul,
-    regular_perm_rep,
 )
 from gategroups.perm import PermGroup, Permutation, StabilizerChain
 from gategroups.groups import construct, parse_spec

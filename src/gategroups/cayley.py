@@ -5,11 +5,13 @@ identity) and stores, for every generator, the permutation induced by
 right multiplication.  Everything else (left multiplication, inverses,
 words, general products) is derived from those columns, so structural
 computations on groups of order up to ~2*10^5 stay cheap even when the
-elements themselves are large objects such as 4x4 cyclotomic matrices or
-permutations of 92160 points.
+elements themselves are large objects such as 4x4 cyclotomic matrices.
 
-Every group is enumerated by ``orbit``, one breadth-first search that names
-each element by its base images and fills the columns in the same pass.
+Every group is enumerated by ``from_permutations``: one breadth-first
+``orbit`` that names each element by its images of a base of points and
+fills the columns in the same pass.  Permutation groups act on their
+points, matrix groups on the orbit of their rows, and quotients on their
+cosets.
 
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
@@ -23,7 +25,7 @@ from itertools import islice
 
 from gategroups.errors import ClosureOverflowError
 
-__all__ = ["ElementTable", "orbit", "base_image_table"]
+__all__ = ["ElementTable", "orbit"]
 
 
 def orbit(seeds, actions, cap, limit_name):
@@ -52,18 +54,6 @@ def orbit(seeds, actions, cap, limit_name):
     return index, columns
 
 
-def base_image_table(perms, base, cap, limit_name):
-    """Enumerate the group of the point permutations ``perms`` by base images.
-
-    An element's key is its tuple of images of ``base``, and a generator
-    acts on a key entrywise.  Returns the key -> element index map and the
-    regular ElementTable of the columns the search filled.
-    """
-    actions = [lambda key, p=p: tuple(map(p.__getitem__, key)) for p in perms]
-    index, rmul = orbit([tuple(base)], actions, cap, limit_name)
-    return index, ElementTable(len(index), [col[0] for col in rmul], rmul)
-
-
 class ElementTable:
     def __init__(self, n, gen_indices, rmul):
         self.n = n
@@ -76,39 +66,33 @@ class ElementTable:
         self._lbfs = None  # the same along the left multiplications
         self._classes = None
         self._orders = None
-        self._perms = None  # generator image tuples of a permutation group
+        self._perms = None  # generator image tuples
         self._base = None  # base points whose images name an element
-        self._index = None  # base images -> element index
+        self.key_index = None  # base images -> element index, in index order
+        self.rows = None  # row vector -> point, when the points are matrix rows
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_regular_perms(cls, perms):
-        """Table for a regular action: the points are the elements, 0 is e."""
-        return cls(len(perms[0]), [p[0] for p in perms], perms)
+    def from_permutations(cls, perms, base, cap, limit_name="MAX_ENUMERATION"):
+        """Enumerate the group generated by permutation tuples by base images.
 
-    @classmethod
-    def from_permutations(cls, perms, base, max_order):
-        """Enumerate the group generated by permutation tuples with this base.
-
-        Element i is named by its images of the base points; the generator
-        tuples are kept so ``perm_of`` can replay an element's word.
+        Element i is named by its key, the tuple of its images of the base
+        points, and a generator acts on a key entrywise.  The generator
+        tuples are kept so ``perm_of`` can replay an element's word.  Raises
+        ClosureOverflowError once more than ``cap`` elements appear.
         """
         perms = [tuple(p) for p in perms]
-        index, table = base_image_table(perms, base, max_order, "MAX_ENUMERATION")
-        table._perms, table._base, table._index = perms, tuple(base), index
+        actions = [lambda key, p=p: tuple(map(p.__getitem__, key)) for p in perms]
+        index, rmul = orbit([tuple(base)], actions, cap, limit_name)
+        table = cls(len(index), [col[0] for col in rmul], rmul)
+        table._perms, table._base, table.key_index = perms, tuple(base), index
         return table
 
     # -- element access ------------------------------------------------------
 
-    def rmul_columns(self):
-        """Right-multiplication permutations of the generators."""
-        return [list(col) for col in self._rmul]
-
     def perm_of(self, i):
-        """The element as a permutation of the table's natural domain."""
-        if self._perms is None:
-            return tuple(self.column(i))
+        """Element i as a permutation of the points, replayed from its word."""
         x = tuple(range(len(self._perms[0])))
         for g in self.word(i):
             x = tuple(map(self._perms[g].__getitem__, x))
@@ -120,16 +104,29 @@ class ElementTable:
         Raises ValueError if no element of the table acts that way.
         """
         imgs = tuple(imgs)
-        if self._perms is None:
-            # regular table: the element is determined by the image of 0
-            i = imgs[0] if len(imgs) == self.n else -1
-            if 0 <= i < self.n and tuple(self.column(i)) == imgs:
-                return i
-        elif len(imgs) == len(self._perms[0]):
-            i = self._index.get(tuple(imgs[b] for b in self._base))
+        if len(imgs) == len(self._perms[0]):
+            i = self.key_index.get(tuple(imgs[b] for b in self._base))
             if i is not None and self.perm_of(i) == imgs:
                 return i
         raise ValueError("permutation is not an element of the group")
+
+    def indices_of(self, other, members):
+        """Indices here of the elements ``members`` of the table ``other``.
+
+        Tables of matrix groups compare rows, since a matrix is determined
+        by its rows; other tables compare permutations of the same points.
+        Raises ValueError if an element is missing here, or if only one of
+        the tables acts on rows.
+        """
+        if (self.rows is None) != (other.rows is None):
+            raise ValueError("a matrix group and a permutation group share no elements")
+        if self.rows is None:
+            return {self.index_of(other.perm_of(a)) for a in members}
+        keys, rows = list(other.key_index), list(other.rows)
+        try:
+            return {self.key_index[tuple(self.rows[rows[k]] for k in keys[a])] for a in members}
+        except KeyError:
+            raise ValueError("matrix is not an element of the group") from None
 
     def _ensure_tree(self):
         """Spanning tree along the right multiplications: x_i = x_prev * s."""
@@ -376,7 +373,7 @@ class ElementTable:
             [coset_of[col[block[0]]] for block in coset_members]
             for col in self._rmul
         ]
-        quotient = ElementTable.from_regular_perms(qperms)
+        quotient = ElementTable.from_permutations(qperms, [0], len(coset_members))
         return quotient, coset_of, reps
 
     def abelian_invariants(self):

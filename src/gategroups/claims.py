@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
+from gategroups import config, structure
 from gategroups import groups as groupspec
-from gategroups import structure
 from gategroups.errors import BudgetExceededError, CapacityError, LedgerParseError
 from gategroups.gates import (
     bell_group,
@@ -254,24 +254,6 @@ class Evaluator:
             self._groups[key] = self._eval_group(expr)
         return self._groups[key]
 
-    def _gate_subgroup(self, parent_name, child_name):
-        """Child gate group embedded in the parent's element table."""
-        pm = self.matrix_group(parent_name)
-        try:
-            gens = [pm.index_of(g) for g in self.matrix_group(child_name).generators]
-        except KeyError:
-            raise ValueError(f"{child_name} is not a subgroup of {parent_name}")
-        parent = pm.perm_group()
-        return parent.subgroup_from_indices(gens, parent.own_table().subgroup_closure(gens))
-
-    def _subgroup_of(self, parent_expr, child_expr):
-        parent_expr = _normalize(parent_expr)
-        child_expr = _normalize(child_expr)
-        parent = self.group(parent_expr)
-        if parent_expr in self.GATE_NAMES and child_expr in self.GATE_NAMES:
-            return parent, self._gate_subgroup(parent_expr, child_expr)
-        return parent, self.group(child_expr)
-
     def _eval_group(self, expr):
         if expr in self.GATE_NAMES:
             return self.matrix_group(expr).perm_group()
@@ -290,8 +272,7 @@ class Evaluator:
             g = self.group(parts[0])
             return structure.coset_action(g, structure.center(g))
         if name == "quotient":
-            parent, child = self._subgroup_of(parts[0], parts[1])
-            return structure.coset_action(parent, child)
+            return structure.coset_action(self.group(parts[0]), self.group(parts[1]))
         if name == "normal_subgroup":
             return self._normal_subgroup(*parts)
         # aut
@@ -328,8 +309,6 @@ class Evaluator:
         parts = _recipe_args(name, parts, _VALUE_RECIPES[name])
 
         if name == "order":
-            if parts[0] in self.GATE_NAMES:
-                return self.matrix_group(parts[0]).order()
             return self.group(parts[0]).order()
         if name == "center_order":
             return structure.center(self.group(parts[0])).order()
@@ -354,8 +333,7 @@ class Evaluator:
                 self._normals[key] = structure.normal_subgroups(self.group(key))
             return self._normals[key].proper_orders()
         if name == "splits":
-            parent, child = self._subgroup_of(parts[0], parts[1])
-            result = find_complement(parent, child)
+            result = find_complement(self.group(parts[0]), self.group(parts[1]))
             if result.status == "inconclusive":
                 raise _Inconclusive("complement search budget exhausted")
             return result.status == "found"
@@ -368,18 +346,17 @@ class Evaluator:
         if name == "clifford_formula":
             return clifford_order_formula(parts[0])
         if name == "subgroup_index":
-            parent, child = self._subgroup_of(parts[0], parts[1])
-            return parent.order() // len(parent.indices_of(child))
+            parent = self.group(parts[0])
+            return parent.order() // len(parent.indices_of(self.group(parts[1])))
         if name == "is_subgroup":
             try:
-                parent, child = self._subgroup_of(parts[1], parts[0])
-                parent.indices_of(child)
+                self.group(parts[1]).indices_of(self.group(parts[0]))
             except ValueError:
                 return False
             return True
         if name == "is_normal":
-            parent, child = self._subgroup_of(parts[0], parts[1])
-            members = parent.indices_of(child)
+            parent = self.group(parts[0])
+            members = parent.indices_of(self.group(parts[1]))
             return parent.own_table().is_normal_set(members, [i for i in members if i != 0])
         if name == "mub_order":
             return self._mub_group(*parts).order()
@@ -456,10 +433,13 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
     budget is ``inconclusive`` and keeps the message as its reason.  The exit code is nonzero iff a claim has
     status ``error`` or a non-disputed claim fails.  The machine
     report is JSON-lines: one volatile header line (timestamps, wall
-    times), then one deterministic line per claim.
+    times and the capacity limits in effect), then one deterministic line
+    per claim.  The limits are read first, so a bad one fails before any
+    claim runs.
     """
     if suite not in TIERS:
         raise ValueError(f"unknown suite {suite!r}")
+    limits = config.limits() if report_path else None
     allowed = TIERS[: TIERS.index(suite) + 1]
     if ledger_text is None:
         ledger_text = default_ledger_text()
@@ -486,7 +466,7 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
             echo(_human_line(report))
     exit_code = 1 if any(r.status in ("fail", "error") for r in reports) else 0
     if report_path:
-        _write_report(reports, report_path, suite, time.time() - started)
+        _write_report(reports, report_path, suite, time.time() - started, limits)
     return reports, exit_code
 
 
@@ -501,13 +481,14 @@ def _human_line(report):
     return f"{line}  ({note})" if note else line
 
 
-def _write_report(reports, path, suite, elapsed):
+def _write_report(reports, path, suite, elapsed, limits):
     with open(path, "w", encoding="ascii") as fh:
         header = {
             "suite": suite,
             "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "elapsed_seconds": round(elapsed, 3),
             "claim_seconds": {r.claim.id: round(r.seconds, 3) for r in reports},
+            "limits": limits,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for r in reports:

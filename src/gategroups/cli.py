@@ -82,7 +82,7 @@ def _cmd_build(args):
 
 
 def _load_group_file(path):
-    """Group file -> PermGroup; matrix files go through their regular action."""
+    """Group file -> PermGroup; a matrix group acts on the orbit of its rows."""
     with open(path, encoding="ascii") as fh:
         first = next((line.split() for line in fh if line.strip()), [])
     if first[:1] == ["dim"]:
@@ -199,7 +199,7 @@ def main(argv=None):
             return _cmd_graph(args)
         if args.command == "mub-chain":
             return _cmd_mub_chain(args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -46,3 +46,8 @@ def limit(name: str) -> int:
     if value <= 0:
         raise ValueError(f"{var}={raw!r} must be positive")
     return value
+
+
+def limits() -> dict:
+    """Every limit's value as ``limit`` reads it, keyed by its variable name."""
+    return {f"GATEGROUPS_{name}": limit(name) for name in _DEFAULTS}

@@ -4,9 +4,8 @@ A matrix is determined by its rows, and a finite matrix group permutes the
 finite orbit of row vectors ``e_i^T * x``.  ``closure`` computes that orbit,
 then enumerates the group by base images: element i is named by the orbit
 positions of its d rows, and right multiplication by a generator permutes
-those names.  Identity is element 0, and the right-multiplication columns
-filled by the same search hand matrix groups over to the permutation
-machinery through their right-regular action.
+those names.  Identity is element 0.  The permutation machinery sees a
+matrix group as the faithful permutation group on its row orbit.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "kron",
     "dagger",
     "closure",
-    "regular_perm_rep",
     "identity_matrix",
     "diagonal_matrix",
     "matrix_from_rows",
@@ -168,44 +166,51 @@ class MatrixGroup:
     order.  The element matrices are built on first access to ``elements``.
     """
 
-    def __init__(self, generators, row_index, index, table):
+    def __init__(self, generators, table):
         self.generators = list(generators)
         self.dim = self.generators[0].dim
-        self._row_index = row_index  # row vector -> orbit position
-        self._index = index  # orbit positions of an element's rows -> element index
-        self._table = table
+        self._table = table  # its rows map each row vector to its orbit position
         self._elements = None
         self._perm_group = None
 
     def order(self):
-        return len(self._index)
+        return self._table.n
 
     def __len__(self):
-        return len(self._index)
+        return self._table.n
+
+    def _key(self, m):
+        return tuple(self._table.rows.get(r) for r in m.rows())
 
     def __contains__(self, m):
-        return tuple(self._row_index.get(r) for r in m.rows()) in self._index
+        return self._key(m) in self._table.key_index
 
     def index_of(self, m):
         """Index of the matrix m; KeyError if it is not an element."""
-        return self._index[tuple(self._row_index[r] for r in m.rows())]
+        return self._table.key_index[self._key(m)]
 
     @property
     def elements(self):
         """Element matrices in index order (built on first access)."""
         if self._elements is None:
-            rows = list(self._row_index)
-            self._elements = [matrix_from_rows([rows[k] for k in key]) for key in self._index]
+            rows = list(self._table.rows)
+            self._elements = [
+                matrix_from_rows([rows[k] for k in key]) for key in self._table.key_index
+            ]
         return self._elements
 
     def element_table(self):
-        """Regular ElementTable: the right-multiplication columns of the enumeration."""
+        """ElementTable of the enumeration, acting on the row orbit."""
         return self._table
 
     def perm_group(self):
-        """The right-regular permutation group (cached)."""
+        """The permutation group on the row orbit, on the same table (cached)."""
         if self._perm_group is None:
-            self._perm_group = regular_perm_rep(self)
+            from gategroups.perm import PermGroup
+
+            table = self._table
+            gens = [table.perm_of(g) for g in table.gen_indices]
+            self._perm_group = PermGroup(len(table.rows), gens, order=table.n, table=table)
         return self._perm_group
 
 
@@ -215,7 +220,7 @@ def closure(generators, budget=None):
     Raises ClosureOverflowError if more than ``budget`` elements (or dim *
     budget rows) appear, which signals wrong generators or a non-finite group.
     """
-    from gategroups.cayley import base_image_table, orbit
+    from gategroups.cayley import ElementTable, orbit
 
     if budget is None:
         budget = limit("MAX_CLOSURE")
@@ -232,20 +237,9 @@ def closure(generators, budget=None):
     row_index, row_perms = orbit(
         identity_matrix(d).rows(), [g.row_times for g in gens], d * budget, "MAX_CLOSURE"
     )
-    index, table = base_image_table(row_perms, range(d), budget, "MAX_CLOSURE")
-    return MatrixGroup(gens, row_index, index, table)
-
-
-def regular_perm_rep(group):
-    """Faithful permutation representation by right multiplication.
-
-    The image acts on the |G| element indices; perm(a)*perm(b) = perm(a*b).
-    """
-    from gategroups.perm import PermGroup, Permutation
-
-    table = group.element_table()
-    gens = [Permutation(col) for col in table.rmul_columns()]
-    return PermGroup(group.order(), gens, order=group.order(), table=table)
+    table = ElementTable.from_permutations(row_perms, range(d), budget, "MAX_CLOSURE")
+    table.rows = row_index
+    return MatrixGroup(gens, table)
 
 
 # -- textual import/export -------------------------------------------------

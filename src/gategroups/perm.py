@@ -4,7 +4,8 @@ Internally points are 0-based; the textual cycle notation ``(1,2)(3,4,5)``
 is 1-based.  Products compose left-to-right: ``(p * q)`` applies p first.
 The stabilizer chain uses the deterministic Schreier-Sims procedure with
 the smallest-moved-point base rule, and stops early when the group order
-is already known (regular representations of enumerated matrix groups).
+is already known (groups enumerated by base images, such as matrix groups
+acting on their rows).
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators.
 
-    ``order`` may be passed when already known (regular representations);
+    ``order`` may be passed when already known (enumerated groups);
     ``table`` attaches an ElementTable so structural computations reuse it.
 
     Elements are also named by index.  A group enumerated on its own uses
@@ -383,9 +384,10 @@ class PermGroup:
         """Own indices of the members of ``sub``; ValueError unless a subgroup."""
         table = self._ambient_table()
         sub_table = sub._ambient_table()
-        if sub_table is table:
-            return self._own_indices(sub._ambient_members())
-        return {self.index_of(sub_table.perm_of(a)) for a in sub._ambient_members()}
+        members = sub._ambient_members()
+        if sub_table is not table:
+            members = table.indices_of(sub_table, members)
+        return self._own_indices(members)
 
     def _own_indices(self, ambient):
         """Own indices of ambient indices; ValueError if one lies outside."""

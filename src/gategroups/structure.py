@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gategroups.perm import Permutation, PermGroup
+from gategroups.perm import PermGroup
 
 __all__ = [
     "GroupFingerprint",
@@ -54,15 +54,14 @@ def conjugacy_classes(group):
 def coset_action(group, normal):
     """Permutation image of the action on right cosets of a normal subgroup.
 
-    For normal subgroups this is the regular representation of the
-    quotient; its order equals the index.
+    The quotient acts regularly on the cosets; its order equals the index.
     """
     own = group.own_table()
     members = group.indices_of(normal)
     if not own.is_normal_set(members, [i for i in members if i != 0]):
         raise ValueError("subgroup is not normal; the quotient is undefined")
     quotient, _, _ = own.coset_action(members)
-    gens = [Permutation(col) for col in quotient._rmul]
+    gens = [quotient.perm_of(g) for g in quotient.gen_indices]
     return PermGroup(quotient.n, gens, order=quotient.n, table=quotient)
 
 

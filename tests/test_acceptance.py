@@ -107,7 +107,7 @@ def test_criterion_2_c1_splits_over_p1():
     order 8 and no complement exists.
     """
     with _criterion("2b C1 does not split over P1"):
-        parent, child = _EV._subgroup_of("c1", "p1")
+        parent, child = _EV.group("c1"), _EV.group("p1")
         result = find_complement(parent, child)
         assert result.exhaustive, "complement search must be exhaustive to settle this"
         assert result.status == "not-found", "a complement to P1 in C1 was reported"

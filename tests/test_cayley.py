@@ -23,7 +23,7 @@ def _c1_mod_center():
 TABLES = [(name, lambda g=g: g) for name, g in small_corpus()] + [
     ("C1", lambda: Evaluator().group("c1")),
     ("A5inS5", lambda: derived_subgroup(groups.symmetric(5))),  # a subgroup table
-    ("C1modZ", _c1_mod_center),  # a regular table on the cosets of Z(C1)
+    ("C1modZ", _c1_mod_center),  # a table on the cosets of Z(C1)
 ]
 
 
@@ -98,6 +98,25 @@ def test_normal_subgroup_sets_fill_few_columns(monkeypatch):
     assert len(table.normal_subgroup_sets()) == 9
     assert len(reps) == 36
     assert len(calls) <= 2 * len(reps)
+
+
+QUOTIENTS = [
+    ("C1/P1", lambda ev: (ev.group("c1"), ev.group("p1"))),
+    ("C2/Z", lambda ev: (ev.group("c2"), center(ev.group("c2")))),
+]
+
+
+@pytest.mark.parametrize("name, build", QUOTIENTS, ids=[n for n, _ in QUOTIENTS])
+def test_quotient_columns_follow_the_cosets(name, build):
+    """The quotient maps coset c by generator g to the coset of rep_c * g."""
+    group, normal = build(Evaluator())
+    table = group.own_table()
+    quotient, coset_of, reps = table.coset_action(group.indices_of(normal))
+    assert quotient.n == len(reps) == table.n // normal.order()
+    for k, g in enumerate(table.gen_indices):
+        col = table.column(g)
+        assert quotient.gen_indices[k] == coset_of[g]
+        assert quotient.column(quotient.gen_indices[k]) == [coset_of[col[r]] for r in reps]
 
 
 def test_commutator_set_all_pairs_m20_against_pairwise_products():

@@ -1,10 +1,11 @@
 """Ledger parsing, claim execution, the exit-code contract, report determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from gategroups import claims
+from gategroups import claims, config
 from gategroups.claims import (
     Evaluator,
     default_ledger_text,
@@ -146,8 +147,30 @@ def test_report_body_is_deterministic(tmp_path):
     assert body1 == body2
     header = json.loads(p1.read_text().splitlines()[0])
     assert "generated" in header and "claim_seconds" in header
+    assert header["limits"]["GATEGROUPS_MAX_ENUMERATION"] == 200_000
     row = json.loads(body1[0])
     assert row["id"] == "a" and row["status"] == "pass" and row["computed"] == "192"
+
+
+def test_report_header_records_the_limits(monkeypatch, tmp_path):
+    monkeypatch.setenv("GATEGROUPS_MAX_ISO_ORDER", "100")
+    report = tmp_path / "r.jsonl"
+    ledger = "a | core | order(p1) | 16 | derived | -\n"
+    run_claims(suite="core", ledger_text=ledger, report_path=str(report))
+    header = json.loads(report.read_text().splitlines()[0])
+    assert header["limits"]["GATEGROUPS_MAX_ISO_ORDER"] == 100
+    assert set(header["limits"]) == {f"GATEGROUPS_{name}" for name in config._DEFAULTS}
+
+
+def test_core_report_body_matches_the_golden_file(tmp_path):
+    """Every body line of the built-in core suite, byte for byte by claim id."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "core-suite.jsonl"
+    expected = {json.loads(line)["id"]: line for line in golden.read_text().splitlines()}
+    report = tmp_path / "core.jsonl"
+    run_claims(suite="core", report_path=str(report))
+    body = report.read_text().splitlines()[1:]
+    assert {json.loads(line)["id"]: line for line in body} == expected
+    assert len(body) == len(expected) == 64
 
 
 def test_recipe_evaluator_caches_groups():
@@ -186,11 +209,38 @@ def test_unknown_recipe_raises():
 
 def test_gate_subgroup_shares_the_parent_perm_group():
     ev = Evaluator()
-    parent, child = ev._subgroup_of("c1", "p1")
-    assert parent is ev.group("c1") is ev.matrix_group("c1").perm_group()
+    parent, child = ev.group("c1"), ev.group("p1")
+    assert parent is ev.matrix_group("c1").perm_group()
     assert len(parent.indices_of(child)) == 16
     assert ev.value("is_subgroup(p1, c1)") is True
     assert ev.value("subgroup_index(c1, p1)") == 12
+
+
+def test_membership_across_matrix_groups_in_the_ledger():
+    ev = Evaluator()
+    assert ev.value("is_subgroup(mub(2, 3), mub(2, 4))") is True
+    assert ev.value("subgroup_index(c2, mub(2, 4))") == 2880
+    assert ev.value("is_subgroup(mub(2, 4), mub(2, 3))") is False
+
+
+def test_c2_questions_share_one_spanning_tree(monkeypatch):
+    """Wrapping subgroups of C2 fills no column of its 92160-element table."""
+    from gategroups import cayley, gates
+
+    monkeypatch.setattr(gates, "_GROUPS", {})  # a fresh C2 with no tree built
+    trees = []
+    real = cayley._spanning_tree
+
+    def counting(cols):
+        trees.append(len(cols[0]))
+        return real(cols)
+
+    monkeypatch.setattr(cayley, "_spanning_tree", counting)
+    ev = Evaluator()
+    assert ev.value("center_order(c2)") == 8
+    assert ev.value("is_subgroup(b2, c2)") is True
+    assert ev.value("is_normal(c2, p2)") is True
+    assert trees.count(92160) == 1
 
 
 def test_is_normal_with_a_subgroup_parent():

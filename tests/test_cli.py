@@ -140,6 +140,12 @@ def test_bad_limit_is_a_clean_error(monkeypatch, capsys):
     assert "GATEGROUPS_MAX_ENUMERATION='abc' is not an integer" in capsys.readouterr().err
 
 
+def test_search_budget_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "5")
+    assert main(["build", "aut(p1)"]) == 2
+    assert capsys.readouterr().err == "error: backtracking search exceeded 5 nodes\n"
+
+
 def test_truncated_group_files_are_clean_errors(tmp_path, capsys):
     only_dim = tmp_path / "dim.group"
     only_dim.write_text("dim 2\n")

@@ -1,4 +1,4 @@
-"""Exact matrices, base-image enumeration, the regular representation, group files."""
+"""Exact matrices, base-image enumeration, the action on the row orbit, group files."""
 
 import random
 
@@ -23,7 +23,6 @@ from gategroups.matrix import (
     matmul,
     matrix_from_rows,
     read_group,
-    regular_perm_rep,
     write_group,
 )
 from gategroups.pauligraph import mub_chain
@@ -129,7 +128,7 @@ def _check_against_dimino(group):
     relabel = [group.index_of(m) for m in elements]
     table = group.element_table()
     assert table.gen_indices == [group.index_of(g) for g in group.generators]
-    for gen, col in zip(group.generators, table.rmul_columns()):
+    for gen, col in zip(group.generators, map(table.column, table.gen_indices)):
         for i, m in enumerate(elements):
             assert col[relabel[i]] == relabel[index[matrix_product(m, gen)]]
 
@@ -143,6 +142,35 @@ def test_enumeration_matches_dimino_oracle(name):
 @pytest.mark.long
 def test_c2_enumeration_matches_dimino_oracle():
     _check_against_dimino(clifford_group(2))
+
+
+MEMBERSHIP_GROUPS = ["p1", "c1", "p2", "p2pairs", "b2", "mub2", "mub3", "mub4"]
+MEMBERSHIP_PAIRS = [
+    (parent, child) for parent in MEMBERSHIP_GROUPS + ["c2"] for child in MEMBERSHIP_GROUPS
+    if parent != child
+]
+
+
+@pytest.mark.parametrize("parent_name, child_name", MEMBERSHIP_PAIRS)
+def test_membership_across_matrix_groups_matches_generators(parent_name, child_name):
+    """Indices across two row tables agree with matrix lookups in the parent."""
+    parent, child = _oracle_group(parent_name), _oracle_group(child_name)
+    if all(g in parent for g in child.generators):
+        expected = {parent.index_of(m) for m in child.elements}
+        assert parent.perm_group().indices_of(child.perm_group()) == expected
+    else:
+        with pytest.raises(ValueError):
+            parent.perm_group().indices_of(child.perm_group())
+
+
+def test_matrix_and_point_groups_share_no_elements():
+    from gategroups.groups import symmetric
+
+    s4, c1 = symmetric(4), clifford_group(1).perm_group()
+    with pytest.raises(ValueError):
+        c1.indices_of(s4)
+    with pytest.raises(ValueError):
+        s4.indices_of(c1)
 
 
 def test_t_gate_is_not_in_c1():
@@ -178,16 +206,17 @@ def test_elements_unitary_spot_check():
         assert m.is_unitary()
 
 
-def test_regular_perm_rep_is_homomorphism():
+def test_perm_group_acts_on_the_row_orbit():
     c = catalog()
     g = closure([c.sigma_x])
-    pg = regular_perm_rep(g)
+    pg = g.perm_group()
     assert pg.order() == 2
     assert pg.degree == 2
 
     c1 = closure([c.hadamard, c.phase])
-    pg1 = regular_perm_rep(c1)
+    pg1 = c1.perm_group()
     assert pg1.order() == 192
+    assert pg1.degree == 48
     table = c1.element_table()
     rng = random.Random(11)
     for _ in range(25):
@@ -197,6 +226,13 @@ def test_regular_perm_rep_is_homomorphism():
         pb = table.perm_of(b)
         composed = tuple(pb[x] for x in pa)  # apply a then b
         assert composed == tuple(table.perm_of(table.mult(a, b)))
+    assert all(table.index_of(table.perm_of(i)) == i for i in range(192))
+
+    c2 = clifford_group(2)
+    assert c2.perm_group().degree == 480
+    table = c2.element_table()
+    for i in rng.sample(range(92160), 25):
+        assert table.index_of(table.perm_of(i)) == i
 
 
 def test_pauli_orders_match_formula():

@@ -158,7 +158,8 @@ def test_indices_of_across_ambient_tables():
 def test_indices_of_across_regular_tables():
     """A quotient's derived subgroup is found in a second copy of the quotient.
 
-    Quotients have regular tables, where a lookup compares whole columns.
+    Two quotient tables share no element indices, so a lookup replays each
+    member's word on the cosets and checks its base image.
     """
     from gategroups import groups
     from gategroups.structure import center, coset_action, derived_subgroup
