@@ -8,6 +8,8 @@ Commands:
     gategroups mub-chain -n N [--no-aut] [--extended]
 
 Capacity limits honour GATEGROUPS_* environment variables (see config).
+Errors the package raises (``GategroupsError``) and other bad input
+(``ValueError``) print ``error: ...`` and exit with code 2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from gategroups import claims as claims_mod
 from gategroups import pauligraph, structure
 from gategroups.claims import Evaluator, run_claims
-from gategroups.errors import BudgetExceededError, CapacityError, LedgerParseError
+from gategroups.errors import BudgetExceededError, CapacityError, GategroupsError, LedgerParseError
 from gategroups.isomorphism import automorphism_group, is_perfect
 from gategroups.matrix import write_group
 from gategroups.perm import write_perm_group
@@ -199,7 +201,7 @@ def main(argv=None):
             return _cmd_graph(args)
         if args.command == "mub-chain":
             return _cmd_mub_chain(args)
-    except (ValueError, CapacityError, BudgetExceededError) as exc:
+    except (GategroupsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

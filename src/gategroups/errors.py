@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class CapacityError(RuntimeError):
+class GategroupsError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class CapacityError(GategroupsError, RuntimeError):
     """A computation was refused because the group exceeds a configured size limit."""
 
 
@@ -9,11 +13,11 @@ class ClosureOverflowError(CapacityError):
     """Generated set exceeded its element budget (wrong generators or non-finite group)."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(GategroupsError, RuntimeError):
     """A bounded search ran out of its node/time budget; the result is inconclusive."""
 
 
-class ParseError(ValueError):
+class ParseError(GategroupsError, ValueError):
     """A text file could not be parsed; the message names the line."""
 
     def __init__(self, message, line_number=None):

@@ -5,7 +5,10 @@ of a greedily chosen minimal generating sequence, pruning candidates by
 element order, conjugacy class size and pairwise product/commutation
 relations; every accepted assignment is verified as a bijective
 homomorphism on the full element table, so a positive answer is always a
-checked witness.
+checked witness.  Automorphisms are counted level by level along the
+generating sequence: the orbit of each element under the automorphisms
+that fix the earlier ones is grown from inner automorphisms and from
+automorphisms already found, and only candidates outside it are searched.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import cached_property
 
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError, CapacityError
-from gategroups.perm import Permutation, PermGroup, StabilizerChain
+from gategroups.perm import Permutation, PermGroup
 from gategroups.structure import _fingerprint_of
 
 __all__ = [
@@ -231,53 +234,62 @@ def isomorphic(g, h, node_budget=None):
 class AutomorphismGroup:
     """|Aut(G)| and |Inn(G)| of a group, counted by ``automorphism_group``.
 
-    ``group``, the automorphism group acting on the element table, is built
-    on first access from the inner automorphisms and the images of the
-    generating sequence at the accepted search leaves.
+    ``generators`` are image arrays on the element table: conjugations by
+    generators of the centralizers met on the identity path, then the
+    automorphisms the search found and verified.  Together they generate
+    Aut(G); ``group`` is built from them on first access.  ``search_nodes``
+    counts the candidate images the search checked and ``hom_checks`` the
+    leaves it verified with ``_hom_image``.
     """
 
     order: int
     inner_order: int
     table: object  # the group's own element table
-    gcols: list  # right-multiplication columns of the generating sequence
-    leaves: list  # its images, one tuple per accepted leaf
+    generators: list  # image arrays of automorphisms generating Aut(G)
+    search_nodes: int = 0
+    hom_checks: int = 0
 
     def outer_order(self):
         return self.order // self.inner_order
 
     @cached_property
     def group(self):
-        table = self.table
-        n = table.n
+        gens = [p for p in map(Permutation, self.generators) if not p.is_identity]
+        n = self.table.n
+        return PermGroup(n, gens or [Permutation.identity(n)], order=self.order)
 
-        def leaf_maps():
-            for images in self.leaves:
-                img = _hom_image(self.gcols, [table.column(y) for y in images])
-                if img is None:
-                    raise AssertionError(f"leaf {images} is not an automorphism")
-                yield img
 
-        inner = (
-            [table.conj_by_gen(i, gpos) for i in range(n)]
-            for gpos in range(len(table.gen_indices))
-        )
-        gens = _reduce_perm_generators(itertools.chain(inner, leaf_maps()), n, self.order)
-        return PermGroup(n, gens, order=self.order)
+def _orbit(points, gens):
+    """Orbit of a set of element indices under image arrays."""
+    orbit = set(points)
+    queue = list(orbit)
+    for x in queue:
+        for img in gens:
+            y = img[x]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
 
 
 def automorphism_group(g, extended=False, node_budget=None):
-    """Automorphism group of g: its order is counted, the group built on demand.
+    """Automorphism group of g, counted along a stabilizer chain.
 
-    Counting is factored through the inner automorphisms: at each level
-    of the generator-image backtracking, candidates split into orbits
-    under conjugation by the pointwise centralizer K of the images chosen
-    so far, and every orbit contributes |orbit| times the count at its
-    representative (composing with an inner automorphism from K moves
-    the next image around its K-orbit without disturbing earlier ones).
-    Every accepted leaf is verified as a bijective homomorphism on the
-    whole table; with the inner automorphisms the accepted leaves
-    generate the full automorphism group, which ``group`` builds on
-    demand.
+    An automorphism is fixed by the images of the generating sequence
+    x_0, ..., x_{m-1}.  Level k counts the orbit of x_k under A_k, the
+    automorphisms fixing x_0, ..., x_{k-1}, and |Aut(G)| is the product
+    of the orbit lengths.  The levels run deepest first.  A_k starts
+    from conjugation by generators of the centralizer K_k of
+    x_0, ..., x_{k-1} and from the automorphisms found at deeper levels.
+    Each compatible candidate image y of x_k outside the orbit and not
+    yet refuted is tried: its subtree is searched, with candidates split
+    into orbits under the centralizer of the images chosen so far, until
+    ``_hom_image`` verifies a leaf.  That automorphism joins A_k and the
+    orbit grows; if no leaf verifies, the search was exhaustive and the
+    whole orbit of y under A_k is refuted.  The count is exact: every
+    orbit point is reached by verified automorphisms and every other
+    candidate is refuted.  The generators of every A_k together generate
+    Aut(G), from which ``group`` is built on demand.
     """
     n = g.order()
     cap = limit("MAX_AUT_ORDER_EXTENDED") if extended else limit("MAX_AUT_ORDER")
@@ -286,65 +298,77 @@ def automorphism_group(g, extended=False, node_budget=None):
     table = g.own_table()
     seq = _min_generating_sequence(table)
     inner_order = n // len(table.center_set())
-    leaves = []
-    gcols = [table.column(x) for x in seq]
     if not seq:  # trivial group
-        return AutomorphismGroup(1, 1, table, gcols, leaves)
+        return AutomorphismGroup(1, 1, table, [])
 
     search = _Search(table, table, seq, node_budget)
     cands = [search.candidates(x) for x in seq]
+    gcols = [table.column(x) for x in seq]
+    hom_checks = 0
 
-    def count(pos, K):
+    def first_leaf(pos, K):
+        """Image array of the first verified leaf below ``chosen``, or None."""
+        nonlocal hom_checks
         if pos == len(seq):
-            if _hom_image(gcols, search.h_rcols) is None:
-                return 0
-            leaves.append(tuple(search.chosen))
-            return 1
-        surv = []
+            hom_checks += 1
+            return _hom_image(gcols, search.h_rcols)
+        unseen = set()
         for y in cands[pos]:
             search.tick()
             if search.compatible(pos, y):
-                surv.append(y)
-        subtotal = 0
-        unseen = set(surv)
+                unseen.add(y)
         while unseen:
             rep = min(unseen)
             search.push(rep)
             conj = search.h_conj[-1]
-            orbit = {conj[z] for z in K} & unseen
-            k_next = [z for z in K if conj[z] == rep]
-            subtotal += len(orbit) * count(pos + 1, k_next)
+            img = first_leaf(pos + 1, [z for z in K if conj[z] == rep])
             search.pop()
-            unseen -= orbit
-        return subtotal
+            if img is not None:
+                return img
+            unseen -= {conj[z] for z in K}
+        return None
 
-    # at the first level K is all of G: the orbits are conjugacy classes
-    return AutomorphismGroup(count(0, range(n)), inner_order, table, gcols, leaves)
+    # the identity path: K_k is the centralizer of x_0, ..., x_{k-1}
+    centralizers = [range(n)]
+    for x in seq[:-1]:
+        search.push(x)
+        conj = search.h_conj[-1]
+        centralizers.append([z for z in centralizers[-1] if conj[z] == x])
 
-
-def _reduce_perm_generators(perms, degree, order):
-    """Greedy small generating subset of an iterable of permutations.
-
-    Membership goes through a stabilizer chain, so nothing is ever
-    materialised even when the generated group is large.  ``perms`` is
-    read only until the chain reaches ``order``.
-    """
-    gens = []
-    chain = None
-    for p in perms:
-        perm = Permutation(p)
-        if perm.is_identity:
-            continue
-        if chain is not None:
-            if chain.order() == order:
-                break
-            if chain.contains(perm):
+    inv = table.inverses()
+    gens = []  # image arrays; all of them fix x_0, ..., x_{k-1} at level k
+    kgens = []  # elements generating the current centralizer
+    members = {0}
+    order = 1
+    for k in reversed(range(len(seq))):
+        K = centralizers[k]
+        for z in K:
+            if z not in members:
+                kgens.append(z)
+                members = table.subgroup_closure(kgens)
+                # conjugation by z: x_i -> z^-1 x_i z
+                gens.append(list(map(table.lcolumn(inv[z]).__getitem__, table.column(z))))
+        orbit = _orbit([seq[k]], gens)
+        refuted = set()
+        for y in cands[k]:
+            if y in orbit or y in refuted:
                 continue
-        gens.append(perm)
-        chain = StabilizerChain(degree, gens, known_order=order)
-    if not gens:
-        gens = [Permutation.identity(degree)]
-    return gens
+            search.tick()
+            if not search.compatible(k, y):
+                continue
+            search.push(y)
+            conj = search.h_conj[-1]
+            img = first_leaf(k + 1, [z for z in K if conj[z] == y])
+            search.pop()
+            if img is None:
+                refuted |= _orbit([y], gens)
+            else:
+                gens.append(img)
+                orbit = _orbit(orbit, gens)
+        order *= len(orbit)
+        if k:
+            search.pop()
+    return AutomorphismGroup(order, inner_order, table, gens, search.nodes, hom_checks)
 
 
 def is_perfect(g):
@@ -399,15 +423,18 @@ class ComplementResult:
         return self.status == "found"
 
 
-def find_complement(g, n, budget=200_000):
+def find_complement(g, n, budget=None):
     """Search for a complement of the normal subgroup n inside g.
 
     A complement witnesses that the extension splits.  Every complement is
     generated by lifts of a fixed generating sequence of the quotient, one
     lift per coset, so scanning all |n|^k lift tuples is a complete
     search: "not-found" with ``exhaustive`` set is a definitive answer,
-    otherwise the search is inconclusive.
+    otherwise the search is inconclusive.  At most ``budget`` tuples are
+    tried, by default the COMPLEMENT_BUDGET limit.
     """
+    if budget is None:
+        budget = limit("COMPLEMENT_BUDGET")
     own = g.own_table()
     members = g.indices_of(n)
     sub_gens = [i for i in members if i != 0]

@@ -9,7 +9,9 @@ member sets, so it checks the class-mask closures of
 ``ElementTable.normal_subgroup_sets`` and the joins it skips.  The
 commutator-set oracle visits all ordered pairs where the engine visits
 class representatives.  The search-compatibility oracle replays words
-where the search reads columns.
+where the search reads columns.  The leaf-count automorphism oracle
+visits one search leaf per class of automorphisms modulo the inner ones,
+where the engine grows orbits of the automorphisms it has found.
 """
 
 import os
@@ -18,6 +20,7 @@ import pytest
 
 from gategroups import groups
 from gategroups.cyclo import ZERO
+from gategroups.isomorphism import _hom_image, _min_generating_sequence, _Search
 from gategroups.matrix import UnitaryMatrix, identity_matrix
 from gategroups.perm import PermGroup, Permutation
 
@@ -159,6 +162,43 @@ def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
         if (tg.commutator(xq, x) == 0) != (th.commutator(yq, y) == 0):
             return False
     return True
+
+
+def leaf_count_automorphisms(table):
+    """(|Aut|, |Inn|) of the group of an element table (oracle).
+
+    |Aut| is counted through the inner automorphisms: at each level of
+    the generator-image backtracking, candidates split into orbits under
+    conjugation by the centralizer K of the images chosen so far, and an
+    orbit contributes |orbit| times the count at its representative.  Every
+    leaf is verified with ``_hom_image``.  |Inn| is the number of distinct
+    conjugation maps, told apart by the images of the generating sequence.
+    """
+    seq = _min_generating_sequence(table)
+    if not seq:
+        return 1, 1
+    search = _Search(table, table, seq)
+    cands = [search.candidates(x) for x in seq]
+    gcols = [table.column(x) for x in seq]
+
+    def count(pos, K):
+        if pos == len(seq):
+            return int(_hom_image(gcols, search.h_rcols) is not None)
+        unseen = {y for y in cands[pos] if search.compatible(pos, y)}
+        subtotal = 0
+        while unseen:
+            rep = min(unseen)
+            search.push(rep)
+            conj = search.h_conj[-1]
+            orbit = {conj[z] for z in K} & unseen
+            subtotal += len(orbit) * count(pos + 1, [z for z in K if conj[z] == rep])
+            search.pop()
+            unseen -= orbit
+        return subtotal
+
+    conj_cols = [table.conj_column(x) for x in seq]
+    inner = {tuple(col[z] for col in conj_cols) for z in range(table.n)}
+    return count(0, range(table.n)), len(inner)
 
 
 def small_corpus():

@@ -13,7 +13,8 @@ assert the proven answer, each by two independent paths:
   group whose type is read off its involution count.
 
 The paper's values stay in the claims ledger as disputed rows.
-Criterion 10 is gated behind GATEGROUPS_LONG=1.
+Criteria 10b, 10c and 10e (the automorphism counts) always run; the
+rest of criterion 10 is gated behind GATEGROUPS_LONG=1.
 """
 
 import time
@@ -252,7 +253,6 @@ def test_criterion_10_three_qubit_independent_set():
         assert len(maximum_independent_set(pauli_graph(3).neighbors)) == 7
 
 
-@pytest.mark.long
 def test_criterion_10_aut_g5():
     with _criterion("10b three-qubit chain g5 automorphisms"):
         grp = _EV._mub_group(3, 5)
@@ -268,7 +268,6 @@ def _orthogonal_order(n, q, sign):
     return order
 
 
-@pytest.mark.long
 def test_criterion_10_aut_g6():
     """|Aut(g6)| is 3317760; the paper's table states 1966080.
 
@@ -306,7 +305,6 @@ def test_criterion_10_aut_p2_derived_is_u6():
         assert isomorphic(d, u6)
 
 
-@pytest.mark.long
 def test_criterion_10_out_u6():
     with _criterion("10e outer automorphisms of U6"):
         u6 = _EV.group("derived(central_quotient(c2))")

@@ -4,8 +4,17 @@ import json
 
 import pytest
 
+from gategroups import cli
 from gategroups.cli import main
-from gategroups.errors import GroupFileError
+from gategroups.errors import (
+    BudgetExceededError,
+    CapacityError,
+    ClosureOverflowError,
+    GategroupsError,
+    GroupFileError,
+    LedgerParseError,
+    ParseError,
+)
 from gategroups.matrix import read_group
 from gategroups.perm import read_perm_group
 
@@ -144,6 +153,37 @@ def test_search_budget_is_a_clean_error(monkeypatch, capsys):
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "5")
     assert main(["build", "aut(p1)"]) == 2
     assert capsys.readouterr().err == "error: backtracking search exceeded 5 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        GategroupsError("unnamed failure"),
+        CapacityError("group too large"),
+        ClosureOverflowError("closure overflow"),
+        BudgetExceededError("search budget exhausted"),
+        ParseError("bad text", 3),
+        LedgerParseError("bad ledger row", 4),
+        GroupFileError("bad group file", 5),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_every_package_error_is_a_clean_error(monkeypatch, capsys, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    assert main(["analyze", "cyclic(2)"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_package_errors_keep_their_builtin_bases():
+    assert issubclass(CapacityError, RuntimeError)
+    assert issubclass(BudgetExceededError, RuntimeError)
+    assert issubclass(ParseError, ValueError)
+    for cls in (CapacityError, ClosureOverflowError, BudgetExceededError, ParseError,
+                LedgerParseError, GroupFileError):
+        assert issubclass(cls, GategroupsError)
 
 
 def test_truncated_group_files_are_clean_errors(tmp_path, capsys):

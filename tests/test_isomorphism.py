@@ -4,8 +4,13 @@ import itertools
 
 import pytest
 
-from conftest import commutator_set_all_pairs, search_compatible_oracle, small_corpus
-from gategroups import groups, perm
+from conftest import (
+    commutator_set_all_pairs,
+    leaf_count_automorphisms,
+    search_compatible_oracle,
+    small_corpus,
+)
+from gategroups import groups, isomorphism, perm
 from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
 from gategroups.isomorphism import (
@@ -95,6 +100,55 @@ def test_aut_against_slow_oracle_up_to_64():
             for i in range(table.n):
                 for j in range(table.n):
                     assert p[table.mult(i, j)] == table.mult(p[i], p[j])
+
+
+def _is_automorphism(table, img):
+    """Whether an image array is a bijective homomorphism of the table's group."""
+    if sorted(img) != list(range(table.n)):
+        return False
+    for s in table.gen_indices:
+        col, image_col = table.column(s), table.column(img[s])
+        if any(img[col[i]] != image_col[img[i]] for i in range(table.n)):
+            return False
+    return True
+
+
+def test_aut_against_leaf_count_oracle():
+    ev = Evaluator()
+    cases = [(name, g) for name, g in small_corpus() if g.order() <= 384] + [
+        ("C2^4", groups.direct(*[groups.cyclic(2)] * 4)),
+        ("C1", ev.group("c1")),
+        ("P2", ev.group("p2")),
+        ("S6", groups.symmetric(6)),
+        ("A6", groups.alternating(6)),
+    ]
+    for name, g in cases:
+        table = g.own_table()
+        aut = automorphism_group(g, extended=True)
+        assert (aut.order, aut.inner_order) == leaf_count_automorphisms(table), name
+        # the generators are automorphisms, and they generate all of Aut(G):
+        # the order is recomputed from scratch, with no known-order shortcut
+        assert all(_is_automorphism(table, img) for img in aut.generators), name
+        assert PermGroup(table.n, aut.generators).order() == aut.order, name
+
+
+def test_search_counters_guard_the_pruning(monkeypatch):
+    calls = []
+    hom_image = isomorphism._hom_image
+
+    def counted(gcols, hcols):
+        calls.append(1)
+        return hom_image(gcols, hcols)
+
+    monkeypatch.setattr(isomorphism, "_hom_image", counted)
+    aut = automorphism_group(groups.direct(*[groups.cyclic(2)] * 4))
+    assert aut.order == 20160
+    assert aut.hom_checks == len(calls)
+    assert aut.hom_checks <= 64  # one leaf per outer automorphism would be 20160
+    assert 0 < aut.search_nodes
+    # conjugation by the centralizers seeds every orbit: without it S6
+    # needs 42 leaf checks
+    assert automorphism_group(groups.symmetric(6), extended=True).hom_checks <= 32
 
 
 def test_inner_order_matches_central_quotient():
@@ -272,6 +326,18 @@ def test_complement_across_ambient_tables():
     assert res.status == "found" and res.exhaustive
     assert res.complement.order() == 2
     assert s4.indices_of(res.complement) & s4.indices_of(a4) == {0}
+
+
+def test_complement_budget_comes_from_config(monkeypatch):
+    s4 = groups.symmetric(4)
+    v4 = normal_closure(s4, [Permutation.parse("(1,2)(3,4)", 4)])
+    assert find_complement(s4, v4).status == "found"
+    monkeypatch.setenv("GATEGROUPS_COMPLEMENT_BUDGET", "1")
+    res = find_complement(s4, v4)
+    assert res.status == "inconclusive" and not res.exhaustive
+    monkeypatch.setenv("GATEGROUPS_COMPLEMENT_BUDGET", "many")
+    with pytest.raises(ValueError, match="GATEGROUPS_COMPLEMENT_BUDGET"):
+        find_complement(s4, v4)
 
 
 def test_complement_budget_inconclusive():
