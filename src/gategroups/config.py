@@ -24,8 +24,6 @@ _DEFAULTS = {
     "MAX_COMMUTATOR_ORDER_EXTENDED": 20_000,
     # node budget for backtracking searches (automorphisms, complements)
     "SEARCH_NODE_BUDGET": 50_000_000,
-    # lift tuples tried by the complement search before it is inconclusive
-    "COMPLEMENT_BUDGET": 200_000,
 }
 
 

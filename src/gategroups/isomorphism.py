@@ -237,17 +237,13 @@ class AutomorphismGroup:
     ``generators`` are image arrays on the element table: conjugations by
     generators of the centralizers met on the identity path, then the
     automorphisms the search found and verified.  Together they generate
-    Aut(G); ``group`` is built from them on first access.  ``search_nodes``
-    counts the candidate images the search checked and ``hom_checks`` the
-    leaves it verified with ``_hom_image``.
+    Aut(G); ``group`` is built from them on first access.
     """
 
     order: int
     inner_order: int
     table: object  # the group's own element table
     generators: list  # image arrays of automorphisms generating Aut(G)
-    search_nodes: int = 0
-    hom_checks: int = 0
 
     def outer_order(self):
         return self.order // self.inner_order
@@ -270,6 +266,36 @@ def _orbit(points, gens):
                 orbit.add(y)
                 queue.append(y)
     return orbit
+
+
+def _first_leaf(search, cands, gcols, K):
+    """Image array of the first verified leaf below ``search.chosen``, or None.
+
+    ``K`` lists the elements that centralize every image chosen so far.
+    Conjugation by them fixes those images, so the candidates of the next
+    level split into K-orbits and one representative of each is searched;
+    below it K shrinks to the centralizer of the representative too.  A
+    None answer is exhaustive: no choice of the remaining images extends
+    ``search.chosen`` to an automorphism.
+    """
+    pos = len(search.chosen)
+    if pos == len(search.seq):
+        return _hom_image(gcols, search.h_rcols)
+    unseen = set()
+    for y in cands[pos]:
+        search.tick()
+        if search.compatible(pos, y):
+            unseen.add(y)
+    while unseen:
+        rep = min(unseen)
+        search.push(rep)
+        conj = search.h_conj[-1]
+        img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == rep])
+        search.pop()
+        if img is not None:
+            return img
+        unseen -= {conj[z] for z in K}
+    return None
 
 
 def automorphism_group(g, extended=False, node_budget=None):
@@ -304,29 +330,6 @@ def automorphism_group(g, extended=False, node_budget=None):
     search = _Search(table, table, seq, node_budget)
     cands = [search.candidates(x) for x in seq]
     gcols = [table.column(x) for x in seq]
-    hom_checks = 0
-
-    def first_leaf(pos, K):
-        """Image array of the first verified leaf below ``chosen``, or None."""
-        nonlocal hom_checks
-        if pos == len(seq):
-            hom_checks += 1
-            return _hom_image(gcols, search.h_rcols)
-        unseen = set()
-        for y in cands[pos]:
-            search.tick()
-            if search.compatible(pos, y):
-                unseen.add(y)
-        while unseen:
-            rep = min(unseen)
-            search.push(rep)
-            conj = search.h_conj[-1]
-            img = first_leaf(pos + 1, [z for z in K if conj[z] == rep])
-            search.pop()
-            if img is not None:
-                return img
-            unseen -= {conj[z] for z in K}
-        return None
 
     # the identity path: K_k is the centralizer of x_0, ..., x_{k-1}
     centralizers = [range(n)]
@@ -358,7 +361,7 @@ def automorphism_group(g, extended=False, node_budget=None):
                 continue
             search.push(y)
             conj = search.h_conj[-1]
-            img = first_leaf(k + 1, [z for z in K if conj[z] == y])
+            img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == y])
             search.pop()
             if img is None:
                 refuted |= _orbit([y], gens)
@@ -368,7 +371,7 @@ def automorphism_group(g, extended=False, node_budget=None):
         order *= len(orbit)
         if k:
             search.pop()
-    return AutomorphismGroup(order, inner_order, table, gens, search.nodes, hom_checks)
+    return AutomorphismGroup(order, inner_order, table, gens)
 
 
 def is_perfect(g):
@@ -423,18 +426,15 @@ class ComplementResult:
         return self.status == "found"
 
 
-def find_complement(g, n, budget=None):
+def find_complement(g, n, budget=200_000):
     """Search for a complement of the normal subgroup n inside g.
 
     A complement witnesses that the extension splits.  Every complement is
     generated by lifts of a fixed generating sequence of the quotient, one
     lift per coset, so scanning all |n|^k lift tuples is a complete
     search: "not-found" with ``exhaustive`` set is a definitive answer,
-    otherwise the search is inconclusive.  At most ``budget`` tuples are
-    tried, by default the COMPLEMENT_BUDGET limit.
+    otherwise the search is inconclusive.
     """
-    if budget is None:
-        budget = limit("COMPLEMENT_BUDGET")
     own = g.own_table()
     members = g.indices_of(n)
     sub_gens = [i for i in members if i != 0]

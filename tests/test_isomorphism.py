@@ -14,6 +14,7 @@ from gategroups import groups, isomorphism, perm
 from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
 from gategroups.isomorphism import (
+    _first_leaf,
     _hom_image,
     _min_generating_sequence,
     _Search,
@@ -132,23 +133,70 @@ def test_aut_against_leaf_count_oracle():
         assert PermGroup(table.n, aut.generators).order() == aut.order, name
 
 
-def test_search_counters_guard_the_pruning(monkeypatch):
-    calls = []
-    hom_image = isomorphism._hom_image
+def test_first_leaf_answers_every_prefix():
+    """A leaf is found below a chosen prefix of images iff some automorphism
+    extends the prefix.  The brute-force answer tries every image tuple,
+    pruned only by element order; C2 wr S3 and C4 wr C2 have prefixes that
+    a search conjugating by the whole centralizer of the earlier images,
+    not of the prefix, wrongly refutes."""
+    cases = [g for _, g in small_corpus() if g.order() <= 120] + [
+        groups.wreath(groups.cyclic(4), groups.cyclic(2)),
+    ]
+    for g in cases:
+        table = g.own_table()
+        seq = _min_generating_sequence(table)
+        orders = table.element_orders()
+        gcols = [table.column(x) for x in seq]
+        extends = set()
+        for combo in itertools.product(
+            *[[j for j in range(table.n) if orders[j] == orders[x]] for x in seq]
+        ):
+            if _hom_image(gcols, [table.column(y) for y in combo]) is not None:
+                extends.update(combo[:d] for d in range(1, len(seq) + 1))
 
-    def counted(gcols, hcols):
-        calls.append(1)
+        search = _Search(table, table, seq)
+        cands = [search.candidates(x) for x in seq]
+
+        def visit(chosen):
+            for y in cands[len(chosen)]:
+                prefix = chosen + (y,)
+                if not search.compatible(len(chosen), y):
+                    assert prefix not in extends, (g, prefix)
+                    continue
+                search.push(y)
+                K = [z for z in range(table.n)
+                     if all(table.mult(z, c) == table.mult(c, z) for c in prefix)]
+                found = _first_leaf(search, cands, gcols, K) is not None
+                assert found == (prefix in extends), (g, prefix)
+                if len(prefix) < len(seq):
+                    visit(prefix)
+                search.pop()
+
+        visit(())
+
+
+def test_search_work_guards_the_pruning(monkeypatch):
+    hom_checks, nodes = [], []
+    hom_image, tick = isomorphism._hom_image, _Search.tick
+
+    def counted_hom_image(gcols, hcols):
+        hom_checks.append(1)
         return hom_image(gcols, hcols)
 
-    monkeypatch.setattr(isomorphism, "_hom_image", counted)
-    aut = automorphism_group(groups.direct(*[groups.cyclic(2)] * 4))
-    assert aut.order == 20160
-    assert aut.hom_checks == len(calls)
-    assert aut.hom_checks <= 64  # one leaf per outer automorphism would be 20160
-    assert 0 < aut.search_nodes
+    def counted_tick(self):
+        nodes.append(1)
+        tick(self)
+
+    monkeypatch.setattr(isomorphism, "_hom_image", counted_hom_image)
+    monkeypatch.setattr(_Search, "tick", counted_tick)
+    assert automorphism_group(groups.direct(*[groups.cyclic(2)] * 4)).order == 20160
+    assert len(hom_checks) <= 64  # one leaf per outer automorphism would be 20160
+    assert 0 < len(nodes) <= 500
     # conjugation by the centralizers seeds every orbit: without it S6
     # needs 42 leaf checks
-    assert automorphism_group(groups.symmetric(6), extended=True).hom_checks <= 32
+    hom_checks.clear()
+    assert automorphism_group(groups.symmetric(6), extended=True).order == 1440
+    assert len(hom_checks) <= 32
 
 
 def test_inner_order_matches_central_quotient():
@@ -326,18 +374,6 @@ def test_complement_across_ambient_tables():
     assert res.status == "found" and res.exhaustive
     assert res.complement.order() == 2
     assert s4.indices_of(res.complement) & s4.indices_of(a4) == {0}
-
-
-def test_complement_budget_comes_from_config(monkeypatch):
-    s4 = groups.symmetric(4)
-    v4 = normal_closure(s4, [Permutation.parse("(1,2)(3,4)", 4)])
-    assert find_complement(s4, v4).status == "found"
-    monkeypatch.setenv("GATEGROUPS_COMPLEMENT_BUDGET", "1")
-    res = find_complement(s4, v4)
-    assert res.status == "inconclusive" and not res.exhaustive
-    monkeypatch.setenv("GATEGROUPS_COMPLEMENT_BUDGET", "many")
-    with pytest.raises(ValueError, match="GATEGROUPS_COMPLEMENT_BUDGET"):
-        find_complement(s4, v4)
 
 
 def test_complement_budget_inconclusive():
