@@ -11,7 +11,10 @@ Every group is enumerated by ``from_permutations``: one breadth-first
 ``orbit`` that names each element by its images of a base of points and
 fills the columns in the same pass.  Permutation groups act on their
 points, matrix groups on the orbit of their rows, and quotients on their
-cosets.
+cosets.  ``orbit`` asks for the images of a point under all generators in
+one call, so a key of two or more base points is mapped by one
+``itemgetter`` call per generator, in C, rather than a Python frame per
+(element, generator) pair.
 
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
@@ -22,26 +25,27 @@ O(|word(j)|).
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 
 from gategroups.errors import ClosureOverflowError
 
 __all__ = ["ElementTable", "orbit"]
 
 
-def orbit(seeds, actions, cap, limit_name):
-    """Breadth-first orbit of the seed points under one action per generator.
+def orbit(seeds, images, ngens, cap, limit_name):
+    """Breadth-first orbit of the seed points under ``ngens`` generators.
 
-    Returns ``(index, columns)``: the points mapped to their positions in
-    discovery order, seeds first, and for every action the column
-    ``i -> position of action(point i)``.  Raises ClosureOverflowError once
-    more than ``cap`` points appear.
+    ``images(x)`` gives the images of the point x under all the
+    generators, in generator order.  Returns ``(index, columns)``: the
+    points mapped to their positions in discovery order, seeds first, and
+    for every generator the column ``i -> position of the image of point
+    i``.  Raises ClosureOverflowError once more than ``cap`` points appear.
     """
     points = list(seeds)
     index = {p: i for i, p in enumerate(points)}
-    columns = [[] for _ in actions]
+    columns = [[] for _ in range(ngens)]
     for x in points:
-        for act, col in zip(actions, columns):
-            y = act(x)
+        for y, col in zip(images(x), columns):
             j = index.get(y)
             if j is None:
                 if len(points) >= cap:
@@ -83,10 +87,14 @@ class ElementTable:
         ClosureOverflowError once more than ``cap`` elements appear.
         """
         perms = [tuple(p) for p in perms]
-        actions = [lambda key, p=p: tuple(map(p.__getitem__, key)) for p in perms]
-        index, rmul = orbit([tuple(base)], actions, cap, limit_name)
+        base = tuple(base)
+        if len(base) > 1:
+            images = lambda key: map(itemgetter(*key), perms)
+        else:  # itemgetter of one point gives a bare int, and of none fails
+            images = lambda key: [tuple(map(p.__getitem__, key)) for p in perms]
+        index, rmul = orbit([base], images, len(perms), cap, limit_name)
         table = cls(len(index), [col[0] for col in rmul], rmul)
-        table._perms, table._base, table.key_index = perms, tuple(base), index
+        table._perms, table._base, table.key_index = perms, base, index
         return table
 
     # -- element access ------------------------------------------------------
@@ -94,8 +102,9 @@ class ElementTable:
     def perm_of(self, i):
         """Element i as a permutation of the points, replayed from its word."""
         x = tuple(range(len(self._perms[0])))
+        # words are empty on fewer than two points, where itemgetter gives no tuple
         for g in self.word(i):
-            x = tuple(map(self._perms[g].__getitem__, x))
+            x = itemgetter(*x)(self._perms[g])
         return x
 
     def index_of(self, imgs):
@@ -241,8 +250,11 @@ class ElementTable:
             class_of = [-1] * n
             reps = []
             sizes = []
-            ngens = len(self._rmul)
-            lmul_inv = self._ensure_lmul_inv()
+            # one conjugation column per generator g: x -> g^-1 x g
+            conj = [
+                list(map(rmul.__getitem__, linv))
+                for rmul, linv in zip(self._rmul, self._ensure_lmul_inv())
+            ]
             for i in range(n):
                 if class_of[i] >= 0:
                     continue
@@ -253,8 +265,8 @@ class ElementTable:
                 count = 1
                 while queue:
                     x = queue.pop()
-                    for g in range(ngens):
-                        y = self._rmul[g][lmul_inv[g][x]]
+                    for col in conj:
+                        y = col[x]
                         if class_of[y] < 0:
                             class_of[y] = c
                             count += 1

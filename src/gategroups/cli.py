@@ -23,7 +23,7 @@ from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError, CapacityError, GategroupsError, LedgerParseError
 from gategroups.isomorphism import automorphism_group, is_perfect
 from gategroups.matrix import write_group
-from gategroups.perm import write_perm_group
+from gategroups.perm import group_file_lines, read_perm_group, write_perm_group
 
 
 def _build_parser():
@@ -85,14 +85,11 @@ def _cmd_build(args):
 
 def _load_group_file(path):
     """Group file -> PermGroup; a matrix group acts on the orbit of its rows."""
-    with open(path, encoding="ascii") as fh:
-        first = next((line.split() for line in fh if line.strip()), [])
-    if first[:1] == ["dim"]:
+    lines = group_file_lines(path)
+    if lines and lines[0][1].split()[0] == "dim":
         from gategroups.matrix import read_group
 
         return read_group(path).perm_group()
-    from gategroups.perm import read_perm_group
-
     return read_perm_group(path)
 
 

@@ -235,7 +235,11 @@ def closure(generators, budget=None):
             raise ValueError("generators must be unitary")
     d = gens[0].dim
     row_index, row_perms = orbit(
-        identity_matrix(d).rows(), [g.row_times for g in gens], d * budget, "MAX_CLOSURE"
+        identity_matrix(d).rows(),
+        lambda v: [g.row_times(v) for g in gens],
+        len(gens),
+        d * budget,
+        "MAX_CLOSURE",
     )
     table = ElementTable.from_permutations(row_perms, range(d), budget, "MAX_CLOSURE")
     table.rows = row_index
@@ -316,8 +320,9 @@ def read_group(path):
 
     A malformed or truncated file raises GroupFileError naming the line.
     """
-    with open(path, encoding="ascii") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    from gategroups.perm import group_file_lines
+
+    lines = group_file_lines(path)
     if not lines:
         raise GroupFileError("group file is empty", 1)
     dim = _count_line(lines, 0, "dim")

@@ -11,6 +11,7 @@ acting on their rows).
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from gategroups.config import limit
 from gategroups.errors import CapacityError, GroupFileError
@@ -142,7 +143,8 @@ class Permutation:
 
 
 def _compose(p, q):
-    return tuple(q[x] for x in p)
+    """p then q; itemgetter of one point gives a bare int, so degree 1 keeps the tuple."""
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[x] for x in p)
 
 
 def _invert(p):
@@ -150,10 +152,6 @@ def _invert(p):
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def _is_ident(p):
-    return all(i == j for i, j in enumerate(p))
 
 
 class _Done(Exception):
@@ -179,6 +177,7 @@ class StabilizerChain:
     def __init__(self, degree, generators, known_order=None):
         self.degree = degree
         self.levels = []
+        self._ident = tuple(range(degree))
         try:
             for g in generators:
                 self._insert(tuple(g.imgs if isinstance(g, Permutation) else g), 0, known_order)
@@ -221,7 +220,7 @@ class StabilizerChain:
             g, _, prev = level.orbit[point]
             steps.append(g)
             point = prev
-        u = tuple(range(self.degree))
+        u = self._ident
         for g in reversed(steps):
             u = _compose(u, g)
         return u
@@ -252,7 +251,7 @@ class StabilizerChain:
                 return p, i
             u = self._transversal(level, beta)
             p = _compose(p, _invert(u))
-        return (None, len(self.levels)) if _is_ident(p) else (p, len(self.levels))
+        return (None, len(self.levels)) if p == self._ident else (p, len(self.levels))
 
     def _insert(self, p, lvl, known_order):
         residue, where = self._sift(p, lvl)
@@ -278,7 +277,7 @@ class StabilizerChain:
                 gamma = g[beta]
                 u2 = self._transversal(level, gamma)
                 schreier = _compose(_compose(u, g), _invert(u2))
-                if not _is_ident(schreier):
+                if schreier != self._ident:
                     if self._insert(schreier, i + 1, known_order):
                         changed = True
         return changed
@@ -426,13 +425,29 @@ def write_perm_group(group, path):
             fh.write(str(g) + "\n")
 
 
+def group_file_lines(path):
+    """The nonblank lines of a group file as stripped (line number, text) pairs.
+
+    Group files are ASCII; a byte outside ASCII raises GroupFileError naming
+    its line.
+    """
+    lines = []
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for n, ln in enumerate(fh, 1):
+            if not ln.isascii():
+                col, ch = next((c, ch) for c, ch in enumerate(ln, 1) if not ch.isascii())
+                raise GroupFileError(f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} in column {col}", n)
+            if ln.strip():
+                lines.append((n, ln.strip()))
+    return lines
+
+
 def read_perm_group(path):
     """Read a group file written by write_perm_group.
 
     A malformed file raises GroupFileError naming the line.
     """
-    with open(path, encoding="ascii") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    lines = group_file_lines(path)
     head = lines[0][1].split() if lines else []
     if len(head) != 2 or head[0] != "degree" or not head[1].isdigit() or int(head[1]) < 1:
         raise GroupFileError(

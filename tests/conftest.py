@@ -11,7 +11,11 @@ commutator-set oracle visits all ordered pairs where the engine visits
 class representatives.  The search-compatibility oracle replays words
 where the search reads columns.  The leaf-count automorphism oracle
 visits one search leaf per class of automorphisms modulo the inner ones,
-where the engine grows orbits of the automorphisms it has found.
+where the engine grows orbits of the automorphisms it has found.  The
+key-orbit oracle maps a base-image key by one action per generator where
+``cayley.orbit`` takes all the images of a key in one call, and the
+class-partition oracle conjugates through the multiplication columns one
+step at a time where the engine reads precomputed conjugation columns.
 """
 
 import os
@@ -199,6 +203,50 @@ def leaf_count_automorphisms(table):
     conj_cols = [table.conj_column(x) for x in seq]
     inner = {tuple(col[z] for col in conj_cols) for z in range(table.n)}
     return count(0, range(table.n)), len(inner)
+
+
+def key_orbit_oracle(perms, base, cap):
+    """(key index, columns) of the base-image enumeration, one action per generator (oracle)."""
+    actions = [lambda key, p=tuple(p): tuple(map(p.__getitem__, key)) for p in perms]
+    points = [tuple(base)]
+    index = {points[0]: 0}
+    columns = [[] for _ in actions]
+    for x in points:
+        for act, col in zip(actions, columns):
+            y = act(x)
+            if y not in index:
+                assert len(points) < cap, "enumeration exceeded its cap"
+                index[y] = len(points)
+                points.append(y)
+            col.append(index[y])
+    return index, columns
+
+
+def class_partition_oracle(table):
+    """(class_of, reps, sizes) by conjugating g^-1 x g through two columns per step (oracle)."""
+    n = table.n
+    class_of = [-1] * n
+    reps = []
+    sizes = []
+    rmul, lmul_inv = table._rmul, table._ensure_lmul_inv()
+    for i in range(n):
+        if class_of[i] >= 0:
+            continue
+        c = len(reps)
+        reps.append(i)
+        class_of[i] = c
+        queue = [i]
+        count = 1
+        while queue:
+            x = queue.pop()
+            for g in range(len(rmul)):
+                y = rmul[g][lmul_inv[g][x]]
+                if class_of[y] < 0:
+                    class_of[y] = c
+                    count += 1
+                    queue.append(y)
+        sizes.append(count)
+    return class_of, reps, sizes
 
 
 def small_corpus():

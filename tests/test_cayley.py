@@ -1,4 +1,4 @@
-"""Element-table columns, normal subgroups and commutator sets against oracles.
+"""Enumeration, element-table columns, normal subgroups and commutator sets against oracles.
 
 ``ElementTable.mult`` replays the word of its second argument over the
 generator columns, one product at a time; it is the oracle for the columns
@@ -7,9 +7,17 @@ that are filled in one pass along a spanning tree.
 
 import pytest
 
-from conftest import commutator_set_all_pairs, normal_subgroup_sets_oracle, small_corpus
+from conftest import (
+    class_partition_oracle,
+    commutator_set_all_pairs,
+    key_orbit_oracle,
+    normal_subgroup_sets_oracle,
+    small_corpus,
+)
 from gategroups import groups
+from gategroups.cayley import ElementTable
 from gategroups.claims import Evaluator
+from gategroups.perm import PermGroup, Permutation
 from gategroups.structure import center, coset_action, derived_subgroup
 
 
@@ -49,6 +57,54 @@ def test_tree_order_differs_from_index_order():
         assert table._ensure_left_tree()[0] != list(range(table.n)), name
     table = build["A5inS5"]().own_table()
     assert table._ensure_tree()[0] != list(range(table.n))
+
+
+def _generators_and_base(group):
+    return [g.imgs for g in group.generators], group.stabilizer_chain().base()
+
+
+def _table_perms_and_base(table):
+    return table._perms, table._base
+
+
+def _quotient_of_c2wrs5_by_its_center():
+    group = groups.wreath(groups.cyclic(2), groups.symmetric(5))
+    quotient, _, _ = group.own_table().coset_action(group.indices_of(center(group)))
+    return _table_perms_and_base(quotient)
+
+
+# functions returning generator tuples and base points, by test id
+ENUMERATIONS = [
+    pytest.param(lambda g=g: _generators_and_base(g), id=name) for name, g in small_corpus()
+] + [
+    pytest.param(  # an empty base
+        lambda: _generators_and_base(PermGroup(3, [Permutation.identity(3)])), id="trivial"
+    ),
+    pytest.param(lambda: ([(0,)], [0]), id="degree1"),
+    pytest.param(_quotient_of_c2wrs5_by_its_center, id="C2wrS5modZ"),  # one base point, 1920 cosets
+    pytest.param(lambda: _table_perms_and_base(Evaluator().group("c1").own_table()), id="C1rows"),
+    pytest.param(
+        lambda: _table_perms_and_base(Evaluator().group("c2").own_table()),
+        id="C2rows",
+        marks=pytest.mark.long,
+    ),
+]
+
+
+@pytest.mark.parametrize("build", ENUMERATIONS)
+def test_enumeration_matches_the_key_orbit_oracle(build):
+    """Same keys in the same order, same columns and same classes as one action per generator."""
+    perms, base = build()
+    cap = 10**6
+    table = ElementTable.from_permutations(perms, base, cap)
+    index, columns = key_orbit_oracle(perms, base, cap)
+    assert list(table.key_index.items()) == list(index.items())
+    assert table._rmul == columns
+    assert table.class_partition() == class_partition_oracle(table)
+    for key, i in list(index.items())[:: max(1, table.n // 100)]:
+        perm = table.perm_of(i)
+        assert sorted(perm) == list(range(len(perms[0])))
+        assert tuple(perm[b] for b in base) == key
 
 
 C2_SQUARED = groups.direct(groups.cyclic(2), groups.cyclic(2))

@@ -112,6 +112,14 @@ def test_analyze_group_file(tmp_path, capsys):
     assert "order:              16" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first", [b"degree 3", b"dim 2"])
+def test_non_ascii_group_file_is_a_clean_error(tmp_path, capsys, first):
+    path = tmp_path / "accent.group"
+    path.write_bytes(first + "\n(1,2)\u00e9\n".encode("utf-8"))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3 in column 6\n"
+
+
 def test_group_file_reader_skips_leading_blank_lines(tmp_path, capsys):
     matrix_file = tmp_path / "x.group"
     matrix_file.write_text("\ndim 2\ngenerators 1\n[[0, 1], [1, 0]]\n")

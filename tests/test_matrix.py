@@ -274,11 +274,12 @@ def test_group_file_with_elements(tmp_path):
         ("dim 2\ngenerators 2\n[[0, 1], [1, 0]]\n", 2),
         ("dim 2\n\ngenerators 1\n[[0, 1], [1, 0, 0]]\n", 4),
         ("dim 2\ngenerators 1\n[[0, 1], [1, 0]]\nelements 3\n[[1, 0], [0, 1]]\n", 4),
+        ("dim 2\ngenerators 1\n[[0, 1], [1, 0]]\u00a0\n", 3),
     ],
 )
 def test_group_file_errors_name_the_line(tmp_path, text, line):
     path = tmp_path / "bad.group"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(GroupFileError) as err:
         read_group(path)
     assert err.value.line_number == line

@@ -1,11 +1,22 @@
 """Permutations, cycle notation, the deterministic stabilizer chain."""
 
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_elements, small_corpus
-from gategroups.perm import PermGroup, Permutation, read_perm_group, write_perm_group
+from gategroups.errors import GroupFileError
+from gategroups.perm import (
+    PermGroup,
+    Permutation,
+    StabilizerChain,
+    _compose,
+    read_perm_group,
+    write_perm_group,
+)
 
 
 def test_cycle_parse_and_print():
@@ -63,6 +74,20 @@ def test_order_matches_brute_force_corpus():
         if group.order() > 5000:
             continue
         assert group.stabilizer_chain().order() == len(brute_force_elements(group)), name
+
+
+def test_degree_one_chain():
+    """On one point every permutation is the identity, and composing keeps tuples."""
+    assert _compose((0,), (0,)) == (0,)
+    chain = StabilizerChain(1, [(0,)])
+    assert chain.order() == 1
+    assert chain.base() == []
+    assert chain.contains((0,))
+    assert not chain.contains((1, 0))
+    group = PermGroup(1, [Permutation.identity(1)])
+    assert group.order() == len(brute_force_elements(group)) == 1
+    assert group.perm_of(0) == Permutation.identity(1)
+    assert group.index_of((0,)) == 0
 
 
 def test_order_matches_brute_force_random():
@@ -205,13 +230,70 @@ def test_index_of_rejects_a_permutation_with_a_members_base_images():
 
 @pytest.mark.parametrize(
     "text, line",
-    [("", 1), ("\n\norder 4\n(1,2)\n", 3), ("degree 4\n(1,2)\n\n(1,5)\n", 4), ("degree 3\n(1,x)\n", 2)],
+    [
+        ("", 1),
+        ("\n\norder 4\n(1,2)\n", 3),
+        ("degree 4\n(1,2)\n\n(1,5)\n", 4),
+        ("degree 3\n(1,x)\n", 2),
+        ("degree 3\n(1,2)\u00e9\n", 2),
+    ],
 )
 def test_group_file_errors_name_the_line(tmp_path, text, line):
-    from gategroups.errors import GroupFileError
-
     path = tmp_path / "bad.permgroup"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(GroupFileError) as err:
         read_perm_group(path)
     assert err.value.line_number == line
+
+
+_DEGREE_LINES = st.integers(0, 9).map("degree {}".format).map(str.encode)
+_CYCLE_LINES = st.lists(st.lists(st.integers(1, 6), max_size=4, unique=True), max_size=2).map(
+    lambda cycles: "".join("(" + ",".join(map(str, c)) + ")" for c in cycles).encode()
+)
+_ANY_LINES = st.one_of(
+    _DEGREE_LINES,
+    _CYCLE_LINES,
+    st.text(st.characters(max_codepoint=127), max_size=12).map(str.encode),
+    st.text(max_size=6).map(str.encode),
+    st.binary(max_size=6),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(_DEGREE_LINES, _ANY_LINES),
+    st.lists(st.one_of(_CYCLE_LINES, _ANY_LINES), max_size=5),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+def test_any_group_file_loads_or_names_its_line(first, rest, newline):
+    data = newline.join([first, *rest])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.permgroup")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            group = read_perm_group(path)
+        except GroupFileError as exc:
+            assert 1 <= exc.line_number <= data.count(b"\n") + data.count(b"\r") + 1
+            assert str(exc).startswith(f"line {exc.line_number}: ")
+        else:
+            assert all(g.degree == group.degree for g in group.generators)
+
+
+@st.composite
+def _perm_groups(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermGroup(degree, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_perm_groups())
+def test_group_file_round_trip_on_generated_groups(group):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.permgroup")
+        write_perm_group(group, path)
+        back = read_perm_group(path)
+    assert back.degree == group.degree
+    assert back.generators == group.generators
+    assert back.order() == group.order()
