@@ -18,8 +18,12 @@ one call, so a key of two or more base points is mapped by one
 
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
-identity; a single product ``mult(i, j)`` replays the word of j and costs
-O(|word(j)|).
+identity, a Python step per element.  It pays when the reads spread over
+the whole table, as in a closure or a search.  When the reads are confined
+to a few conjugacy classes or to a subgroup, ``products(j, xs)`` pays
+instead: it replays the word of j over the list xs, one ``map`` over a
+generator column per letter, so |xs|·|word(j)| lookups run in C.  A single
+product ``mult(i, j)`` replays the word of j and costs O(|word(j)|).
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ class ElementTable:
         self._bfs = None  # (order, prev, genpos): right spanning tree from e
         self._lbfs = None  # the same along the left multiplications
         self._classes = None
+        self._derived = None
         self._orders = None
         self._perms = None  # generator image tuples
         self._base = None  # base points whose images name an element
@@ -180,9 +185,22 @@ class ElementTable:
             i = self._rmul[g][i]
         return i
 
-    def conj_by_gen(self, i, g):
-        """g^-1 * x_i * g for the g-th generator."""
-        return self._rmul[g][self._ensure_lmul_inv()[g][i]]
+    def products(self, j, xs, left=False):
+        """[x * x_j for x in xs], or [x_j * x for x in xs] when ``left``.
+
+        Replays the word of j over the whole list, one ``map`` over a
+        generator column per letter: right columns in word order, or left
+        columns in reverse word order.
+        """
+        xs = list(xs)
+        word = self.word(j)
+        if left:
+            cols, word = self._ensure_lmul(), reversed(word)
+        else:
+            cols = self._rmul
+        for g in word:
+            xs = list(map(cols[g].__getitem__, xs))
+        return xs
 
     def commutator(self, i, j):
         """[x_i, x_j] = x_i x_j x_i^-1 x_j^-1."""
@@ -275,6 +293,12 @@ class ElementTable:
             self._classes = (class_of, reps, sizes)
         return self._classes
 
+    def class_members(self):
+        """The members of each conjugacy class, ascending, by class id."""
+        class_of, _, sizes = self.class_partition()
+        flat = iter(sorted(range(self.n), key=class_of.__getitem__))
+        return [list(islice(flat, size)) for size in sizes]
+
     def subgroup_closure(self, gens, cap=None):
         """Member set of the subgroup generated by the given element indices."""
         gens = [g for g in dict.fromkeys(gens) if g != 0]
@@ -335,17 +359,13 @@ class ElementTable:
         return members, gens
 
     def derived_data(self):
-        """Derived subgroup: (member set, generator indices)."""
-        seeds = []
-        gens = self.gen_indices
-        for a in gens:
-            for b in gens:
-                c = self.commutator(a, b)
-                if c:
-                    seeds.append(c)
-        if not seeds:
-            return {0}, []
-        return self.normal_closure_set(seeds)
+        """Derived subgroup: (frozenset of members, tuple of generator indices), cached."""
+        if self._derived is None:
+            gens = self.gen_indices
+            seeds = [c for a in gens for b in gens if (c := self.commutator(a, b))]
+            members, sub_gens = self.normal_closure_set(seeds) if seeds else ({0}, [])
+            self._derived = frozenset(members), tuple(sub_gens)
+        return self._derived
 
     def is_normal_set(self, members, sub_gens):
         lmul_inv = self._ensure_lmul_inv()
@@ -405,6 +425,35 @@ class ElementTable:
         invs.reverse()
         return invs
 
+    def class_hits(self):
+        """hits[c][a]: bit mask of the classes of r_c * x for x in class a.
+
+        hits[c][a] equals hits[a][c], as r_c (g^-1 r_a g) is conjugate to
+        (g r_c g^-1) r_a, so each pair of classes is read over the smaller
+        one: with the classes ranked largest first, row c reads the members
+        of the classes ranked at or after c and copies its entries into the
+        rows of those classes.
+        """
+        class_of, reps, sizes = self.class_partition()
+        k = len(reps)
+        members_of = self.class_members()
+        ranked = sorted(range(k), key=lambda c: -sizes[c])
+        flat, codes, starts = [], [], []  # the pair (a, b) is coded as the int a*k + b
+        for c in ranked:
+            starts.append(len(flat))
+            flat += members_of[c]
+            codes += [c * k] * sizes[c]
+        hits = [[0] * k for _ in range(k)]
+        for p, c in enumerate(ranked):
+            ys = self.products(reps[c], flat[starts[p] :], left=True)
+            row = hits[c]
+            for code in set(map(int.__add__, codes[starts[p] :], map(class_of.__getitem__, ys))):
+                a, b = divmod(code, k)
+                row[a] |= 1 << b
+            for a in ranked[p + 1 :]:
+                hits[a][c] = row[a]
+        return hits
+
     def normal_subgroup_sets(self):
         """All normal subgroups as (member set, generators), smallest first.
 
@@ -413,20 +462,12 @@ class ElementTable:
         joins of pool members until no new one appears.  A union S of classes
         holding e is a normal subgroup iff r_c * A lies in S for every two
         classes c, A in S (s = g^-1 r_c g gives s x = g^-1 r_c (g x g^-1) g),
-        so one left column per class representative decides every closure.
-        The join of normal A and B is AB, of order |A||B|/|A & B|, so a pool
-        member of that order holding A and B is the join and needs no
-        closure.
+        so the rows of ``class_hits`` decide every closure.  The join of
+        normal A and B is AB, of order |A||B|/|A & B|, so a pool member of
+        that order holding A and B is the join and needs no closure.
         """
         class_of, reps, sizes = self.class_partition()
-        # hits[c][a]: mask of the classes of r_c * x for x in class a; it equals
-        # hits[a][c], as r_c (g^-1 r_a g) is conjugate to (g r_c g^-1) r_a
-        hits = []
-        for r in reps:
-            row = [0] * len(reps)
-            for a, b in set(zip(class_of, map(class_of.__getitem__, self.lcolumn(r)))):
-                row[a] |= 1 << b
-            hits.append(row)
+        hits = self.class_hits()
 
         def close(mask, extra):
             """Smallest normal mask holding ``mask`` (already closed) and ``extra``."""
@@ -487,12 +528,10 @@ class ElementTable:
                     if add(key, gens):
                         fresh.append(key)
             new_keys = fresh
-        members_of = [[] for _ in reps]
-        for i, c in enumerate(class_of):
-            members_of[c].append(i)
+        members_of = self.class_members()
         return [
-            ({i for c in _bits(k) for i in members_of[c]}, pool[k][1])
-            for k in sorted(pool, key=lambda k: pool[k][0])
+            ({i for c in _bits(key) for i in members_of[c]}, pool[key][1])
+            for key in sorted(pool, key=lambda key: pool[key][0])
         ]
 
     def subgroup_table(self, gen_indices, members=None):
@@ -501,21 +540,25 @@ class ElementTable:
             members = self.subgroup_closure(gen_indices)
         elems = sorted(members)
         pos = {e: p for p, e in enumerate(elems)}
-        cols = []
-        for g in gen_indices:
-            col = self.column(g)
-            cols.append([pos[col[e]] for e in elems])
+        cols = [list(map(pos.__getitem__, self.products(g, elems))) for g in gen_indices]
         return ElementTable(len(elems), [pos[g] for g in gen_indices], cols)
 
     # -- commutator sets -------------------------------------------------------
 
     def commutator_set_by_classes(self):
-        """K(G) via class representatives: K is a union of conjugacy classes."""
+        """K(G) via class representatives: K is a union of conjugacy classes.
+
+        [a, b] = a (b a^-1 b^-1) runs over a times the class of a^-1, and
+        commutators of conjugate elements are conjugate, so the classes of
+        r z for each class representative r and z in the class of r^-1 make
+        up K: n products in all.
+        """
         class_of, reps, _ = self.class_partition()
+        members_of = self.class_members()
         inv = self.inverses()
         hit_classes = set()
         for r in reps:
-            commutators = map(self.lcolumn(r).__getitem__, self.conj_column(inv[r]))
+            commutators = self.products(r, members_of[class_of[inv[r]]], left=True)
             hit_classes.update(map(class_of.__getitem__, commutators))
         return {i for i in range(self.n) if class_of[i] in hit_classes}
 

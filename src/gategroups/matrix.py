@@ -13,6 +13,7 @@ from __future__ import annotations
 from gategroups import cyclo
 from gategroups.config import limit
 from gategroups.errors import GroupFileError
+from gategroups.perm import PermGroup, group_file_lines, positive_count
 
 __all__ = [
     "UnitaryMatrix",
@@ -206,8 +207,6 @@ class MatrixGroup:
     def perm_group(self):
         """The permutation group on the row orbit, on the same table (cached)."""
         if self._perm_group is None:
-            from gategroups.perm import PermGroup
-
             table = self._table
             gens = [table.perm_of(g) for g in table.gen_indices]
             self._perm_group = PermGroup(len(table.rows), gens, order=table.n, table=table)
@@ -295,9 +294,10 @@ def _count_line(lines, pos, keyword):
         raise GroupFileError(f"file ends before the '{keyword}' line", lines[-1][0] + 1)
     lineno, text = lines[pos]
     parts = text.split()
-    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdigit() or int(parts[1]) < 1:
+    count = positive_count(parts[1]) if len(parts) == 2 and parts[0] == keyword else None
+    if count is None:
         raise GroupFileError(f"expected '{keyword} <positive count>', found {text!r}", lineno)
-    return int(parts[1])
+    return count
 
 
 def _matrix_lines(lines, pos, count, dim):
@@ -320,14 +320,16 @@ def read_group(path):
 
     A malformed or truncated file raises GroupFileError naming the line.
     """
-    from gategroups.perm import group_file_lines
-
     lines = group_file_lines(path)
     if not lines:
         raise GroupFileError("group file is empty", 1)
     dim = _count_line(lines, 0, "dim")
     count = _count_line(lines, 1, "generators")
-    group = closure(_matrix_lines(lines, 2, count, dim))
+    gens = _matrix_lines(lines, 2, count, dim)
+    for (lineno, _), g in zip(lines[2:], gens):
+        if not g.is_unitary():
+            raise GroupFileError("generator is not unitary", lineno)
+    group = closure(gens)
     pos = 2 + count
     if pos < len(lines):
         declared = _count_line(lines, pos, "elements")

@@ -442,6 +442,15 @@ def group_file_lines(path):
     return lines
 
 
+def positive_count(text):
+    """The positive int written in the digits ``text``, else None (also past int's digit limit)."""
+    try:
+        n = int(text) if text.isdigit() else 0
+    except ValueError:
+        return None
+    return n if n >= 1 else None
+
+
 def read_perm_group(path):
     """Read a group file written by write_perm_group.
 
@@ -449,11 +458,11 @@ def read_perm_group(path):
     """
     lines = group_file_lines(path)
     head = lines[0][1].split() if lines else []
-    if len(head) != 2 or head[0] != "degree" or not head[1].isdigit() or int(head[1]) < 1:
+    degree = positive_count(head[1]) if len(head) == 2 and head[0] == "degree" else None
+    if degree is None:
         raise GroupFileError(
             "group file must start with 'degree <positive n>'", lines[0][0] if lines else 1
         )
-    degree = int(head[1])
     gens = []
     for lineno, text in lines[1:]:
         try:

@@ -7,8 +7,11 @@ the base-image enumeration or the element-table engine they cross-check.
 The normal-subgroup oracle closes every join with ``subgroup_closure`` on
 member sets, so it checks the class-mask closures of
 ``ElementTable.normal_subgroup_sets`` and the joins it skips.  The
-commutator-set oracle visits all ordered pairs where the engine visits
-class representatives.  The search-compatibility oracle replays words
+class-hit oracle reads one whole left column per class where the engine
+reads each pair of classes over the smaller one, and the subgroup-column
+oracle reads whole parent columns where the engine replays a word over
+the members.  The commutator-set oracle visits all ordered pairs where
+the engine visits class representatives.  The search-compatibility oracle replays words
 where the search reads columns.  The leaf-count automorphism oracle
 visits one search leaf per class of automorphisms modulo the inner ones,
 where the engine grows orbits of the automorphisms it has found.  The
@@ -142,6 +145,31 @@ def normal_subgroup_sets_oracle(table):
                     fresh.append(key)
         new_keys = fresh
     return [(pool[k], gens_of[k]) for k in sorted(pool, key=len)]
+
+
+def class_hits_oracle(table):
+    """hits[c][a], the mask of the classes of r_c * x for x in class a, read
+    off one whole left column per class (oracle for ``class_hits``)."""
+    class_of, reps, _ = table.class_partition()
+    hits = []
+    for r in reps:
+        row = [0] * len(reps)
+        for a, b in set(zip(class_of, map(class_of.__getitem__, table.lcolumn(r)))):
+            row[a] |= 1 << b
+        hits.append(row)
+    return hits
+
+
+def subgroup_columns_oracle(table, gen_indices, members):
+    """Generator columns of ``subgroup_table``, read off whole parent columns (oracle)."""
+    elems = sorted(members)
+    pos = {e: p for p, e in enumerate(elems)}
+    return [[pos[col[e]] for e in elems] for col in map(table.column, gen_indices)]
+
+
+def conj_by_gen(table, i, g):
+    """g^-1 * x_i * g for the g-th generator of the table."""
+    return table._rmul[g][table._ensure_lmul_inv()[g][i]]
 
 
 def commutator_set_all_pairs(table):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     commutator_set_all_pairs,
+    conj_by_gen,
     leaf_count_automorphisms,
     search_compatible_oracle,
     small_corpus,
@@ -208,7 +209,7 @@ def test_inner_order_matches_central_quotient():
         # recompute the inner group's order from scratch (no known-order shortcut)
         table = group.own_table()
         inner = [
-            [table.conj_by_gen(i, gpos) for i in range(table.n)]
+            [conj_by_gen(table, i, gpos) for i in range(table.n)]
             for gpos in range(len(table.gen_indices))
         ]
         fresh = PermGroup(table.n, inner)

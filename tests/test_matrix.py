@@ -275,6 +275,10 @@ def test_group_file_with_elements(tmp_path):
         ("dim 2\n\ngenerators 1\n[[0, 1], [1, 0, 0]]\n", 4),
         ("dim 2\ngenerators 1\n[[0, 1], [1, 0]]\nelements 3\n[[1, 0], [0, 1]]\n", 4),
         ("dim 2\ngenerators 1\n[[0, 1], [1, 0]]\u00a0\n", 3),
+        ("dim " + "1" * 5000 + "\ngenerators 1\n[[1]]\n", 1),  # beyond the digit limit of int()
+        ("dim 1\ngenerators " + "1" * 5000 + "\n[[1]]\n", 2),
+        ("dim 1\ngenerators 1\n[[2]]\n", 3),  # not unitary
+        ("dim 1\ngenerators 2\n[[1]]\n\n[[-2]]\n", 5),
     ],
 )
 def test_group_file_errors_name_the_line(tmp_path, text, line):

@@ -236,6 +236,7 @@ def test_index_of_rejects_a_permutation_with_a_members_base_images():
         ("degree 4\n(1,2)\n\n(1,5)\n", 4),
         ("degree 3\n(1,x)\n", 2),
         ("degree 3\n(1,2)\u00e9\n", 2),
+        ("degree " + "1" * 5000, 1),  # beyond the digit limit of int()
     ],
 )
 def test_group_file_errors_name_the_line(tmp_path, text, line):
