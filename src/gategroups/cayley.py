@@ -19,11 +19,14 @@ one call, so a key of two or more base points is mapped by one
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
 identity, a Python step per element.  It pays when the reads spread over
-the whole table, as in a closure or a search.  When the reads are confined
-to a few conjugacy classes or to a subgroup, ``products(j, xs)`` pays
-instead: it replays the word of j over the list xs, one ``map`` over a
-generator column per letter, so |xs|·|word(j)| lookups run in C.  A single
-product ``mult(i, j)`` replays the word of j and costs O(|word(j)|).
+the whole table, as in a closure or a search.  When a search may stop at
+its first few reads, ``lazy_column(j)`` and ``lazy_conj_column(j)`` fill
+the same columns entry by entry, only where they are read.  When the
+reads are confined to a few conjugacy classes or to a subgroup,
+``products(j, xs)`` pays instead: it replays the word of j over the list
+xs, one ``map`` over a generator column per letter, so |xs|·|word(j)|
+lookups run in C.  A single product ``mult(i, j)`` replays the word of j
+and costs O(|word(j)|).
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class ElementTable:
         self.gen_indices = list(gen_indices)
         self._rmul = [list(col) for col in rmul]
         self._lmul = None
-        self._lmul_inv = None
+        self._conj = None  # conjugation column of every generator
         self._inv = None
         self._bfs = None  # (order, prev, genpos): right spanning tree from e
         self._lbfs = None  # the same along the left multiplications
@@ -169,15 +172,24 @@ class ElementTable:
             self._lmul = [self.lcolumn(g) for g in self.gen_indices]
         return self._lmul
 
-    def _ensure_lmul_inv(self):
-        if self._lmul_inv is None:
-            self._lmul_inv = [_invert(col) for col in self._ensure_lmul()]
-        return self._lmul_inv
+    def _lmul_inv(self):
+        """Left multiplication by every generator's inverse, not kept: only
+        ``inverses`` and ``_ensure_conj`` read it, once each."""
+        return [_invert(col) for col in self._ensure_lmul()]
+
+    def _ensure_conj(self):
+        """Conjugation column of every generator g: x -> g^-1 x g."""
+        if self._conj is None:
+            self._conj = [
+                list(map(rmul.__getitem__, linv))
+                for rmul, linv in zip(self._rmul, self._lmul_inv())
+            ]
+        return self._conj
 
     def inverses(self):
         if self._inv is None:
             # (x * s)^-1 = s^-1 * x^-1
-            self._inv = _fill(self._ensure_tree(), 0, self._ensure_lmul_inv())
+            self._inv = _fill(self._ensure_tree(), 0, self._lmul_inv())
         return self._inv
 
     def mult(self, i, j):
@@ -212,6 +224,10 @@ class ElementTable:
         # x_i = t * x_prev  =>  x_i * x_j = t * (x_prev * x_j)
         return _fill(self._ensure_left_tree(), j, self._ensure_lmul())
 
+    def lazy_column(self, j):
+        """``column(j)`` as a dict whose entries are filled when first read."""
+        return _LazyFill(self._ensure_left_tree(), j, self._ensure_lmul())
+
     def lcolumn(self, j):
         """Left-multiplication column: i -> x_j * x_i."""
         # x_i = x_prev * s  =>  x_j * x_i = (x_j * x_prev) * s
@@ -219,15 +235,12 @@ class ElementTable:
 
     def conj_column(self, j):
         """Conjugation column: i -> x_i^-1 * x_j * x_i."""
-        order, prev, genpos = self._ensure_tree()
-        rmul, lmul_inv = self._rmul, self._ensure_lmul_inv()
-        col = [0] * self.n
-        col[0] = j
-        for i in islice(order, 1, None):
-            # x_i = x_prev * s  =>  x_i^-1 x_j x_i = s^-1 (x_prev^-1 x_j x_prev) s
-            g = genpos[i]
-            col[i] = rmul[g][lmul_inv[g][col[prev[i]]]]
-        return col
+        # x_i = x_prev * s  =>  x_i^-1 x_j x_i = s^-1 (x_prev^-1 x_j x_prev) s
+        return _fill(self._ensure_tree(), j, self._ensure_conj())
+
+    def lazy_conj_column(self, j):
+        """``conj_column(j)`` as a dict whose entries are filled when first read."""
+        return _LazyFill(self._ensure_tree(), j, self._ensure_conj())
 
     def order_of(self, i):
         if i == 0:
@@ -268,11 +281,7 @@ class ElementTable:
             class_of = [-1] * n
             reps = []
             sizes = []
-            # one conjugation column per generator g: x -> g^-1 x g
-            conj = [
-                list(map(rmul.__getitem__, linv))
-                for rmul, linv in zip(self._rmul, self._ensure_lmul_inv())
-            ]
+            conj = self._ensure_conj()
             for i in range(n):
                 if class_of[i] >= 0:
                     continue
@@ -338,12 +347,12 @@ class ElementTable:
                         queue.append(y)
 
         close()
-        lmul_inv = self._ensure_lmul_inv()
+        conj = self._ensure_conj()
         pending = list(gens)
         while pending:
             s = pending.pop()
-            for g in range(len(self._rmul)):
-                y = self._rmul[g][lmul_inv[g][s]]
+            for gconj in conj:
+                y = gconj[s]
                 if y not in members:
                     gens.append(y)
                     pending.append(y)
@@ -368,12 +377,8 @@ class ElementTable:
         return self._derived
 
     def is_normal_set(self, members, sub_gens):
-        lmul_inv = self._ensure_lmul_inv()
-        for s in sub_gens:
-            for g in range(len(self._rmul)):
-                if self._rmul[g][lmul_inv[g][s]] not in members:
-                    return False
-        return True
+        conj = self._ensure_conj()
+        return all(col[s] in members for s in sub_gens for col in conj)
 
     def coset_action(self, members):
         """Quotient by a normal subgroup given as a member set.
@@ -596,6 +601,32 @@ def _fill(tree, start, cols):
     for i in islice(order, 1, None):
         out[i] = cols[genpos[i]][out[prev[i]]]
     return out
+
+
+class _LazyFill(dict):
+    """The column ``_fill(tree, start, cols)`` as a dict whose entries are
+    computed when first read and then kept.
+
+    A read walks up the tree to the nearest entry already known and fills
+    the path back down, so a few reads cost a few short walks and reading
+    every entry costs one pass, as ``_fill`` does.
+    """
+
+    def __init__(self, tree, start, cols):
+        super().__init__({0: start})
+        _, self._prev, self._genpos = tree
+        self._cols = cols
+
+    def __missing__(self, i):
+        prev, genpos, cols = self._prev, self._genpos, self._cols
+        path = []
+        while i not in self:
+            path.append(i)
+            i = prev[i]
+        x = self[i]
+        for i in reversed(path):
+            x = self[i] = cols[genpos[i]][x]
+        return x
 
 
 def _bits(mask):

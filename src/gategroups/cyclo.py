@@ -26,7 +26,6 @@ exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from fractions import Fraction
@@ -261,16 +260,6 @@ class Cyclotomic:
             c = self.galois(self.conductor - 1) if self.conductor > 1 else self
             _CONJ[id(self)] = c
         return c
-
-    # -- oracles and ordering -------------------------------------------
-
-    def embed(self):
-        """Floating-point complex embedding (test oracle only)."""
-        n = self.conductor
-        return sum(
-            (complex(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in self._items),
-            complex(0),
-        )
 
     # -- housekeeping ----------------------------------------------------
 

@@ -171,12 +171,30 @@ def direct(*groups):
 
 
 def wreath(m, h):
-    """Wreath product: |h.degree| copies of m permuted by h."""
+    """Wreath product: |h.degree| copies of m permuted by h.
+
+    The generators are m's generators on the least copy of each orbit of
+    h, then h's generators.  A top element carrying copy i to copy j
+    conjugates copy i's generators onto copy j's, so these generate every
+    copy of m and the whole group (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): C2 wr S5 has 3 generators, not 7.
+    """
     k = h.degree
     dm = m.degree
     degree = k * dm
     gens = []
+    reached = set()
     for copy in range(k):
+        if copy in reached:
+            continue
+        reached.add(copy)
+        queue = [copy]
+        for c in queue:
+            for p in h.generators:
+                d = p.imgs[c]
+                if d not in reached:
+                    reached.add(d)
+                    queue.append(d)
         for p in m.generators:
             gens.append(_shift(p, copy * dm, degree))
     for p in h.generators:

@@ -5,7 +5,12 @@ of a greedily chosen minimal generating sequence, pruning candidates by
 element order, conjugacy class size and pairwise product/commutation
 relations; every accepted assignment is verified as a bijective
 homomorphism on the full element table, so a positive answer is always a
-checked witness.  Automorphisms are counted level by level along the
+checked witness.  Candidates for one image that are conjugate under the
+centralizer of the images already chosen stand or fall together, so one
+of each class is searched.  The last image is never pushed with its
+columns: its right column is a ``lazy_column`` that the leaf check fills
+only as far as it reads, which for a refuted leaf is up to its first
+contradiction.  Automorphisms are counted level by level along the
 generating sequence: the orbit of each element under the automorphisms
 that fix the earlier ones is grown from inner automorphisms and from
 automorphisms already found, and only candidates outside it are searched.
@@ -59,11 +64,16 @@ def _hom_image(gcols, hcols):
 
     ``gcols`` holds the right-multiplication columns of the generating
     sequence seq in g, which a search computes once for all its leaves,
-    and ``hcols`` those of the images in a table of the same order.
+    and ``hcols`` those of the images in a table of the same order (any
+    of them may be a ``lazy_column``).  The map is grown along g from the
+    identity and refuted at its first contradiction: two images for one
+    element, or one image for two.
     """
     n = len(gcols[0])
     img = [-1] * n
     img[0] = 0
+    used = bytearray(n)
+    used[0] = 1
     queue = [0]
     for e in queue:
         base = img[e]
@@ -72,18 +82,14 @@ def _hom_image(gcols, hcols):
             y2 = hcol[base]
             cur = img[e2]
             if cur < 0:
+                if used[y2]:
+                    return None
+                used[y2] = 1
                 img[e2] = y2
                 queue.append(e2)
             elif cur != y2:
                 return None
-    if len(queue) != n:
-        return None
-    seen = bytearray(n)
-    for v in img:
-        if seen[v]:
-            return None
-        seen[v] = 1
-    return img
+    return img if len(queue) == n else None
 
 
 class _Search:
@@ -92,10 +98,11 @@ class _Search:
     The images chosen so far sit on a stack, ``chosen``, next to the
     columns of each image that later steps read: its right-multiplication
     column (for the homomorphism check at a leaf), its conjugation column
-    (y_q commutes with y iff ``conj[y] == y_q``) and, below the last level,
-    its left-multiplication column (y_q * y).  The matching relations of
-    the generating sequence in g are fixed, so they are read once from its
-    columns.
+    (y_q commutes with y iff ``conj[y] == y_q``) and its
+    left-multiplication column (y_q * y).  The image of the last sequence
+    element is never pushed: ``leaf`` checks it on a lazily filled column.
+    The matching relations of the generating sequence in g are fixed, so
+    they are read once from its columns.
     """
 
     def __init__(self, tg, th, seq, node_budget=None):
@@ -143,18 +150,26 @@ class _Search:
         return True
 
     def push(self, y):
-        """Choose y as the image of the next sequence element."""
+        """Choose y as the image of the next sequence element but the last."""
         self.chosen.append(y)
         self.h_rcols.append(self.th.column(y))
         self.h_conj.append(self.th.conj_column(y))
-        deeper = len(self.chosen) < len(self.seq)
-        self.h_lcols.append(self.th.lcolumn(y) if deeper else None)
+        self.h_lcols.append(self.th.lcolumn(y))
 
     def pop(self):
         self.chosen.pop()
         self.h_rcols.pop()
         self.h_conj.pop()
         self.h_lcols.pop()
+
+    def leaf(self, gcols, y):
+        """Image array if ``chosen`` and then y, the image of the last
+        sequence element, extend to a bijective homomorphism, else None.
+
+        y's right column is a ``lazy_column``, so a refuted leaf fills only
+        the entries ``_hom_image`` reads before its first contradiction.
+        """
+        return _hom_image(gcols, self.h_rcols + [self.th.lazy_column(y)])
 
     def tick(self):
         self.nodes += 1
@@ -184,32 +199,14 @@ def _tables_isomorphic(tg, th, node_budget=None):
         return None, None, None
     seq = _min_generating_sequence(tg)
     search = _Search(tg, th, seq, node_budget)
-    cand = []
-    for x in seq:
-        lst = search.candidates(x)
-        if not lst:
-            return None, None, None
-        cand.append(lst)
-    gcols = [tg.column(x) for x in seq]
-
-    def backtrack(pos):
-        if pos == len(seq):
-            return _hom_image(gcols, search.h_rcols)
-        for y in cand[pos]:
-            search.tick()
-            if not search.compatible(pos, y):
-                continue
-            search.push(y)
-            img = backtrack(pos + 1)
-            if img is not None:
-                return img
-            search.pop()
-        return None
-
-    img = backtrack(0)
+    cands = [search.candidates(x) for x in seq]
+    if not all(cands):
+        return None, None, None
+    # an isomorphism followed by conjugation in h is another one, so K is all of h
+    img = _first_leaf(search, cands, [tg.column(x) for x in seq], range(th.n))
     if img is None:
         return None, None, None
-    return seq, list(search.chosen), img
+    return seq, [img[x] for x in seq], img
 
 
 def isomorphic(g, h, node_budget=None):
@@ -271,16 +268,17 @@ def _orbit(points, gens):
 def _first_leaf(search, cands, gcols, K):
     """Image array of the first verified leaf below ``search.chosen``, or None.
 
-    ``K`` lists the elements that centralize every image chosen so far.
+    ``K`` lists elements of h that centralize every image chosen so far.
     Conjugation by them fixes those images, so the candidates of the next
     level split into K-orbits and one representative of each is searched;
-    below it K shrinks to the centralizer of the representative too.  A
-    None answer is exhaustive: no choice of the remaining images extends
-    ``search.chosen`` to an automorphism.
+    below it K shrinks to the centralizer of the representative too.  The
+    last level pushes nothing: ``leaf`` checks a representative on a lazily
+    filled column, and a refuted one drops its K-orbit read off a lazy
+    conjugation column, entry by entry.  A None answer is exhaustive: no
+    choice of the remaining images extends ``search.chosen`` to an
+    isomorphism (an automorphism when g and h are one table).
     """
     pos = len(search.chosen)
-    if pos == len(search.seq):
-        return _hom_image(gcols, search.h_rcols)
     unseen = set()
     for y in cands[pos]:
         search.tick()
@@ -288,10 +286,14 @@ def _first_leaf(search, cands, gcols, K):
             unseen.add(y)
     while unseen:
         rep = min(unseen)
-        search.push(rep)
-        conj = search.h_conj[-1]
-        img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == rep])
-        search.pop()
+        if pos == len(search.seq) - 1:
+            img = search.leaf(gcols, rep)
+            conj = search.th.lazy_conj_column(rep)  # z -> z^-1 rep z
+        else:
+            search.push(rep)
+            conj = search.h_conj[-1]
+            img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == rep])
+            search.pop()
         if img is not None:
             return img
         unseen -= {conj[z] for z in K}
@@ -310,7 +312,8 @@ def automorphism_group(g, extended=False, node_budget=None):
     Each compatible candidate image y of x_k outside the orbit and not
     yet refuted is tried: its subtree is searched, with candidates split
     into orbits under the centralizer of the images chosen so far, until
-    ``_hom_image`` verifies a leaf.  That automorphism joins A_k and the
+    ``_hom_image`` verifies a leaf; at k = m-1, y is the leaf and ``leaf``
+    checks it without pushing.  That automorphism joins A_k and the
     orbit grows; if no leaf verifies, the search was exhaustive and the
     whole orbit of y under A_k is refuted.  The count is exact: every
     orbit point is reached by verified automorphisms and every other
@@ -359,10 +362,13 @@ def automorphism_group(g, extended=False, node_budget=None):
             search.tick()
             if not search.compatible(k, y):
                 continue
-            search.push(y)
-            conj = search.h_conj[-1]
-            img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == y])
-            search.pop()
+            if k == len(seq) - 1:
+                img = search.leaf(gcols, y)
+            else:
+                search.push(y)
+                conj = search.h_conj[-1]
+                img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == y])
+                search.pop()
             if img is None:
                 refuted |= _orbit([y], gens)
             else:

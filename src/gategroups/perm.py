@@ -454,7 +454,8 @@ def positive_count(text):
 def read_perm_group(path):
     """Read a group file written by write_perm_group.
 
-    A malformed file raises GroupFileError naming the line.
+    A malformed file, or a degree above GATEGROUPS_MAX_ENUMERATION, raises
+    GroupFileError naming the line.
     """
     lines = group_file_lines(path)
     head = lines[0][1].split() if lines else []
@@ -462,6 +463,12 @@ def read_perm_group(path):
     if degree is None:
         raise GroupFileError(
             "group file must start with 'degree <positive n>'", lines[0][0] if lines else 1
+        )
+    cap = limit("MAX_ENUMERATION")
+    if degree > cap:
+        raise GroupFileError(
+            f"degree {degree} exceeds the cap {cap} set by GATEGROUPS_MAX_ENUMERATION",
+            lines[0][0],
         )
     gens = []
     for lineno, text in lines[1:]:

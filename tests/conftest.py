@@ -19,8 +19,13 @@ key-orbit oracle maps a base-image key by one action per generator where
 ``cayley.orbit`` takes all the images of a key in one call, and the
 class-partition oracle conjugates through the multiplication columns one
 step at a time where the engine reads precomputed conjugation columns.
+The all-copies wreath oracle puts m's generators on every copy of m where
+``groups.wreath`` puts them on one copy per orbit of the top group.
+``embed``, the complex value of a cyclotomic number, is the one
+floating-point routine, and it lives here so that ``src/`` stays exact.
 """
 
+import cmath
 import os
 
 import pytest
@@ -39,6 +44,15 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+def embed(x):
+    """Floating-point complex value of a Cyclotomic (oracle; ``src/`` stays exact)."""
+    n = x.conductor
+    return sum(
+        (complex(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in x.coefficients().items()),
+        complex(0),
+    )
 
 
 def brute_force_elements(group: PermGroup):
@@ -169,7 +183,7 @@ def subgroup_columns_oracle(table, gen_indices, members):
 
 def conj_by_gen(table, i, g):
     """g^-1 * x_i * g for the g-th generator of the table."""
-    return table._rmul[g][table._ensure_lmul_inv()[g][i]]
+    return table._rmul[g][table._lmul_inv()[g][i]]
 
 
 def commutator_set_all_pairs(table):
@@ -256,7 +270,7 @@ def class_partition_oracle(table):
     class_of = [-1] * n
     reps = []
     sizes = []
-    rmul, lmul_inv = table._rmul, table._ensure_lmul_inv()
+    rmul, lmul_inv = table._rmul, table._lmul_inv()
     for i in range(n):
         if class_of[i] >= 0:
             continue
@@ -275,6 +289,20 @@ def class_partition_oracle(table):
                     queue.append(y)
         sizes.append(count)
     return class_of, reps, sizes
+
+
+def wreath_all_copies_generators(m, h):
+    """Generators of m wr h: m's generators on every copy, then h's (oracle)."""
+    k, dm = h.degree, m.degree
+    gens = []
+    for copy in range(k):
+        for p in m.generators:
+            imgs = list(range(k * dm))
+            imgs[copy * dm : (copy + 1) * dm] = [copy * dm + i for i in p.imgs]
+            gens.append(Permutation(imgs))
+    for p in h.generators:
+        gens.append(Permutation([p.imgs[c] * dm + i for c in range(k) for i in range(dm)]))
+    return gens
 
 
 def small_corpus():

@@ -47,6 +47,9 @@ def test_columns_match_products(name, build):
         conj = table.conj_column(j)
         # x_i^-1 x_j x_i is the element c with x_i c = x_j x_i
         assert [mult(i, conj[i]) for i in range(n)] == [mult(j, i) for i in range(n)]
+        # the lazy forms, read from the far end of the table first
+        for lazy, full in ((table.lazy_column(j), table.column(j)), (table.lazy_conj_column(j), conj)):
+            assert [lazy[i] for i in reversed(range(n))][::-1] == full
     inv = table.inverses()
     assert all(mult(i, inv[i]) == 0 for i in range(n))
 

@@ -33,6 +33,7 @@ def test_build_spec_group(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "order 3840" in out
     assert read_perm_group(path).order() == 3840
+    assert len(read_perm_group(path).generators) == 3  # one C2 copy and S5's two
 
 
 def test_analyze_c1(capsys):
@@ -118,6 +119,16 @@ def test_non_ascii_group_file_is_a_clean_error(tmp_path, capsys, first):
     path.write_bytes(first + "\n(1,2)\u00e9\n".encode("utf-8"))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3 in column 6\n"
+
+
+def test_huge_degree_group_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "huge.permgroup"
+    path.write_text("degree 100000000000\n", encoding="ascii")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: degree 100000000000 exceeds the cap 200000"
+        " set by GATEGROUPS_MAX_ENUMERATION\n"
+    )
 
 
 def test_group_file_reader_skips_leading_blank_lines(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, embeddings."""
 
 import cmath
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import embed
 from gategroups import cyclo
 from gategroups.cyclo import ONE, ZERO, Cyclotomic, arith, conj, parse, rational, root_of_unity, sqrt2
 
@@ -41,8 +44,8 @@ def test_sqrt2_defining_properties():
     assert r * r.inverse() is ONE
     # canonical form agrees with the complex embedding of E(8) - E(8)^3
     expected = cmath.exp(2j * cmath.pi / 8) - cmath.exp(6j * cmath.pi / 8)
-    assert abs(r.embed() - expected) < 1e-12
-    assert abs(r.embed() - 2**0.5) < 1e-12
+    assert abs(embed(r) - expected) < 1e-12
+    assert abs(embed(r) - 2**0.5) < 1e-12
     assert r == root_of_unity(8) - root_of_unity(8) ** 3
 
 
@@ -52,7 +55,7 @@ def test_arith_examples():
     z3 = root_of_unity(3)
     assert arith(z3, z3**2, "mul") is ONE
     # embedding oracle for E(3) + E(3)^2 = -1
-    total = z3.embed() + (z3**2).embed()
+    total = embed(z3) + embed(z3**2)
     assert abs(total - (-1)) < 1e-12
     assert arith(z3, z3**2, "add") == rational(-1)
 
@@ -105,11 +108,11 @@ def test_embedding_homomorphism_randomized():
     for _ in range(200):
         a = _random_value(rng)
         b = _random_value(rng)
-        assert abs((a + b).embed() - (a.embed() + b.embed())) < EMBED_TOL
-        assert abs((a * b).embed() - (a.embed() * b.embed())) < EMBED_TOL
-        assert abs((a - b).embed() - (a.embed() - b.embed())) < EMBED_TOL
+        assert abs(embed(a + b) - (embed(a) + embed(b))) < EMBED_TOL
+        assert abs(embed(a * b) - (embed(a) * embed(b))) < EMBED_TOL
+        assert abs(embed(a - b) - (embed(a) - embed(b))) < EMBED_TOL
         if not b.is_zero:
-            assert abs((a / b).embed() - (a.embed() / b.embed())) < EMBED_TOL
+            assert abs(embed(a / b) - (embed(a) / embed(b))) < EMBED_TOL
 
 
 def test_canonical_uniqueness_randomized():
@@ -125,7 +128,7 @@ def test_canonical_uniqueness_randomized():
         prod_left = (parts[0] * parts[1]) * parts[2]
         prod_right = parts[2] * (parts[1] * parts[0])
         assert prod_left is prod_right
-        if abs(left.embed() - right.embed()) > EMBED_TOL:
+        if abs(embed(left) - embed(right)) > EMBED_TOL:
             raise AssertionError("embedding oracle disagrees with equality")
 
 
@@ -180,3 +183,14 @@ def test_constructor_and_hash():
     assert hash(root_of_unity(8)) == hash(root_of_unity(8))
     d = {root_of_unity(8): "a"}
     assert d[parse("E(8)")] == "a"
+
+
+def test_no_floating_point_in_src():
+    """The package computes exactly: no module imports cmath or builds a complex."""
+    src = Path(cyclo.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+cmath\b", text, re.M), path.name
+        assert not re.search(r"\bcomplex\(", text), path.name

@@ -2,8 +2,9 @@
 
 import pytest
 
+from conftest import wreath_all_copies_generators
 from gategroups import groups
-from gategroups.perm import Permutation
+from gategroups.perm import Permutation, PermGroup
 from gategroups.structure import center, derived_subgroup
 
 
@@ -77,11 +78,38 @@ def test_wreath_orders():
 
 def test_wreath_base_is_normal():
     w = groups.wreath(groups.cyclic(2), groups.symmetric(3))
-    base_gens = [g for g in w.generators[:3]]
+    base_gens = w.generators[:1]  # copy 0's generator; S3 moves it to the other copies
     from gategroups.structure import normal_closure
 
     closed = normal_closure(w, base_gens)
     assert closed.order() == 8  # the base Z2^3 is normal
+
+
+C2 = groups.cyclic(2)
+
+
+@pytest.mark.parametrize(
+    "m, h, ngens",
+    [
+        (C2, groups.symmetric(3), 3),  # the small corpus's wreaths
+        (C2, groups.symmetric(4), 3),
+        (C2, groups.symmetric(5), 3),
+        (groups.direct(C2, C2), groups.alternating(5), 4),
+        (groups.direct(C2, C2), groups.symmetric(4), 4),
+        (groups.cyclic(3), groups.symmetric(3), 3),
+        (C2, groups.direct(C2, groups.cyclic(3)), 4),  # two orbits of the top group
+        (groups.symmetric(3), groups.cyclic(1), 3),  # one copy; cyclic(1) has one generator
+    ],
+    ids=["C2wrS3", "C2wrS4", "C2wrS5", "V4wrA5", "V4wrS4", "C3wrS3", "C2wr(C2xC3)", "S3wrC1"],
+)
+def test_wreath_matches_all_copies_generators(m, h, ngens):
+    """One base copy per orbit of h generates the group all copies do."""
+    w = groups.wreath(m, h)
+    assert len(w.generators) == ngens
+    old = PermGroup(w.degree, wreath_all_copies_generators(m, h))
+    assert w.order() == old.order() == m.order() ** h.degree * h.order()
+    assert all(old.contains(p) for p in w.generators)
+    assert all(w.contains(p) for p in old.generators)
 
 
 def test_semidirect_with_inverting_action():

@@ -1,6 +1,7 @@
 """Isomorphism witnesses, automorphism groups, commutator sets, complements."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     small_corpus,
 )
 from gategroups import groups, isomorphism, perm
+from gategroups.cayley import ElementTable
 from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
 from gategroups.isomorphism import (
@@ -164,13 +166,15 @@ def test_first_leaf_answers_every_prefix():
                 if not search.compatible(len(chosen), y):
                     assert prefix not in extends, (g, prefix)
                     continue
+                if len(prefix) == len(seq):  # a leaf: the last image is never pushed
+                    assert (search.leaf(gcols, y) is not None) == (prefix in extends), (g, prefix)
+                    continue
                 search.push(y)
                 K = [z for z in range(table.n)
                      if all(table.mult(z, c) == table.mult(c, z) for c in prefix)]
                 found = _first_leaf(search, cands, gcols, K) is not None
                 assert found == (prefix in extends), (g, prefix)
-                if len(prefix) < len(seq):
-                    visit(prefix)
+                visit(prefix)
                 search.pop()
 
         visit(())
@@ -382,3 +386,111 @@ def test_complement_budget_inconclusive():
     v4 = normal_closure(s4, [Permutation.parse("(1,2)(3,4)", 4)])
     res = find_complement(s4, v4, budget=1)
     assert res.status in ("found", "inconclusive")
+
+
+def _shuffled(group, seed):
+    gens = list(group.generators)
+    random.Random(seed).shuffle(gens)
+    return PermGroup(group.degree, gens)
+
+
+def test_aut_counts_do_not_depend_on_the_generator_order():
+    """The search tree, and so the number of leaves checked, depends on how
+    the table is numbered; the counts must not."""
+    c2_wr_s5 = groups.wreath(groups.cyclic(2), groups.symmetric(5))
+    cases = [(name, g) for name, g in small_corpus() if g.order() <= 384] + [
+        ("C2wrS5", c2_wr_s5),
+        ("M20", derived_subgroup(c2_wr_s5)),
+    ]
+    for name, g in cases:
+        want = leaf_count_automorphisms(g.own_table())
+        for seed in range(6):
+            aut = automorphism_group(_shuffled(g, seed), extended=True)
+            assert (aut.order, aut.inner_order) == want, (name, seed)
+
+
+def _last_level_prefixes(search, cands):
+    """Walk every compatible prefix of all but the last image, pushed."""
+    pos = len(search.chosen)
+    if pos == len(search.seq) - 1:
+        yield
+        return
+    for y in cands[pos]:
+        if search.compatible(pos, y):
+            search.push(y)
+            yield from _last_level_prefixes(search, cands)
+            search.pop()
+
+
+def test_lazy_leaf_matches_full_columns():
+    """``leaf`` on a lazily filled column returns exactly what ``_hom_image``
+    returns on full columns, for every compatible last-level candidate."""
+    cases = [(g, g) for _, g in small_corpus() if g.order() <= 120] + [
+        (groups.dihedral(12), groups.direct(groups.cyclic(2), groups.symmetric(3))),
+        (groups.symmetric(4), groups.wreath(groups.cyclic(2), groups.cyclic(2))),
+        (groups.dihedral(8), groups.quaternion8()),  # every leaf refuted
+    ]
+    accepted = refuted = 0
+    for g, h in cases:
+        tg, th = g.own_table(), h.own_table()
+        seq = _min_generating_sequence(tg)
+        search = _Search(tg, th, seq)
+        cands = [search.candidates(x) for x in seq]
+        gcols = [tg.column(x) for x in seq]
+        last = len(seq) - 1
+        for _ in _last_level_prefixes(search, cands):
+            for y in cands[last]:
+                if search.compatible(last, y):
+                    lazy = search.leaf(gcols, y)
+                    assert lazy == _hom_image(gcols, search.h_rcols + [th.column(y)])
+                    accepted += lazy is not None
+                    refuted += lazy is None
+    assert accepted and refuted
+
+
+def test_last_level_candidates_fill_no_columns(monkeypatch):
+    """From the compatibility check of a last-level candidate to the next
+    push, pop or end of the search, the searches fill no whole column."""
+    state = {"last": False, "fills": 0, "last_checks": 0}
+    compatible, push, pop = _Search.compatible, _Search.push, _Search.pop
+
+    def checked_compatible(self, pos, y):
+        if pos == len(self.seq) - 1:
+            state["last"] = True
+            state["last_checks"] += 1
+        return compatible(self, pos, y)
+
+    def leave_last_level(method):
+        def wrapped(self, *args):
+            state["last"] = False
+            return method(self, *args)
+
+        return wrapped
+
+    def no_fill_at_last_level(method):
+        def wrapped(self, j):
+            assert not state["last"], method.__name__
+            state["fills"] += 1
+            return method(self, j)
+
+        return wrapped
+
+    def searched(result):
+        state["last"] = False
+        return result
+
+    monkeypatch.setattr(_Search, "compatible", checked_compatible)
+    monkeypatch.setattr(_Search, "push", leave_last_level(push))
+    monkeypatch.setattr(_Search, "pop", leave_last_level(pop))
+    for name in ("column", "lcolumn", "conj_column"):
+        monkeypatch.setattr(ElementTable, name, no_fill_at_last_level(getattr(ElementTable, name)))
+    c2_wr_s5 = groups.wreath(groups.cyclic(2), groups.symmetric(5))
+    m20 = derived_subgroup(c2_wr_s5)
+    assert searched(automorphism_group(c2_wr_s5, extended=True)).order == 3840
+    assert searched(automorphism_group(m20, extended=True)).outer_order() == 2
+    for name, g in small_corpus():
+        if g.order() <= 384:
+            searched(automorphism_group(g, extended=True))
+    assert searched(isomorphic(groups.dihedral(12), groups.direct(groups.cyclic(2), groups.symmetric(3))))
+    assert searched(isomorphic(c2_wr_s5, _shuffled(c2_wr_s5, 1)))
+    assert state["last_checks"] > 1000 and state["fills"] > 100

@@ -247,6 +247,22 @@ def test_group_file_errors_name_the_line(tmp_path, text, line):
     assert err.value.line_number == line
 
 
+def test_group_file_degree_is_capped(tmp_path, monkeypatch):
+    """A degree above GATEGROUPS_MAX_ENUMERATION is refused before any
+    permutation of that degree is built; at the cap the file loads."""
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "5")
+    path = tmp_path / "g.permgroup"
+    path.write_text("degree 5\n(1,2,3,4,5)\n", encoding="ascii")
+    assert read_perm_group(path).order() == 5
+    for text in ("degree 6\n(1,2)\n", "degree 6\n", "\ndegree 100000000000\n"):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(GroupFileError) as err:
+            read_perm_group(path)
+        line = 2 if text.startswith("\n") else 1
+        assert str(err.value).startswith(f"line {line}: degree ")
+        assert str(err.value).endswith("exceeds the cap 5 set by GATEGROUPS_MAX_ENUMERATION")
+
+
 _DEGREE_LINES = st.integers(0, 9).map("degree {}".format).map(str.encode)
 _CYCLE_LINES = st.lists(st.lists(st.integers(1, 6), max_size=4, unique=True), max_size=2).map(
     lambda cycles: "".join("(" + ",".join(map(str, c)) + ")" for c in cycles).encode()
