@@ -19,14 +19,18 @@ one call, so a key of two or more base points is mapped by one
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
 identity, a Python step per element.  It pays when the reads spread over
-the whole table, as in a closure or a search.  When a search may stop at
-its first few reads, ``lazy_column(j)`` and ``lazy_conj_column(j)`` fill
-the same columns entry by entry, only where they are read.  When the
-reads are confined to a few conjugacy classes or to a subgroup,
-``products(j, xs)`` pays instead: it replays the word of j over the list
-xs, one ``map`` over a generator column per letter, so |xs|·|word(j)|
-lookups run in C.  A single product ``mult(i, j)`` replays the word of j
+the whole table, as in a search.  When a search may stop at its first
+few reads, ``lazy_column(j)`` and ``lazy_conj_column(j)`` fill the same
+columns entry by entry, only where they are read.  When the reads are
+confined to a few conjugacy classes or to a subgroup, ``products(j, xs)``
+pays instead: it replays the word of j over the list xs, one ``map`` over
+a generator column per letter, so |xs|·|word(j)| lookups run in C.  A single product ``mult(i, j)`` replays the word of j
 and costs O(|word(j)|).
+
+Subgroups and normal closures need no whole column either: ``_extend``
+grows a subgroup one right coset at a time (Dimino), replaying the word
+of a generator over a whole coset, and a normal closure forms each
+conjugate g^-1 s g from the inverse of the table generator g.
 """
 
 from __future__ import annotations
@@ -214,11 +218,6 @@ class ElementTable:
             xs = list(map(cols[g].__getitem__, xs))
         return xs
 
-    def commutator(self, i, j):
-        """[x_i, x_j] = x_i x_j x_i^-1 x_j^-1."""
-        inv = self.inverses()
-        return self.mult(self.mult(i, j), self.mult(inv[i], inv[j]))
-
     def column(self, j):
         """Right-multiplication column: i -> x_i * x_j."""
         # x_i = t * x_prev  =>  x_i * x_j = t * (x_prev * x_j)
@@ -309,69 +308,99 @@ class ElementTable:
         return [list(islice(flat, size)) for size in sizes]
 
     def subgroup_closure(self, gens, cap=None):
-        """Member set of the subgroup generated by the given element indices."""
-        gens = [g for g in dict.fromkeys(gens) if g != 0]
-        # closing under left multiplication gives the same subgroup and needs
-        # only the right spanning tree
-        cols = [self.lcolumn(g) for g in gens]
+        """Member set of the subgroup generated by the given element indices,
+        or None if it has more than ``cap`` members."""
         members = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for col in cols:
-                y = col[x]
-                if y not in members:
-                    if cap is not None and len(members) >= cap:
-                        return None
-                    members.add(y)
-                    queue.append(y)
-        return members
+        gens = [g for g in dict.fromkeys(gens) if g != 0]
+        return members if self._extend(members, [0], gens, cap) is not None else None
 
     def normal_closure_set(self, seeds):
         """Smallest normal subgroup containing the seed elements.
 
-        Returns (member set, subgroup generator indices).
+        Returns (member set, subgroup generator indices): the seeds, then
+        each conjugate g^-1 s g of a generator s by a table generator g that
+        the group so far lacks.
         """
         gens = [s for s in dict.fromkeys(seeds) if s != 0]
-        cols = [self.lcolumn(g) for g in gens]  # as in subgroup_closure
-        members = {0}
-        queue = [0]
-
-        def close():
-            while queue:
-                x = queue.pop()
-                for col in cols:
-                    y = col[x]
-                    if y not in members:
-                        members.add(y)
-                        queue.append(y)
-
-        close()
-        conj = self._ensure_conj()
+        members, elems = {0}, [0]
+        used = self._extend(members, elems, gens)
         pending = list(gens)
+        pairs = list(zip(self._rmul, self._gen_inverses()))
         while pending:
             s = pending.pop()
-            for gconj in conj:
-                y = gconj[s]
+            for col, g_inv in pairs:
+                y = col[self.mult(g_inv, s)]
                 if y not in members:
                     gens.append(y)
                     pending.append(y)
-                    col = self.lcolumn(y)
-                    cols.append(col)
-                    fresh = [m for m in members if col[m] not in members]
-                    for m in fresh:
-                        z = col[m]
-                        if z not in members:
-                            members.add(z)
-                            queue.append(z)
-                    close()
+                    used = self._extend(members, elems, used + [y])
         return members, gens
+
+    def _gen_inverses(self):
+        """Index of every generator's inverse, walked along its own column."""
+        out = []
+        for col in self._rmul:
+            x, y = 0, col[0]
+            while y != 0:  # y = x * g
+                x, y = y, col[y]
+            out.append(x)
+        return out
+
+    def _extend(self, members, elems, gens, cap=None):
+        """Grow the subgroup H held in ``elems`` (identity first) and in
+        ``members`` to <H, gens>, one right coset at a time (Dimino).
+
+        H must be generated by the generators before the first one outside
+        it.  A generator already in the group costs one lookup.  Adding s
+        closes the group K so far under every generator t used: the cosets
+        of K follow it in ``elems`` as blocks, Krt lies in their union once
+        rt does, so each (coset, generator) pair costs one membership test,
+        and a new coset is its parent block mapped by the word of t, one
+        ``map`` per letter.  Returns the generators used, or None once the
+        group would pass ``cap`` members.
+        """
+        rmul = self._rmul
+        used, words = [], []
+        for s in gens:
+            if s in members:
+                if not words:  # one of the generators of H
+                    used.append(s)
+                continue
+            if not words:
+                words = [self.word(t) for t in used]
+            used.append(s)
+            words.append(self.word(s))
+            size, start = len(elems), 0
+            while start < len(elems):
+                block = elems[start : start + size]
+                start += size
+                for word in words:
+                    y = block[0]
+                    for g in word:
+                        y = rmul[g][y]
+                    if y in members:
+                        continue
+                    if cap is not None and len(elems) + size > cap:
+                        return None
+                    image = block
+                    for g in word:
+                        image = list(map(rmul[g].__getitem__, image))
+                    members.update(image)
+                    elems += image
+        return used
 
     def derived_data(self):
         """Derived subgroup: (frozenset of members, tuple of generator indices), cached."""
         if self._derived is None:
-            gens = self.gen_indices
-            seeds = [c for a in gens for b in gens if (c := self.commutator(a, b))]
+            gens, rmul = self.gen_indices, self._rmul
+            inv = self._gen_inverses()
+            # [a, b] = (a b) a^-1 b^-1
+            seeds = [
+                c
+                for p, a in enumerate(gens)
+                for q in range(len(gens))
+                if (c := self.mult(self.mult(rmul[q][a], inv[p]), inv[q]))
+            ]
             members, sub_gens = self.normal_closure_set(seeds) if seeds else ({0}, [])
             self._derived = frozenset(members), tuple(sub_gens)
         return self._derived

@@ -431,12 +431,44 @@ def conj(a):
 # -- parser ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(ER|E)|([()+\-*/^]))")
+_MAX_DEPTH = 64  # parentheses nested in one expression
+_MAX_POWER_BITS = 1 << 12  # exponent times coefficient bits, for bases not roots of unity
+
+
+def _is_root_of_unity(x):
+    """True iff x is a root of unity.
+
+    The canonical basis is an integral basis of roots of unity, so x is an
+    algebraic integer iff its coefficients are integers; x times its
+    complex conjugate is 1 iff every Galois conjugate of x has absolute
+    value 1 (the Galois group is abelian).  By Kronecker's theorem the two
+    together hold exactly for the roots of unity.
+    """
+    return all(c.denominator == 1 for _, c in x._items) and _mul(x, x.conjugate()) is ONE
+
+
+def _bounded_power(x, exponent):
+    """x ** exponent, with ValueError for a power too large to hold.
+
+    A root of unity of Q(zeta_n) has order dividing lcm(2, n), so its
+    exponent is reduced first; any other base is refused once the exponent
+    times the bit size of its coefficients passes ``_MAX_POWER_BITS``.
+    """
+    if _is_root_of_unity(x):
+        return x ** (exponent % math.lcm(2, x.conductor))
+    size = len(x._items).bit_length() + max(
+        (c.numerator.bit_length() + c.denominator.bit_length() for _, c in x._items), default=0
+    )
+    if abs(exponent) * size > _MAX_POWER_BITS:
+        raise ValueError(f"exponent {exponent} is too large for a value that is not a root of unity")
+    return x**exponent
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -503,14 +535,18 @@ class _Parser:
                 self.take()
                 neg = True
             exponent = int(self.take())
-            value = value ** (-exponent if neg else exponent)
+            value = _bounded_power(value, -exponent if neg else exponent)
         return value
 
     def atom(self):
         tok = self.take()
         if tok == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ValueError(f"cyclotomic expression nests more than {_MAX_DEPTH} parentheses")
+            self.depth += 1
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         if tok == "E":
             self.take("(")

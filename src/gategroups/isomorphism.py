@@ -270,22 +270,24 @@ def _first_leaf(search, cands, gcols, K):
 
     ``K`` lists elements of h that centralize every image chosen so far.
     Conjugation by them fixes those images, so the candidates of the next
-    level split into K-orbits and one representative of each is searched;
-    below it K shrinks to the centralizer of the representative too.  The
-    last level pushes nothing: ``leaf`` checks a representative on a lazily
-    filled column, and a refuted one drops its K-orbit read off a lazy
-    conjugation column, entry by entry.  A None answer is exhaustive: no
-    choice of the remaining images extends ``search.chosen`` to an
-    isomorphism (an automorphism when g and h are one table).
+    level split into K-orbits and one representative of each is searched,
+    in ascending order, each checked for compatibility only when its turn
+    comes; below it K shrinks to the centralizer of the representative
+    too.  The last level pushes nothing: ``leaf`` checks a representative
+    on a lazily filled column, and a refuted one drops its K-orbit read
+    off a lazy conjugation column, entry by entry.  A None answer is
+    exhaustive: no choice of the remaining images extends
+    ``search.chosen`` to an isomorphism (an automorphism when g and h are
+    one table).
     """
     pos = len(search.chosen)
-    unseen = set()
-    for y in cands[pos]:
+    refuted = set()
+    for rep in cands[pos]:  # ascending: the least candidate of each K-orbit
+        if rep in refuted:
+            continue
         search.tick()
-        if search.compatible(pos, y):
-            unseen.add(y)
-    while unseen:
-        rep = min(unseen)
+        if not search.compatible(pos, rep):
+            continue
         if pos == len(search.seq) - 1:
             img = search.leaf(gcols, rep)
             conj = search.th.lazy_conj_column(rep)  # z -> z^-1 rep z
@@ -296,7 +298,7 @@ def _first_leaf(search, cands, gcols, K):
             search.pop()
         if img is not None:
             return img
-        unseen -= {conj[z] for z in K}
+        refuted.update(conj[z] for z in K)
     return None
 
 

@@ -201,7 +201,8 @@ class MatrixGroup:
         return self._elements
 
     def element_table(self):
-        """ElementTable of the enumeration, acting on the row orbit."""
+        """ElementTable of the enumeration, acting on the row orbit: the
+        table of ``perm_group()``, named here for the benchmark tracer."""
         return self._table
 
     def perm_group(self):

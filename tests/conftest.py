@@ -20,7 +20,10 @@ key-orbit oracle maps a base-image key by one action per generator where
 class-partition oracle conjugates through the multiplication columns one
 step at a time where the engine reads precomputed conjugation columns.
 The all-copies wreath oracle puts m's generators on every copy of m where
-``groups.wreath`` puts them on one copy per orbit of the top group.
+``groups.wreath`` puts them on one copy per orbit of the top group.  The
+subgroup and normal-closure oracles close breadth first under whole left
+columns, and conjugate through conjugation columns, where the engine
+closes coset by coset on replayed words and fills no column.
 ``embed``, the complex value of a cyclotomic number, is the one
 floating-point routine, and it lives here so that ``src/`` stays exact.
 """
@@ -127,6 +130,68 @@ def dimino_closure(generators):
     return elements, index
 
 
+def subgroup_closure_oracle(table, gens, cap=None):
+    """Member set of the subgroup generated by ``gens``, or None past ``cap``,
+    by breadth-first closure under whole left columns (oracle)."""
+    cols = [table.lcolumn(g) for g in dict.fromkeys(gens) if g != 0]
+    members = {0}
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        for col in cols:
+            y = col[x]
+            if y not in members:
+                if cap is not None and len(members) >= cap:
+                    return None
+                members.add(y)
+                queue.append(y)
+    return members
+
+
+def normal_closure_set_oracle(table, seeds):
+    """(member set, generators) of the normal closure of the seeds, closing
+    under one whole left column per generator and adding each conjugate by
+    a conjugation column of the table's generators (oracle)."""
+    gens = [s for s in dict.fromkeys(seeds) if s != 0]
+    cols = [table.lcolumn(g) for g in gens]
+    members = {0}
+    queue = [0]
+
+    def close():
+        while queue:
+            x = queue.pop()
+            for col in cols:
+                y = col[x]
+                if y not in members:
+                    members.add(y)
+                    queue.append(y)
+
+    close()
+    pending = list(gens)
+    while pending:
+        s = pending.pop()
+        for gconj in table._ensure_conj():
+            y = gconj[s]
+            if y not in members:
+                gens.append(y)
+                pending.append(y)
+                col = table.lcolumn(y)
+                cols.append(col)
+                for m in [m for m in members if col[m] not in members]:
+                    z = col[m]
+                    if z not in members:
+                        members.add(z)
+                        queue.append(z)
+                close()
+    return members, gens
+
+
+def commutator(table, i, j):
+    """[x_i, x_j] = x_i x_j x_i^-1 x_j^-1, by word-replayed products."""
+    inv = table.inverses()
+    return table.mult(table.mult(i, j), table.mult(inv[i], inv[j]))
+
+
 def normal_subgroup_sets_oracle(table):
     """Normal subgroups as (member set, generators), closing every join (oracle)."""
     _, reps, _ = table.class_partition()
@@ -205,7 +270,7 @@ def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
     for xq, yq in zip(seq_prefix, chosen):
         if g_orders[tg.mult(xq, x)] != h_orders[th.mult(yq, y)]:
             return False
-        if (tg.commutator(xq, x) == 0) != (th.commutator(yq, y) == 0):
+        if (commutator(tg, xq, x) == 0) != (commutator(th, yq, y) == 0):
             return False
     return True
 

@@ -22,7 +22,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_force_elements, commutator_set_all_pairs, embed, small_corpus
+from conftest import (
+    brute_force_elements,
+    commutator,
+    commutator_set_all_pairs,
+    embed,
+    small_corpus,
+)
 from gategroups import groups
 from gategroups.claims import Evaluator
 from gategroups.cyclo import rational, root_of_unity
@@ -119,7 +125,7 @@ def test_criterion_2_c1_splits_over_p1():
         # xP1 is central in C1/P1 iff [x, g] lies in P1 for every generator g
         central = [
             x for x in range(table.n)
-            if all(table.commutator(x, g) in pauli for g in table.gen_indices)
+            if all(commutator(table, x, g) in pauli for g in table.gen_indices)
         ]
         assert len(central) == 2 * len(pauli)  # |Z(C1/P1)| = 2
         coset = set(central) - pauli

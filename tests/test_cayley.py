@@ -5,15 +5,20 @@ generator columns, one product at a time; it is the oracle for the columns
 that are filled in one pass along a spanning tree.
 """
 
+import random
+
 import pytest
 
 from conftest import (
     class_hits_oracle,
     class_partition_oracle,
+    commutator,
     commutator_set_all_pairs,
     key_orbit_oracle,
+    normal_closure_set_oracle,
     normal_subgroup_sets_oracle,
     small_corpus,
+    subgroup_closure_oracle,
     subgroup_columns_oracle,
 )
 from gategroups import groups
@@ -234,3 +239,66 @@ def test_derived_data_is_cached_and_immutable():
         members.add(1)
     with pytest.raises(AttributeError):
         gens.append(1)
+
+
+CLOSURE_CASES = [(name, lambda g=g: g) for name, g in small_corpus()] + [
+    ("C2wrS5", lambda: C2_WR_S5),
+    ("C2^2wrA5", lambda: groups.wreath(C2_SQUARED, groups.alternating(5))),
+    ("C1", lambda: Evaluator().group("c1")),
+    ("P2", lambda: Evaluator().group("p2")),
+    ("C1modZ", _c1_mod_center),  # a table on the cosets of Z(C1)
+]
+
+
+def _generator_lists(table):
+    """The table's generators, lists with the identity, repeats and a
+    redundant product, and random picks, all seeded by the order."""
+    n = table.n
+    rng = random.Random(n)
+    a, b = rng.randrange(n), rng.randrange(n)
+    lists = [list(table.gen_indices), [], [0], [n - 1, 0, n - 1], [a, table.mult(a, b), b]]
+    return lists + [rng.sample(range(n), min(k, n)) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, build", CLOSURE_CASES, ids=[n for n, _ in CLOSURE_CASES])
+def test_closures_match_the_left_column_oracles(name, build):
+    """Coset-by-coset closures against breadth-first closures on whole left
+    columns: the same member sets and the same generator lists, in order,
+    and ``subgroup_closure(gens, cap)`` is None exactly when the subgroup
+    has more than ``cap`` members: for every cap up to |H| + 1 when
+    |H| <= 1000, and for 1, |H| - 1 and |H| above."""
+    table = build().own_table()
+    for gens in _generator_lists(table):
+        members = subgroup_closure_oracle(table, gens)
+        assert table.subgroup_closure(gens) == members, (name, gens)
+        h = len(members)
+        caps = range(1, h + 2) if h <= 1000 else [1, h - 1, h]
+        for cap in caps:
+            assert (table.subgroup_closure(gens, cap) is None) == (h > cap), (name, gens, cap)
+        assert table.normal_closure_set(gens) == normal_closure_set_oracle(table, gens), (name, gens)
+    _, reps, _ = table.class_partition()
+    for r in reps[1 :: max(1, len(reps) // 8)]:
+        assert table.normal_closure_set([r]) == normal_closure_set_oracle(table, [r]), (name, r)
+    seeds = [commutator(table, a, b) for a in table.gen_indices for b in table.gen_indices]
+    members, gens = normal_closure_set_oracle(table, [c for c in seeds if c])
+    assert table.derived_data() == (frozenset(members), tuple(gens)), name
+
+
+def test_derived_data_and_normal_closures_fill_no_columns(monkeypatch):
+    """``derived_data``, ``normal_closure_set`` and ``subgroup_closure`` fill
+    no left-multiplication or conjugation column and no inverses."""
+    tables = [
+        groups.wreath(C2_SQUARED, groups.alternating(5)).own_table(),
+        groups.symmetric(6).own_table(),
+    ]
+
+    def refuse(self, *args):
+        raise AssertionError("filled a whole column")
+
+    for name in ("lcolumn", "_ensure_lmul", "_ensure_conj", "inverses"):
+        monkeypatch.setattr(ElementTable, name, refuse)
+    for table, derived_order in zip(tables, (15360, 360)):
+        assert len(table.derived_data()[0]) == derived_order
+        members, gens = table.normal_closure_set([table.n - 1, table.n // 2])
+        assert len(members) in (derived_order, table.n) and gens[:2] == [table.n - 1, table.n // 2]
+        assert table.subgroup_closure(gens) == members

@@ -178,6 +178,42 @@ def test_parse_examples():
         parse("E(4")
 
 
+def test_parse_refuses_huge_powers_and_deep_nesting():
+    """Powers of roots of unity reduce their exponent; other powers and
+    nesting past fixed bounds are a ValueError, not a MemoryError or a
+    RecursionError."""
+    assert parse("E(4)^999999999999") is root_of_unity(4) ** 3
+    assert parse("(-E(3))^-1000000000001") is (-root_of_unity(3)) ** (-1000000000001 % 6)
+    assert parse("2^1000") == rational(2**1000)
+    assert parse("(" * 64 + "1" + ")" * 64) is ONE
+    for text in (
+        "2^99999999999",
+        "(1/2)^-99999999999",
+        "ER(2)^99999999999",  # |sqrt 2| is not 1
+        "(3/5+4/5*E(4))^99999999999",  # absolute value 1, but not an algebraic integer
+        "((2^10000)^10000)^10000",
+        "(" * 65 + "1" + ")" * 65,
+        "(" * 3000 + "1" + ")" * 3000,
+    ):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+# arbitrary text of cyclotomic tokens, including malformed runs and huge exponents
+_TEXT_TOKENS = ["E(", "ER(", "E(4)", "E(7)", "E(12)", "ER(2)", "0", "1", "2", "3", "12",
+                "99999999999", "(", ")", "+", "-", "*", "/", "^", " ", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=24).map("".join))
+def test_arbitrary_text_parses_and_round_trips_or_is_a_value_error(text):
+    try:
+        value = parse(text)
+    except ValueError:
+        return
+    assert parse(str(value)) is value
+
+
 def test_constructor_and_hash():
     assert Cyclotomic(5) == rational(5)
     assert hash(root_of_unity(8)) == hash(root_of_unity(8))

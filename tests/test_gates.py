@@ -36,9 +36,9 @@ def test_pauli_group_orders_and_centers():
     assert pauli_group(1).order() == 16
     assert pauli_group(2).order() == 64
     p1 = pauli_group(1)
-    z = p1.element_table().center_set()
+    z = p1.perm_group().own_table().center_set()
     assert len(z) == 4
-    z2 = pauli_group(2).element_table().center_set()
+    z2 = pauli_group(2).perm_group().own_table().center_set()
     assert len(z2) == 4
 
 
@@ -87,7 +87,7 @@ def test_bell_group():
     assert b2.order() == 15360
     c2 = clifford_group(2)
     assert all(g in c2 for g in b2.generators)
-    assert len(b2.element_table().center_set()) == 8
+    assert len(b2.perm_group().own_table().center_set()) == 8
 
 
 def test_order_formula():

@@ -204,6 +204,24 @@ def test_search_work_guards_the_pruning(monkeypatch):
     assert len(hom_checks) <= 32
 
 
+def test_isomorphism_search_checks_candidates_only_until_a_leaf(monkeypatch):
+    """M20 by its two routes: ``_first_leaf`` ticks for the candidates it
+    walks before the first verified leaf, not for a whole level (720 ticks
+    when every candidate of a level was checked up front)."""
+    nodes = []
+    tick = _Search.tick
+
+    def counted_tick(self):
+        nodes.append(1)
+        tick(self)
+
+    monkeypatch.setattr(_Search, "tick", counted_tick)
+    m20_a5 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.alternating(5)))
+    m20_s5 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
+    assert isomorphic(m20_a5, m20_s5)
+    assert 0 < len(nodes) <= 60
+
+
 def test_inner_order_matches_central_quotient():
     for name, group in small_corpus():
         if group.order() > 128:

@@ -126,7 +126,7 @@ def _check_against_dimino(group):
     assert set(group.elements) == set(elements)
     assert [group.index_of(m) for m in group.elements] == list(range(group.order()))
     relabel = [group.index_of(m) for m in elements]
-    table = group.element_table()
+    table = group.perm_group().own_table()
     assert table.gen_indices == [group.index_of(g) for g in group.generators]
     for gen, col in zip(group.generators, map(table.column, table.gen_indices)):
         for i, m in enumerate(elements):
@@ -217,7 +217,7 @@ def test_perm_group_acts_on_the_row_orbit():
     pg1 = c1.perm_group()
     assert pg1.order() == 192
     assert pg1.degree == 48
-    table = c1.element_table()
+    table = c1.perm_group().own_table()
     rng = random.Random(11)
     for _ in range(25):
         a = rng.randrange(192)
@@ -230,7 +230,7 @@ def test_perm_group_acts_on_the_row_orbit():
 
     c2 = clifford_group(2)
     assert c2.perm_group().degree == 480
-    table = c2.element_table()
+    table = c2.perm_group().own_table()
     for i in rng.sample(range(92160), 25):
         assert table.index_of(table.perm_of(i)) == i
 
@@ -279,6 +279,8 @@ def test_group_file_with_elements(tmp_path):
         ("dim 1\ngenerators " + "1" * 5000 + "\n[[1]]\n", 2),
         ("dim 1\ngenerators 1\n[[2]]\n", 3),  # not unitary
         ("dim 1\ngenerators 2\n[[1]]\n\n[[-2]]\n", 5),
+        ("dim 1\ngenerators 1\n[[2^99999999999]]\n", 3),  # a power too large to hold
+        ("dim 1\ngenerators 1\n[[" + "(" * 3000 + "1" + ")" * 3000 + "]]\n", 3),  # too deep
     ],
 )
 def test_group_file_errors_name_the_line(tmp_path, text, line):
