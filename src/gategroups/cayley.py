@@ -311,8 +311,7 @@ class ElementTable:
         """Member set of the subgroup generated by the given element indices,
         or None if it has more than ``cap`` members."""
         members = {0}
-        gens = [g for g in dict.fromkeys(gens) if g != 0]
-        return members if self._extend(members, [0], gens, cap) is not None else None
+        return members if self._extend(members, [0], [], gens, cap) is not None else None
 
     def normal_closure_set(self, seeds):
         """Smallest normal subgroup containing the seed elements.
@@ -323,7 +322,7 @@ class ElementTable:
         """
         gens = [s for s in dict.fromkeys(seeds) if s != 0]
         members, elems = {0}, [0]
-        used = self._extend(members, elems, gens)
+        used = self._extend(members, elems, [], gens)
         pending = list(gens)
         pairs = list(zip(self._rmul, self._gen_inverses()))
         while pending:
@@ -333,7 +332,7 @@ class ElementTable:
                 if y not in members:
                     gens.append(y)
                     pending.append(y)
-                    used = self._extend(members, elems, used + [y])
+                    used = self._extend(members, elems, used, [y])
         return members, gens
 
     def _gen_inverses(self):
@@ -346,27 +345,25 @@ class ElementTable:
             out.append(x)
         return out
 
-    def _extend(self, members, elems, gens, cap=None):
-        """Grow the subgroup H held in ``elems`` (identity first) and in
-        ``members`` to <H, gens>, one right coset at a time (Dimino).
+    def _extend(self, members, elems, used, new, cap=None):
+        """Grow the subgroup H = <used>, held in ``elems`` (identity first)
+        and in ``members``, to <H, new>, one right coset at a time (Dimino).
 
-        H must be generated by the generators before the first one outside
-        it.  A generator already in the group costs one lookup.  Adding s
+        A new generator already in the group costs one lookup.  Adding s
         closes the group K so far under every generator t used: the cosets
         of K follow it in ``elems`` as blocks, Krt lies in their union once
         rt does, so each (coset, generator) pair costs one membership test,
         and a new coset is its parent block mapped by the word of t, one
-        ``map`` per letter.  Returns the generators used, or None once the
-        group would pass ``cap`` members.
+        ``map`` per letter.  Returns the generators of the grown group,
+        ``used`` then the new ones it took, or None once the group would
+        pass ``cap`` members.
         """
         rmul = self._rmul
-        used, words = [], []
-        for s in gens:
+        used, words = list(used), None
+        for s in new:
             if s in members:
-                if not words:  # one of the generators of H
-                    used.append(s)
                 continue
-            if not words:
+            if words is None:
                 words = [self.word(t) for t in used]
             used.append(s)
             words.append(self.word(s))

@@ -21,7 +21,9 @@ zeta_9, matching the conventions of the usual exact CAS systems.
 
 Text syntax: ``E(n)`` is zeta_n, ``ER(2)`` is sqrt(2), rationals are
 ``p/q``, with ``+ - * / ^`` and parentheses; ``parse(str(x)) == x`` is
-exact.
+exact for every x of conductor at most 256.  The parser refuses larger
+conductors: the number 1 alone has up to n - 1 terms in the basis of
+Q(zeta_n), so ``1+E(n)`` for a large n would not fit in memory.
 """
 
 from __future__ import annotations
@@ -432,6 +434,7 @@ def conj(a):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(ER|E)|([()+\-*/^]))")
 _MAX_DEPTH = 64  # parentheses nested in one expression
+_MAX_CONDUCTOR = 256  # of every value formed while parsing
 _MAX_POWER_BITS = 1 << 12  # exponent times coefficient bits, for bases not roots of unity
 
 
@@ -462,6 +465,15 @@ def _bounded_power(x, exponent):
     if abs(exponent) * size > _MAX_POWER_BITS:
         raise ValueError(f"exponent {exponent} is too large for a value that is not a root of unity")
     return x**exponent
+
+
+def _bounded_arith(a, b, op):
+    """``arith(a, b, op)``, with ValueError when a and b lie in no common
+    field of conductor at most ``_MAX_CONDUCTOR``."""
+    m = math.lcm(a.conductor, b.conductor)
+    if m > _MAX_CONDUCTOR:
+        raise ValueError(f"{op} needs conductor {m}, above {_MAX_CONDUCTOR}")
+    return arith(a, b, op)
 
 
 class _Parser:
@@ -503,19 +515,15 @@ class _Parser:
     def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
+            op = "add" if self.take() == "+" else "sub"
+            value = _bounded_arith(value, self.term(), op)
         return value
 
     def term(self):
         value = self.unary()
         while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                value = value * self.unary()
-            else:
-                value = value / self.unary()
+            op = "mul" if self.take() == "*" else "div"
+            value = _bounded_arith(value, self.unary(), op)
         return value
 
     def unary(self):
@@ -552,6 +560,8 @@ class _Parser:
             self.take("(")
             n = int(self.take())
             self.take(")")
+            if n > _MAX_CONDUCTOR:
+                raise ValueError(f"E({n}) has a conductor above {_MAX_CONDUCTOR}")
             return root_of_unity(n)
         if tok == "ER":
             self.take("(")

@@ -47,13 +47,11 @@ def _min_generating_sequence(table):
     ranked = sorted(
         range(1, table.n), key=lambda i: (-orders[i], sizes[class_of[i]], i)
     )
-    seq = []
-    members = {0}
+    seq, members, elems = [], {0}, [0]
     for i in ranked:
         if i in members:
             continue
-        seq.append(i)
-        members = table.subgroup_closure(seq)
+        seq = table._extend(members, elems, seq, [i])
         if len(members) == table.n:
             break
     return seq
@@ -346,14 +344,13 @@ def automorphism_group(g, extended=False, node_budget=None):
     inv = table.inverses()
     gens = []  # image arrays; all of them fix x_0, ..., x_{k-1} at level k
     kgens = []  # elements generating the current centralizer
-    members = {0}
+    members, elems = {0}, [0]
     order = 1
     for k in reversed(range(len(seq))):
         K = centralizers[k]
         for z in K:
             if z not in members:
-                kgens.append(z)
-                members = table.subgroup_closure(kgens)
+                kgens = table._extend(members, elems, kgens, [z])
                 # conjugation by z: x_i -> z^-1 x_i z
                 gens.append(list(map(table.lcolumn(inv[z]).__getitem__, table.column(z))))
         orbit = _orbit([seq[k]], gens)

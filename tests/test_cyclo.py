@@ -179,13 +179,15 @@ def test_parse_examples():
 
 
 def test_parse_refuses_huge_powers_and_deep_nesting():
-    """Powers of roots of unity reduce their exponent; other powers and
-    nesting past fixed bounds are a ValueError, not a MemoryError or a
-    RecursionError."""
+    """Powers of roots of unity reduce their exponent; other powers,
+    conductors and nesting past fixed bounds are a ValueError, not a
+    MemoryError or a RecursionError."""
     assert parse("E(4)^999999999999") is root_of_unity(4) ** 3
     assert parse("(-E(3))^-1000000000001") is (-root_of_unity(3)) ** (-1000000000001 % 6)
     assert parse("2^1000") == rational(2**1000)
     assert parse("(" * 64 + "1" + ")" * 64) is ONE
+    assert parse("1+E(256)") is ONE + root_of_unity(256)
+    assert parse("E(16)*E(3)").conductor == 48
     for text in (
         "2^99999999999",
         "(1/2)^-99999999999",
@@ -194,6 +196,9 @@ def test_parse_refuses_huge_powers_and_deep_nesting():
         "((2^10000)^10000)^10000",
         "(" * 65 + "1" + ")" * 65,
         "(" * 3000 + "1" + ")" * 3000,
+        "E(99999999999)^2",  # conductor above the bound
+        "1+E(99999999999)",
+        "E(251)+E(241)",  # each conductor is allowed, their lcm is not
     ):
         with pytest.raises(ValueError):
             parse(text)

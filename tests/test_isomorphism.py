@@ -11,6 +11,7 @@ from conftest import (
     leaf_count_automorphisms,
     search_compatible_oracle,
     small_corpus,
+    subgroup_closure_oracle,
 )
 from gategroups import groups, isomorphism, perm
 from gategroups.cayley import ElementTable
@@ -220,6 +221,24 @@ def test_isomorphism_search_checks_candidates_only_until_a_leaf(monkeypatch):
     m20_s5 = derived_subgroup(groups.wreath(groups.cyclic(2), groups.symmetric(5)))
     assert isomorphic(m20_a5, m20_s5)
     assert 0 < len(nodes) <= 60
+
+
+def test_min_generating_sequence_matches_closures_from_scratch():
+    """The sequence grown one element at a time is the one that closes
+    each prefix from scratch, and it generates the group."""
+    for name, group in small_corpus():
+        table = group.own_table()
+        class_of, _, sizes = table.class_partition()
+        orders = table.element_orders()
+        seq, members = [], {0}
+        for i in sorted(range(1, table.n), key=lambda i: (-orders[i], sizes[class_of[i]], i)):
+            if i not in members:
+                seq.append(i)
+                members = subgroup_closure_oracle(table, seq)
+                if len(members) == table.n:
+                    break
+        assert _min_generating_sequence(table) == seq, name
+        assert len(members) == table.n, name
 
 
 def test_inner_order_matches_central_quotient():

@@ -280,6 +280,7 @@ def test_group_file_with_elements(tmp_path):
         ("dim 1\ngenerators 1\n[[2]]\n", 3),  # not unitary
         ("dim 1\ngenerators 2\n[[1]]\n\n[[-2]]\n", 5),
         ("dim 1\ngenerators 1\n[[2^99999999999]]\n", 3),  # a power too large to hold
+        ("dim 1\ngenerators 1\n[[E(99999999999)^2]]\n", 3),  # a conductor too large
         ("dim 1\ngenerators 1\n[[" + "(" * 3000 + "1" + ")" * 3000 + "]]\n", 3),  # too deep
     ],
 )
