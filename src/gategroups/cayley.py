@@ -24,19 +24,28 @@ few reads, ``lazy_column(j)`` and ``lazy_conj_column(j)`` fill the same
 columns entry by entry, only where they are read.  When the reads are
 confined to a few conjugacy classes or to a subgroup, ``products(j, xs)``
 pays instead: it replays the word of j over the list xs, one ``map`` over
-a generator column per letter, so |xs|·|word(j)| lookups run in C.  A single product ``mult(i, j)`` replays the word of j
-and costs O(|word(j)|).
+a generator column per letter, so |xs|·|word(j)| lookups run in C.  A
+single product ``mult(i, j)`` replays the word of j and costs
+O(|word(j)|), and ``order_of(i)`` replays the word of i until the
+identity comes back.
 
 Subgroups and normal closures need no whole column either: ``_extend``
 grows a subgroup one right coset at a time (Dimino), replaying the word
 of a generator over a whole coset, and a normal closure forms each
 conjugate g^-1 s g from the inverse of the table generator g.
+
+Facts about the whole table are computed once and in C where they can
+be: the center is cached, filtered one generator at a time by comparing
+the right and left columns with ``compress``; normality compares the
+right and left cosets of each generator as sets.  A quotient's table is
+the breadth-first search over its cosets itself, which finds them in the
+order ``orbit`` would, so it is not enumerated a second time.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter
+from itertools import compress, islice
+from operator import eq, itemgetter
 
 from gategroups.errors import ClosureOverflowError
 
@@ -80,6 +89,7 @@ class ElementTable:
         self._bfs = None  # (order, prev, genpos): right spanning tree from e
         self._lbfs = None  # the same along the left multiplications
         self._classes = None
+        self._center = None
         self._derived = None
         self._orders = None
         self._perms = None  # generator image tuples
@@ -143,9 +153,11 @@ class ElementTable:
             raise ValueError("a matrix group and a permutation group share no elements")
         if self.rows is None:
             return {self.index_of(other.perm_of(a)) for a in members}
-        keys, rows = list(other.key_index), list(other.rows)
+        # row positions there -> here, None for a row this group never reaches
+        here = list(map(self.rows.get, other.rows))
+        keys = list(other.key_index)
         try:
-            return {self.key_index[tuple(self.rows[rows[k]] for k in keys[a])] for a in members}
+            return {self.key_index[tuple(map(here.__getitem__, keys[a]))] for a in members}
         except KeyError:
             raise ValueError("matrix is not an element of the group") from None
 
@@ -242,15 +254,12 @@ class ElementTable:
         return _LazyFill(self._ensure_tree(), j, self._ensure_conj())
 
     def order_of(self, i):
-        if i == 0:
-            return 1
-        col = None
-        k = i
-        m = 1
+        """Order of element i, by replaying its word until the identity."""
+        rmul, word = self._rmul, self.word(i)
+        k, m = i, 1
         while k != 0:
-            if col is None and m >= 4:
-                col = self.column(i)
-            k = col[k] if col is not None else self.mult(k, i)
+            for g in word:
+                k = rmul[g][k]
             m += 1
         return m
 
@@ -265,13 +274,16 @@ class ElementTable:
     # -- structure -----------------------------------------------------------
 
     def center_set(self):
-        lmul = self._ensure_lmul()
-        ngen = range(len(self._rmul))
-        return [
-            i
-            for i in range(self.n)
-            if all(self._rmul[g][i] == lmul[g][i] for g in ngen)
-        ]
+        """Ascending members of the center (cached): the elements that every
+        generator's right and left columns send to the same place, filtered
+        one generator at a time by ``compress``, in C."""
+        if self._center is None:
+            cands = range(self.n)
+            for rcol, lcol in zip(self._rmul, self._ensure_lmul()):
+                hits = map(eq, map(rcol.__getitem__, cands), map(lcol.__getitem__, cands))
+                cands = list(compress(cands, hits))
+            self._center = tuple(cands)
+        return self._center
 
     def class_partition(self):
         """Conjugacy classes: (class_of array, representative list, sizes)."""
@@ -402,9 +414,14 @@ class ElementTable:
             self._derived = frozenset(members), tuple(sub_gens)
         return self._derived
 
-    def is_normal_set(self, members, sub_gens):
-        conj = self._ensure_conj()
-        return all(col[s] in members for s in sub_gens for col in conj)
+    def is_normal_set(self, members):
+        """Whether the subgroup with these members is normal: Ng = gN for
+        every generator g, compared as sets over one right and one left
+        column per generator, in C."""
+        return all(
+            set(map(rcol.__getitem__, members)).issuperset(map(lcol.__getitem__, members))
+            for rcol, lcol in zip(self._rmul, self._ensure_lmul())
+        )
 
     def coset_action(self, members):
         """Quotient by a normal subgroup given as a member set.
@@ -412,31 +429,32 @@ class ElementTable:
         Returns (quotient ElementTable, coset_of array, coset representative
         list); cosets are numbered in discovery order, coset 0 is the
         subgroup itself, representatives are the minimal member indices.
+        The breadth-first search finds the cosets in the order ``orbit``
+        would, generator by generator from coset 0, and records the action
+        of each generator on them as it goes: that is already the
+        quotient's table, keyed by the coset alone.
         """
-        n = self.n
-        coset_of = [-1] * n
+        coset_of = [-1] * self.n
         first = sorted(members)
         for m in first:
             coset_of[m] = 0
-        coset_members = [first]
-        reps = [0]
-        pos = 0
-        while pos < len(coset_members):
-            block = coset_members[pos]
-            for col in self._rmul:
-                if coset_of[col[block[0]]] < 0:
-                    image = [col[m] for m in block]
-                    c = len(coset_members)
+        blocks, reps = [first], [0]
+        qperms = [[] for _ in self._rmul]
+        for block in blocks:
+            x = block[0]
+            for col, qcol in zip(self._rmul, qperms):
+                c = coset_of[col[x]]
+                if c < 0:
+                    c = len(blocks)
+                    image = list(map(col.__getitem__, block))
                     for m in image:
                         coset_of[m] = c
-                    coset_members.append(image)
+                    blocks.append(image)
                     reps.append(min(image))
-            pos += 1
-        qperms = [
-            [coset_of[col[block[0]]] for block in coset_members]
-            for col in self._rmul
-        ]
-        quotient = ElementTable.from_permutations(qperms, [0], len(coset_members))
+                qcol.append(c)
+        quotient = ElementTable(len(blocks), [col[0] for col in qperms], qperms)
+        quotient._perms, quotient._base = list(map(tuple, qperms)), (0,)
+        quotient.key_index = {(c,): c for c in range(quotient.n)}
         return quotient, coset_of, reps
 
     def abelian_invariants(self):

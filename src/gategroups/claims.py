@@ -220,6 +220,7 @@ class Evaluator:
         self._matrix = {}
         self._values = {}
         self._normals = {}
+        self._quadrangles = {}  # n -> the quadrangle report of the n-qubit graph
         self._commutator_sets = {}
         self._mub = {}
         self.allow_extended = False
@@ -357,7 +358,7 @@ class Evaluator:
         if name == "is_normal":
             parent = self.group(parts[0])
             members = parent.indices_of(self.group(parts[1]))
-            return parent.own_table().is_normal_set(members, [i for i in members if i != 0])
+            return parent.own_table().is_normal_set(members)
         if name == "mub_order":
             return self._mub_group(*parts).order()
         if name == "mub_aut_order":
@@ -395,9 +396,13 @@ class Evaluator:
             return degrees.pop()
         if name == "pg_max_independent":
             return len(pauligraph.maximum_independent_set(graph.neighbors))
-        if name == "pg_aut_count":
+        if name == "pg_aut_count" and n != 2:
             return pauligraph.graph_automorphism_count(graph.neighbors)
-        report = pauligraph.quadrangle_checks(graph)
+        if n not in self._quadrangles:
+            self._quadrangles[n] = pauligraph.quadrangle_checks(graph)
+        report = self._quadrangles[n]
+        if name == "pg_aut_count":
+            return report.automorphism_count
         if name == "pg_lines":
             return report.line_count
         if name == "pg_line_size":

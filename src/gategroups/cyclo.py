@@ -368,25 +368,63 @@ def _mul(a, b):
 
 
 def _inv(a):
+    """1/a = q / N(a), where N(a) = a * q is the rational field norm.
+
+    The norm is taken along the cyclic factors <u> of the Galois group
+    (Z/n)^*, one at a time: for a factor of order m and the partial norm x
+    so far, p = sigma_u(x) ... sigma_u^(m-1)(x) is formed by doubling, and
+    multiplied into both x and q.  That costs O(log m) products per factor
+    where a product of all the conjugates costs n of them.
+    """
     if a.is_zero:
         raise ZeroDivisionError("division by zero cyclotomic")
     r = _INV.get(id(a))
     if r is None:
-        if a.conductor == 1:
-            r = _build(1, {0: 1 / a.as_rational()})
-        else:
-            # product of the nontrivial Galois conjugates; a times it is the
-            # rational field norm
-            n = a.conductor
-            prod = ONE
-            for u in range(2, n):
-                if math.gcd(u, n) == 1:
-                    prod = _mul(prod, a.galois(u))
-            norm = _mul(a, prod)
-            assert norm.is_rational, "field norm must be rational"
-            r = _mul(prod, _build(1, {0: 1 / norm.as_rational()}))
+        n = a.conductor
+        x, q = a, ONE
+        for u, m in _unit_factors(n):
+            # t = x sigma(x) ... sigma^(k-1)(x), then sigma(t) with k = m - 1
+            t, k = ONE, 0
+            for bit in bin(m - 1)[2:]:
+                t = _mul(t, t.galois(pow(u, k, n)))
+                k *= 2
+                if bit == "1":
+                    t = _mul(t, x.galois(pow(u, k, n)))
+                    k += 1
+            p = t.galois(u)
+            x, q = _mul(x, p), _mul(q, p)
+        assert x.is_rational, "field norm must be rational"
+        r = _mul(q, _build(1, {0: 1 / x.as_rational()}))
         _INV[id(a)] = r
     return r
+
+
+@lru_cache(maxsize=None)
+def _unit_factors(n):
+    """(generator, order) of cyclic factors whose direct product is (Z/n)^*.
+
+    One factor per odd prime power p^v of n, generated by a primitive root,
+    and for 2^v the factors <-1> (v >= 2) and <5> (v >= 3); each generator
+    is lifted to n by the Chinese remainder theorem, 1 on the other primes.
+    """
+    out = []
+    for p, q, *_ in _prime_data(n):
+        if p == 2:
+            local = [(q - 1, 2)] if q >= 4 else []
+            if q >= 8:
+                local.append((5, q // 4))
+        else:
+            phi = q // p * (p - 1)
+            g = next(
+                g
+                for g in range(2, q)
+                if g % p and all(pow(g, phi // r, q) != 1 for r, *_ in _prime_data(phi))
+            )
+            local = [(g, phi)]
+        rest = n // q
+        for g, m in local:  # u = g mod q and u = 1 mod rest
+            out.append(((g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % n, m))
+    return tuple(out)
 
 
 # -- public constructors and helpers ------------------------------------

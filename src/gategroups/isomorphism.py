@@ -442,8 +442,7 @@ def find_complement(g, n, budget=200_000):
     """
     own = g.own_table()
     members = g.indices_of(n)
-    sub_gens = [i for i in members if i != 0]
-    if not own.is_normal_set(members, sub_gens):
+    if not own.is_normal_set(members):
         raise ValueError("can only search complements of a normal subgroup")
 
     quotient, _, reps = own.coset_action(members)

@@ -5,7 +5,9 @@ finite orbit of row vectors ``e_i^T * x``.  ``closure`` computes that orbit,
 then enumerates the group by base images: element i is named by the orbit
 positions of its d rows, and right multiplication by a generator permutes
 those names.  Identity is element 0.  The permutation machinery sees a
-matrix group as the faithful permutation group on its row orbit.
+matrix group as the faithful permutation group on its row orbit.  Each
+matrix keeps the nonzero entries of its rows, so a row times a matrix
+sums over those alone.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ _ONE = cyclo.ONE
 
 
 class UnitaryMatrix:
-    """Immutable square matrix with exact cyclotomic entries."""
+    """Immutable square matrix with exact cyclotomic entries.
 
-    __slots__ = ("dim", "entries", "_hash")
+    Each row also keeps its nonzero ``(column, entry)`` pairs, built once,
+    so a product reads only the nonzero entries: gate matrices are sparse.
+    """
+
+    __slots__ = ("dim", "entries", "_hash", "_sparse")
 
     def __init__(self, dim, entries, check_unitary=False):
         entries = tuple(cyclo.Cyclotomic(e) for e in entries)
@@ -45,6 +51,11 @@ class UnitaryMatrix:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash((dim, entries)))
+        sparse = tuple(
+            tuple((j, x) for j, x in enumerate(entries[i * dim : (i + 1) * dim]) if x is not _ZERO)
+            for i in range(dim)
+        )
+        object.__setattr__(self, "_sparse", sparse)
         if check_unitary and not self.is_unitary():
             raise ValueError("matrix is not unitary")
 
@@ -60,10 +71,14 @@ class UnitaryMatrix:
         return [self.entries[i * d : (i + 1) * d] for i in range(d)]
 
     def row_times(self, row):
-        """The row vector ``row`` times this matrix, as a tuple."""
-        d, e = self.dim, self.entries
-        nonzero = [(k, x) for k, x in enumerate(row) if x is not _ZERO]
-        return tuple(sum((x * e[k * d + j] for k, x in nonzero), _ZERO) for j in range(d))
+        """The row vector ``row`` times this matrix, as a tuple, summed over
+        the nonzero entries of ``row`` and of this matrix's rows only."""
+        out = [_ZERO] * self.dim
+        for x, pairs in zip(row, self._sparse):
+            if x is not _ZERO:
+                for j, y in pairs:
+                    out[j] += x * y
+        return tuple(out)
 
     def __mul__(self, other):
         return matmul(self, other)

@@ -58,7 +58,7 @@ def coset_action(group, normal):
     """
     own = group.own_table()
     members = group.indices_of(normal)
-    if not own.is_normal_set(members, [i for i in members if i != 0]):
+    if not own.is_normal_set(members):
         raise ValueError("subgroup is not normal; the quotient is undefined")
     quotient, _, _ = own.coset_action(members)
     gens = [quotient.perm_of(g) for g in quotient.gen_indices]

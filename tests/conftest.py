@@ -24,17 +24,30 @@ The all-copies wreath oracle puts m's generators on every copy of m where
 subgroup and normal-closure oracles close breadth first under whole left
 columns, and conjugate through conjugation columns, where the engine
 closes coset by coset on replayed words and fills no column.
+The center oracle scans every element with ``all()`` where the engine
+filters candidates one generator at a time in C; the quotient oracle
+enumerates the coset action again with ``from_permutations`` where the
+engine keeps the table its coset search built; the normality oracle
+conjugates through conjugation columns where the engine compares the
+right and left cosets of each generator; the matrix-membership oracle looks
+each row up where the engine maps the row positions of the other table
+once; the dense row product sums over every entry where the matrix keeps
+the nonzero ones; and the inverse oracle multiplies all the Galois
+conjugates of a cyclotomic number where ``cyclo._inv`` takes its norm one
+cyclic factor of the Galois group at a time.
 ``embed``, the complex value of a cyclotomic number, is the one
 floating-point routine, and it lives here so that ``src/`` stays exact.
 """
 
 import cmath
+import math
 import os
 
 import pytest
 
 from gategroups import groups
-from gategroups.cyclo import ZERO
+from gategroups.cayley import ElementTable
+from gategroups.cyclo import ONE, ZERO, _mul, rational
 from gategroups.isomorphism import _hom_image, _min_generating_sequence, _Search
 from gategroups.matrix import UnitaryMatrix, identity_matrix
 from gategroups.perm import PermGroup, Permutation
@@ -354,6 +367,68 @@ def class_partition_oracle(table):
                     queue.append(y)
         sizes.append(count)
     return class_of, reps, sizes
+
+
+def center_set_oracle(table):
+    """Members of the center, each checked against every generator with ``all()`` (oracle)."""
+    lmul, rmul = table._ensure_lmul(), table._rmul
+    ngen = range(len(rmul))
+    return [i for i in range(table.n) if all(rmul[g][i] == lmul[g][i] for g in ngen)]
+
+
+def coset_quotient_oracle(table, members):
+    """(quotient, coset_of, reps): the coset search, then the quotient enumerated
+    again by ``from_permutations`` on the cosets (oracle)."""
+    coset_of = [-1] * table.n
+    first = sorted(members)
+    for m in first:
+        coset_of[m] = 0
+    coset_members, reps, pos = [first], [0], 0
+    while pos < len(coset_members):
+        block = coset_members[pos]
+        for col in table._rmul:
+            if coset_of[col[block[0]]] < 0:
+                image = [col[m] for m in block]
+                for m in image:
+                    coset_of[m] = len(coset_members)
+                coset_members.append(image)
+                reps.append(min(image))
+        pos += 1
+    qperms = [[coset_of[col[block[0]]] for block in coset_members] for col in table._rmul]
+    quotient = ElementTable.from_permutations(qperms, [0], len(coset_members))
+    return quotient, coset_of, reps
+
+
+def is_normal_set_oracle(table, members, sub_gens):
+    """Whether every conjugate of a subgroup generator by a table generator
+    stays in ``members``, read from conjugation columns (oracle)."""
+    return all(col[s] in members for s in sub_gens for col in table._ensure_conj())
+
+
+def indices_of_oracle(table, other, members):
+    """Indices in the matrix table ``table`` of the members of the matrix table
+    ``other``, looking each row vector up (oracle); ValueError for a non-member."""
+    keys, rows = list(other.key_index), list(other.rows)
+    try:
+        return {table.key_index[tuple(table.rows[rows[k]] for k in keys[a])] for a in members}
+    except KeyError:
+        raise ValueError("matrix is not an element of the group") from None
+
+
+def row_times_dense(matrix, row):
+    """The row vector ``row`` times ``matrix``, summed over every entry (oracle)."""
+    d = matrix.dim
+    return tuple(sum((row[k] * matrix[k, j] for k in range(d)), ZERO) for j in range(d))
+
+
+def inverse_oracle(a):
+    """1/a as the product of the nontrivial Galois conjugates of a over its rational norm (oracle)."""
+    n = a.conductor
+    prod = ONE
+    for u in range(2, n):
+        if math.gcd(u, n) == 1:
+            prod = _mul(prod, a.galois(u))
+    return _mul(prod, rational(1 / _mul(a, prod).as_rational()))
 
 
 def wreath_all_copies_generators(m, h):

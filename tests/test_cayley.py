@@ -10,10 +10,13 @@ import random
 import pytest
 
 from conftest import (
+    center_set_oracle,
     class_hits_oracle,
     class_partition_oracle,
     commutator,
     commutator_set_all_pairs,
+    coset_quotient_oracle,
+    is_normal_set_oracle,
     key_orbit_oracle,
     normal_closure_set_oracle,
     normal_subgroup_sets_oracle,
@@ -155,7 +158,7 @@ def test_normal_subgroup_sets_are_normal_unions_of_classes(name, group):
         classes = {class_of[i] for i in members}
         assert len(members) == sum(sizes[c] for c in classes), name
         assert table.subgroup_closure(gens) == members, name
-        assert table.is_normal_set(members, gens), name
+        assert table.is_normal_set(members), name
     orders = [len(members) for members, _ in results]
     assert orders == sorted(orders) and orders[0] == 1 and orders[-1] == table.n
     assert len({frozenset(members) for members, _ in results}) == len(results)
@@ -302,3 +305,108 @@ def test_derived_data_and_normal_closures_fill_no_columns(monkeypatch):
         members, gens = table.normal_closure_set([table.n - 1, table.n // 2])
         assert len(members) in (derived_order, table.n) and gens[:2] == [table.n - 1, table.n // 2]
         assert table.subgroup_closure(gens) == members
+
+
+# (name, function of an Evaluator returning a group) for the tables of the gate groups
+GATE_TABLES = [
+    ("C1", lambda ev: ev.group("c1")),
+    ("B2", lambda ev: ev.group("b2")),
+    ("C2", lambda ev: ev.group("c2")),
+]
+CENTER_CASES = [(name, lambda ev, g=g: g) for name, g in small_corpus()] + GATE_TABLES
+
+
+@pytest.mark.parametrize("name, build", CENTER_CASES, ids=[n for n, _ in CENTER_CASES])
+def test_center_set_matches_the_all_scan_oracle(name, build):
+    table = build(Evaluator()).own_table()
+    assert list(table.center_set()) == center_set_oracle(table)
+    assert table.center_set() is table.center_set()  # cached
+
+
+def _normal_pairs_of_the_corpus():
+    """Each corpus group and its derived subgroup, a table in sorted member
+    order, with every normal subgroup."""
+    for name, group in small_corpus():
+        for label, table in ((name, group.own_table()), (f"{name}'", derived_subgroup(group).own_table())):
+            for members, _ in table.normal_subgroup_sets():
+                yield f"{label}/{len(members)}", table, members
+
+
+def _gate_quotients():
+    ev = Evaluator()
+    c2, b2, p2 = ev.group("c2"), ev.group("b2"), ev.group("p2")
+    for name, group, normal in (
+        ("C2/Z", c2, center(c2)),
+        ("C2/P2", c2, p2),
+        ("B2/Z", b2, center(b2)),
+        ("B2/P2", b2, p2),
+    ):
+        yield name, group.own_table(), group.indices_of(normal)
+
+
+def test_quotient_tables_match_from_permutations():
+    """The table the coset search builds, field by field, against enumerating
+    its action on the cosets again with ``from_permutations``."""
+    cases = list(_normal_pairs_of_the_corpus()) + list(_gate_quotients())
+    for name, table, members in cases:
+        quotient, coset_of, reps = table.coset_action(members)
+        expected, expected_coset_of, expected_reps = coset_quotient_oracle(table, members)
+        assert (coset_of, reps) == (expected_coset_of, expected_reps), name
+        assert quotient.n == expected.n, name
+        assert quotient._rmul == expected._rmul, name
+        assert quotient.gen_indices == expected.gen_indices, name
+        assert list(quotient.key_index.items()) == list(expected.key_index.items()), name
+        assert quotient._perms == expected._perms and quotient._base == expected._base, name
+    assert {name for name, _, _ in cases} >= {"C2/Z", "C2/P2", "B2/Z", "S4/4", "A4/4"}
+
+
+@pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
+def test_is_normal_set_matches_the_conjugation_oracle(name, group):
+    """Every normal subgroup and every cyclic subgroup, normal or not."""
+    table = group.own_table()
+    subs = [members for members, _ in table.normal_subgroup_sets()]
+    subs += [table.subgroup_closure([x]) for x in range(0, table.n, max(1, table.n // 60))]
+    verdicts = set()
+    for members in subs:
+        expected = is_normal_set_oracle(table, members, [i for i in members if i])
+        assert table.is_normal_set(members) == expected, (name, sorted(members))
+        verdicts.add(expected)
+    if name in ("S3", "S4", "S5", "A4", "D8"):
+        assert verdicts == {True, False}, name
+
+
+def test_is_normal_set_in_c2_matches_the_conjugation_oracle():
+    ev = Evaluator()
+    c2 = ev.group("c2")
+    table = c2.own_table()
+    for sub, normal in ((center(c2), True), (ev.group("p2"), True), (ev.group("b2"), False)):
+        members = c2.indices_of(sub)
+        assert is_normal_set_oracle(table, members, [i for i in members if i]) is normal
+        assert table.is_normal_set(members) is normal
+
+
+def _refuse_whole_columns(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("filled a whole column")
+
+    for name in ("column", "lcolumn", "conj_column", "_ensure_lmul", "_ensure_left_tree"):
+        monkeypatch.setattr(ElementTable, name, refuse)
+
+
+@pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
+def test_order_of_matches_permutation_order(name, group, monkeypatch):
+    table = group.own_table()
+    _refuse_whole_columns(monkeypatch)
+    assert [table.order_of(i) for i in range(table.n)] == [
+        Permutation(table.perm_of(i)).order() for i in range(table.n)
+    ]
+
+
+def test_order_of_on_c2_class_representatives(monkeypatch):
+    """Orders up to 24 on the 92160-element table, with no whole column filled."""
+    table = Evaluator().group("c2").own_table()
+    _, reps, _ = table.class_partition()
+    _refuse_whole_columns(monkeypatch)
+    orders = [table.order_of(r) for r in reps]
+    assert orders == [Permutation(table.perm_of(r)).order() for r in reps]
+    assert len(reps) == 118 and max(orders) >= 5

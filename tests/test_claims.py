@@ -199,6 +199,38 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     assert calls[1:] == [{"extended": True}]
 
 
+def test_graph_values_read_one_quadrangle_report(monkeypatch):
+    """The pg_* values of the two-qubit graph come from one report and one
+    automorphism count, equal to a fresh report's; other n keep their counts."""
+    from gategroups import pauligraph
+
+    fresh = pauligraph.quadrangle_checks(pauligraph.pauli_graph(2))
+    reports, counts = [], []
+    real_report, real_count = pauligraph.quadrangle_checks, pauligraph.graph_automorphism_count
+
+    def counting_report(graph):
+        reports.append(graph.n)
+        return real_report(graph)
+
+    def counting_count(neighbors):
+        counts.append(len(neighbors))
+        return real_count(neighbors)
+
+    monkeypatch.setattr(pauligraph, "quadrangle_checks", counting_report)
+    monkeypatch.setattr(pauligraph, "graph_automorphism_count", counting_count)
+    ev = Evaluator()
+    assert ev.value("pg_lines(2)") == fresh.line_count == 15
+    assert ev.value("pg_line_size(2)") == fresh.line_sizes[0] == 3
+    assert ev.value("pg_lines_per_point(2)") == fresh.lines_per_point[0] == 3
+    assert ev.value("pg_complement_petersen(2)") is fresh.complement_is_petersen is True
+    assert ev.value("pg_aut_count(2)") == fresh.automorphism_count == 720
+    assert reports == [2] and counts == [15]
+    assert ev.value("pg_aut_count(1)") == 6
+    assert counts == [15, 3]
+    with pytest.raises(ValueError):
+        ev.value("pg_lines(1)")
+
+
 def test_unknown_recipe_raises():
     ev = Evaluator()
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import embed
+from conftest import embed, inverse_oracle
 from gategroups import cyclo
 from gategroups.cyclo import ONE, ZERO, Cyclotomic, arith, conj, parse, rational, root_of_unity, sqrt2
 
@@ -63,6 +63,38 @@ def test_arith_examples():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         arith(ONE, ZERO, "div")
+
+
+def test_inverse_matches_the_all_conjugates_oracle(monkeypatch):
+    """Identical values on every conductor up to 64, with nothing memoised."""
+    seen = set()
+    for n in range(1, 65):
+        a = 3 + root_of_unity(n)  # never 0
+        monkeypatch.setattr(cyclo, "_INV", {})
+        assert a.inverse() is inverse_oracle(a), n
+        assert a * a.inverse() is ONE
+        seen.add(a.conductor)
+    assert seen == {n for n in range(1, 65) if n % 4 != 2}
+
+
+@pytest.mark.parametrize("n", [60, 63, 64, 101])
+def test_inverse_takes_logarithmically_many_products(n, monkeypatch):
+    """O(log n) products per cyclic factor of (Z/n)^*, where the conjugates take n."""
+    calls = []
+    real = cyclo._mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(cyclo, "_INV", {})
+    monkeypatch.setattr(cyclo, "_mul", counting)
+    a = 1 + root_of_unity(n)
+    assert a.conductor == n
+    calls.clear()
+    r = a.inverse()
+    assert len(calls) <= 3 * n.bit_length()
+    assert real(a, r) is ONE
 
 
 def test_conjugation():

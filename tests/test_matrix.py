@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import dimino_closure, matrix_product
+from conftest import dimino_closure, indices_of_oracle, matrix_product, row_times_dense
 from gategroups.cyclo import ONE, ZERO, rational, root_of_unity, sqrt2
 from gategroups.errors import CapacityError, ClosureOverflowError, GroupFileError
 from gategroups.gates import (
@@ -26,6 +26,7 @@ from gategroups.matrix import (
     write_group,
 )
 from gategroups.pauligraph import mub_chain
+from gategroups.structure import center
 
 
 def test_matmul_examples():
@@ -306,3 +307,41 @@ def test_perm_group_is_cached():
     g = pauli_group(1)
     assert g.perm_group() is g.perm_group()
     assert g.perm_group().own_table() is g.element_table()
+
+
+def test_matrix_indices_of_matches_the_row_lookup_oracle():
+    """B2, P2 and Z(C2) in C2, and the members of P2 in C2 back in P2, whose
+    row orbit lacks most of C2's rows, against looking each row up; a
+    non-member is a ValueError."""
+    c2t, b2t, p2t = (g.perm_group().own_table() for g in (clifford_group(2), bell_group(), pauli_group(2)))
+    z = center(clifford_group(2).perm_group())
+    p2_in_c2 = c2t.indices_of(p2t, range(p2t.n))
+    cases = [
+        (c2t, b2t, range(b2t.n)),
+        (c2t, p2t, range(p2t.n)),
+        (c2t, c2t, clifford_group(2).perm_group().indices_of(z)),
+        (p2t, c2t, p2_in_c2),
+    ]
+    for table, other, members in cases:
+        got = table.indices_of(other, members)
+        assert got == indices_of_oracle(table, other, members)
+        assert len(got) == len(members)
+    assert len(p2t.rows) < len(c2t.rows)
+    for indices_of in (b2t.indices_of, lambda *a: indices_of_oracle(b2t, *a)):
+        with pytest.raises(ValueError):
+            indices_of(c2t, range(c2t.n))
+
+
+@pytest.mark.parametrize("build", [clifford_group.__name__, bell_group.__name__])
+def test_sparse_row_times_matches_the_dense_product(build):
+    """Every row of the row orbit times every generator, and 200 elements times two rows."""
+    group = clifford_group(2) if build == "clifford_group" else bell_group()
+    table = group.perm_group().own_table()
+    rows = list(table.rows)
+    assert len(rows) == 480
+    for g in group.generators:
+        assert [g.row_times(r) for r in rows] == [row_times_dense(g, r) for r in rows]
+    for key in list(table.key_index)[:: table.n // 200]:
+        m = matrix_from_rows([rows[k] for k in key])
+        for r in rows[:: len(rows) // 2]:
+            assert m.row_times(r) == row_times_dense(m, r)
