@@ -34,6 +34,14 @@ grows a subgroup one right coset at a time (Dimino), replaying the word
 of a generator over a whole coset, and a normal closure forms each
 conjugate g^-1 s g from the inverse of the table generator g.
 
+Normal subgroups are found on bit masks of conjugacy classes from class
+products that are only sampled: a class representative times the first
+``_SAMPLE`` members of the other class of a pair.  A closure grown under
+them is a lower bound, which ``normal_subgroup_sets`` certifies (by the
+pool of normal subgroups found, by the order |A||B|/|A & B| of a join,
+or by a Dimino closure) before it keeps it, so no full table of class
+products is built.
+
 Facts about the whole table are computed once and in C where they can
 be: the center is cached, filtered one generator at a time by comparing
 the right and left columns with ``compress``; normality compares the
@@ -50,6 +58,8 @@ from operator import eq, itemgetter
 from gategroups.errors import ClosureOverflowError
 
 __all__ = ["ElementTable", "orbit"]
+
+_SAMPLE = 16  # class members read per pair of classes by the sampled hits
 
 
 def orbit(seeds, images, ngens, cap, limit_name):
@@ -105,7 +115,8 @@ class ElementTable:
 
         Element i is named by its key, the tuple of its images of the base
         points, and a generator acts on a key entrywise.  The generator
-        tuples are kept so ``perm_of`` can replay an element's word.  Raises
+        tuples are kept so ``perm_of`` can replay an element's word, and so
+        a permutation group can wrap the table with no word at all.  Raises
         ClosureOverflowError once more than ``cap`` elements appear.
         """
         perms = [tuple(p) for p in perms]
@@ -474,34 +485,31 @@ class ElementTable:
         invs.reverse()
         return invs
 
-    def class_hits(self):
-        """hits[c][a]: bit mask of the classes of r_c * x for x in class a.
+    def _sampled_hits(self, members_of):
+        """hit(c, a): a mask of classes of products r_c * x with x in class a,
+        read over the first ``_SAMPLE`` members (``members_of``, ascending)
+        of the smaller class of the pair and memoised per unordered pair.
 
-        hits[c][a] equals hits[a][c], as r_c (g^-1 r_a g) is conjugate to
-        (g r_c g^-1) r_a, so each pair of classes is read over the smaller
-        one: with the classes ranked largest first, row c reads the members
-        of the classes ranked at or after c and copies its entries into the
-        rows of those classes.
+        The full mask is symmetric, as r_c (g^-1 r_a g) is conjugate to
+        (g r_c g^-1) r_a, so a pair may be read over either class.  Every
+        class in hit(c, a) holds a genuine product of the two classes: the
+        sampled mask is a subset of the full one, never more.
         """
         class_of, reps, sizes = self.class_partition()
         k = len(reps)
-        members_of = self.class_members()
-        ranked = sorted(range(k), key=lambda c: -sizes[c])
-        flat, codes, starts = [], [], []  # the pair (a, b) is coded as the int a*k + b
-        for c in ranked:
-            starts.append(len(flat))
-            flat += members_of[c]
-            codes += [c * k] * sizes[c]
-        hits = [[0] * k for _ in range(k)]
-        for p, c in enumerate(ranked):
-            ys = self.products(reps[c], flat[starts[p] :], left=True)
-            row = hits[c]
-            for code in set(map(int.__add__, codes[starts[p] :], map(class_of.__getitem__, ys))):
-                a, b = divmod(code, k)
-                row[a] |= 1 << b
-            for a in ranked[p + 1 :]:
-                hits[a][c] = row[a]
-        return hits
+        memo = {}
+
+        def hit(c, a):
+            if (sizes[c], c) < (sizes[a], a):
+                c, a = a, c  # a is the smaller class
+            code = c * k + a
+            mask = memo.get(code)
+            if mask is None:
+                ys = self.products(reps[c], members_of[a][:_SAMPLE], left=True)
+                mask = memo[code] = _mask(map(class_of.__getitem__, ys))
+            return mask
+
+        return hit
 
     def normal_subgroup_sets(self):
         """All normal subgroups as (member set, generators), smallest first.
@@ -510,26 +518,39 @@ class ElementTable:
         found on bit masks of class ids: the class closures first, then the
         joins of pool members until no new one appears.  A union S of classes
         holding e is a normal subgroup iff r_c * A lies in S for every two
-        classes c, A in S (s = g^-1 r_c g gives s x = g^-1 r_c (g x g^-1) g),
-        so the rows of ``class_hits`` decide every closure.  The join of
-        normal A and B is AB, of order |A||B|/|A & B|, so a pool member of
-        that order holding A and B is the join and needs no closure.
+        classes c, A in S (s = g^-1 r_c g gives s x = g^-1 r_c (g x g^-1) g).
+
+        A closure grown under the sampled hits (``_sampled_hits``) is a lower
+        bound L of the true one, and each L is certified before it is kept:
+        the closure of class c is L when L is already a pool member (a normal
+        subgroup holding r_c), and otherwise the classes of
+        ``normal_closure_set([r_c])``, whose generators the pool keeps.  The
+        join of normal A and B is AB, of order |A||B|/|A & B|: a pool member
+        of that order holding A and B is the join and needs no closure, an L
+        of that order is AB, and otherwise AB is the subgroup closure of the
+        generators of A and B.  So every mask is exact, and the pool is found
+        in the order the full hit table would find it.  Growth stops once the
+        answer is settled: for a class closure when L is a pool member or
+        lies in none (the closure is then new), for a join when L reaches
+        the order of AB.
         """
         class_of, reps, sizes = self.class_partition()
-        hits = self.class_hits()
+        members_of = self.class_members()
+        hit = self._sampled_hits(members_of)
 
-        def close(mask, extra):
-            """Smallest normal mask holding ``mask`` (already closed) and ``extra``."""
+        def grow(mask, extra, stop):
+            """Grow ``mask`` (already closed) and ``extra`` under the sampled
+            hits until ``stop(mask)`` or a fixpoint: a lower bound of the
+            smallest normal mask holding both."""
             done = _bits(mask)
             todo = _bits(extra & ~mask)
             mask |= extra
-            while todo:
+            while todo and not stop(mask):
                 c = todo.pop()
-                hc = hits[c]
                 done.append(c)
                 new = 0
                 for a in done:
-                    new |= hc[a]
+                    new |= hit(c, a)
                 new &= ~mask
                 if new:
                     mask |= new
@@ -550,18 +571,17 @@ class ElementTable:
             by_order.setdefault(order, []).append(mask)
             return True
 
-        def known_join(ka, kb):
-            order = pool[ka][0] * pool[kb][0] // size(ka & kb)
-            u = ka | kb
-            return any(k & u == u for k in by_order.get(order, ()))
+        def known_or_new(mask):
+            """Whether ``mask`` is a pool member or lies in none: either way
+            the closure of a mask below it is settled."""
+            return mask in pool or not any(mask & k == mask for k in pool)
 
         add(1, [])  # class 0 is {e}
         for c, r in enumerate(reps):
-            if r == 0:
+            if r == 0 or grow(1, 1 << c, known_or_new) in pool:
                 continue
-            mask = close(1, 1 << c)
-            if mask not in pool:
-                add(mask, self.normal_closure_set([r])[1])
+            members, gens = self.normal_closure_set([r])
+            add(_mask(map(class_of.__getitem__, members)), gens)
         new_keys = list(pool)
         while new_keys:
             fresh = []
@@ -569,15 +589,19 @@ class ElementTable:
             for ka in new_keys:
                 for kb in keys:
                     u = ka | kb
-                    if u == ka or u == kb or known_join(ka, kb):
+                    if u == ka or u == kb:
+                        continue
+                    order = pool[ka][0] * pool[kb][0] // size(ka & kb)
+                    if any(k & u == u for k in by_order.get(order, ())):
                         continue
                     gens_a, gens_b = pool[ka][1], pool[kb][1]
                     gens = gens_a + [g for g in gens_b if not ka >> class_of[g] & 1]
-                    key = close(ka, kb)
+                    key = grow(ka, kb, lambda mask: size(mask) == order)
+                    if size(key) != order:
+                        key = _mask(map(class_of.__getitem__, self.subgroup_closure(gens)))
                     if add(key, gens):
                         fresh.append(key)
             new_keys = fresh
-        members_of = self.class_members()
         return [
             ({i for c in _bits(key) for i in members_of[c]}, pool[key][1])
             for key in sorted(pool, key=lambda key: pool[key][0])
@@ -671,6 +695,11 @@ class _LazyFill(dict):
         for i in reversed(path):
             x = self[i] = cols[genpos[i]][x]
         return x
+
+
+def _mask(classes):
+    """Bit mask of the distinct class ids in ``classes``."""
+    return sum(1 << c for c in set(classes))
 
 
 def _bits(mask):

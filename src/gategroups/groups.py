@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from gategroups.config import limit
+from gategroups.errors import CapacityError
 from gategroups.perm import Permutation, PermGroup
 
 __all__ = [
@@ -28,9 +30,20 @@ __all__ = [
 ]
 
 
+def _check_degree(name, degree):
+    """Refuse a degree above GATEGROUPS_MAX_ENUMERATION before any
+    permutation of that degree is built."""
+    cap = limit("MAX_ENUMERATION")
+    if degree > cap:
+        raise CapacityError(
+            f"{name}() needs degree {degree}, above the cap {cap} set by GATEGROUPS_MAX_ENUMERATION"
+        )
+
+
 def cyclic(n):
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    _check_degree("cyclic", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)], order=1)
     return PermGroup(n, [Permutation(tuple(range(1, n)) + (0,))], order=n)
@@ -39,6 +52,7 @@ def cyclic(n):
 def symmetric(n):
     if n < 1:
         raise ValueError("symmetric group degree must be positive")
+    _check_degree("symmetric", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)], order=1)
     cycle = Permutation(tuple(range(1, n)) + (0,))
@@ -52,6 +66,7 @@ def symmetric(n):
 def alternating(n):
     if n < 1:
         raise ValueError("alternating group degree must be positive")
+    _check_degree("alternating", n)
     if n <= 2:
         return PermGroup(max(n, 1), [Permutation.identity(max(n, 1))], order=1)
     three = Permutation.from_cycles([(1, 2, 3)], n)
@@ -72,6 +87,7 @@ def dihedral(order):
     if order < 2 or order % 2:
         raise ValueError("dihedral groups are named by their even order")
     n = order // 2
+    _check_degree("dihedral", n)
     if n == 1:
         return cyclic(2)
     if n == 2:
@@ -159,6 +175,7 @@ def direct(*groups):
     if len(groups) == 1 and isinstance(groups[0], (list, tuple)):
         groups = tuple(groups[0])
     degree = sum(g.degree for g in groups)
+    _check_degree("direct", degree)
     gens = []
     offset = 0
     order = 1
@@ -182,6 +199,7 @@ def wreath(m, h):
     k = h.degree
     dm = m.degree
     degree = k * dm
+    _check_degree("wreath", degree)
     gens = []
     reached = set()
     for copy in range(k):
@@ -228,6 +246,7 @@ def semidirect(n, h, action):
             if not n.contains(a.inverse() * g * a):
                 raise ValueError("action does not normalize the normal factor")
     degree = n.degree + h.degree
+    _check_degree("semidirect", degree)
     gens = [_shift(p, 0, degree) for p in n.generators]
     for a, p in zip(action, h.generators):
         imgs = list(a.imgs) + [n.degree + x for x in p.imgs]

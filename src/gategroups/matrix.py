@@ -224,8 +224,7 @@ class MatrixGroup:
         """The permutation group on the row orbit, on the same table (cached)."""
         if self._perm_group is None:
             table = self._table
-            gens = [table.perm_of(g) for g in table.gen_indices]
-            self._perm_group = PermGroup(len(table.rows), gens, order=table.n, table=table)
+            self._perm_group = PermGroup(len(table.rows), table._perms, order=table.n, table=table)
         return self._perm_group
 
 

@@ -61,8 +61,7 @@ def coset_action(group, normal):
     if not own.is_normal_set(members):
         raise ValueError("subgroup is not normal; the quotient is undefined")
     quotient, _, _ = own.coset_action(members)
-    gens = [quotient.perm_of(g) for g in quotient.gen_indices]
-    return PermGroup(quotient.n, gens, order=quotient.n, table=quotient)
+    return PermGroup(quotient.n, quotient._perms, order=quotient.n, table=quotient)
 
 
 @dataclass

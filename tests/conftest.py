@@ -8,7 +8,7 @@ The normal-subgroup oracle closes every join with ``subgroup_closure`` on
 member sets, so it checks the class-mask closures of
 ``ElementTable.normal_subgroup_sets`` and the joins it skips.  The
 class-hit oracle reads one whole left column per class where the engine
-reads each pair of classes over the smaller one, and the subgroup-column
+samples each pair of classes over a prefix of the smaller one, and the subgroup-column
 oracle reads whole parent columns where the engine replays a word over
 the members.  The commutator-set oracle visits all ordered pairs where
 the engine visits class representatives.  The search-compatibility oracle replays words
@@ -241,7 +241,8 @@ def normal_subgroup_sets_oracle(table):
 
 def class_hits_oracle(table):
     """hits[c][a], the mask of the classes of r_c * x for x in class a, read
-    off one whole left column per class (oracle for ``class_hits``)."""
+    off one whole left column per class (oracle that bounds the sampled hits
+    of ``normal_subgroup_sets``)."""
     class_of, reps, _ = table.class_partition()
     hits = []
     for r in reps:

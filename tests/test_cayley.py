@@ -24,7 +24,7 @@ from conftest import (
     subgroup_closure_oracle,
     subgroup_columns_oracle,
 )
-from gategroups import groups
+from gategroups import cayley, groups
 from gategroups.cayley import ElementTable
 from gategroups.claims import Evaluator
 from gategroups.perm import PermGroup, Permutation
@@ -166,8 +166,55 @@ def test_normal_subgroup_sets_are_normal_unions_of_classes(name, group):
 
 @pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
 def test_class_hits_match_the_full_column_oracle(name, group):
+    """The sampled class hits are sound against the full-column oracle:
+    every class a sampled hit finds is a product class of its pair, in
+    either order."""
     table = group.own_table()
-    assert table.class_hits() == class_hits_oracle(table)
+    hit = table._sampled_hits(table.class_members())
+    oracle = class_hits_oracle(table)
+    k = len(oracle)
+    for c in range(k):
+        for a in range(k):
+            assert hit(c, a) & ~oracle[c][a] == 0, (name, c, a)
+
+
+@pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
+def test_normal_subgroup_sets_certify_with_no_sampled_hits(name, group, monkeypatch):
+    """With no class member sampled, every class closure is certified by
+    ``normal_closure_set`` and every join by ``subgroup_closure``, and the
+    lattice still equals the closing oracle."""
+    table = group.own_table()
+    _, reps, _ = table.class_partition()
+    closures, joins = [], []
+    real_normal, real_subgroup = ElementTable.normal_closure_set, ElementTable.subgroup_closure
+
+    def normal(self, seeds):
+        members, gens = real_normal(self, seeds)
+        closures.append(frozenset(members))
+        return members, gens
+
+    def subgroup(self, gens, cap=None):
+        joins.append(gens)
+        return real_subgroup(self, gens, cap)
+
+    monkeypatch.setattr(cayley, "_SAMPLE", 0)
+    monkeypatch.setattr(ElementTable, "normal_closure_set", normal)
+    monkeypatch.setattr(ElementTable, "subgroup_closure", subgroup)
+    results = table.normal_subgroup_sets()
+    assert len(closures) == len(reps) - 1
+    # each result that is no class closure came from a certified join (V4 has one)
+    assert len(joins) >= len(results) - 1 - len(set(closures))
+    monkeypatch.undo()
+    assert results == normal_subgroup_sets_oracle(table)
+
+
+@pytest.mark.long
+def test_normal_subgroup_sets_of_c2_wr_s6_match_the_closing_oracle():
+    table = groups.wreath(groups.cyclic(2), groups.symmetric(6)).own_table()
+    assert table.n == 46080
+    results = table.normal_subgroup_sets()
+    assert len(results) == 9
+    assert results == normal_subgroup_sets_oracle(table)
 
 
 @pytest.mark.parametrize("name, group", NORMAL_CASES, ids=[n for n, _ in NORMAL_CASES])
@@ -180,7 +227,7 @@ def test_subgroup_tables_match_parent_columns(name, group):
 
 
 def test_normal_subgroup_sets_fill_few_columns(monkeypatch):
-    """Fewer left columns than conjugacy classes: the class hits fill none."""
+    """Fewer left columns than conjugacy classes: the sampled hits fill none."""
     table = C2_WR_S5.own_table()
     _, reps, _ = table.class_partition()  # builds the generators' left columns first
     calls = []

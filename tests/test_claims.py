@@ -275,6 +275,24 @@ def test_c2_questions_share_one_spanning_tree(monkeypatch):
     assert trees.count(92160) == 1
 
 
+def test_wrapping_c2_as_a_permutation_group_builds_no_spanning_tree(monkeypatch):
+    """perm_group() takes the generator permutations the table already holds."""
+    from gategroups import cayley, gates
+
+    monkeypatch.setattr(gates, "_GROUPS", {})  # a fresh C2 with no tree built
+    trees = []
+    real = cayley._spanning_tree
+
+    def counting(cols):
+        trees.append(len(cols[0]))
+        return real(cols)
+
+    monkeypatch.setattr(cayley, "_spanning_tree", counting)
+    group = gates.clifford_group(2).perm_group()
+    assert group.order() == 92160
+    assert 92160 not in trees
+
+
 def test_is_normal_with_a_subgroup_parent():
     ev = Evaluator()
     assert ev.value("is_normal(derived(symmetric(4)), derived(derived(symmetric(4))))") is True

@@ -131,6 +131,34 @@ def test_huge_degree_group_file_is_a_clean_error(tmp_path, capsys):
     )
 
 
+def test_huge_degree_spec_is_a_clean_error(capsys):
+    assert main(["analyze", "cyclic(1000000000)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cyclic() needs degree 1000000000, above the cap 200000"
+        " set by GATEGROUPS_MAX_ENUMERATION\n"
+    )
+
+
+def test_spec_degrees_are_capped_before_any_permutation_is_built(monkeypatch, capsys):
+    """Each constructor names itself; a direct product is capped on its
+    summed degree, though every factor fits."""
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "5")
+    assert main(["analyze", "direct(cyclic(5), cyclic(5))"]) == 2
+    assert capsys.readouterr().err == (
+        "error: direct() needs degree 10, above the cap 5 set by GATEGROUPS_MAX_ENUMERATION\n"
+    )
+    for spec, name in [
+        ("cyclic(6)", "cyclic"),
+        ("symmetric(6)", "symmetric"),
+        ("alternating(6)", "alternating"),
+        ("dihedral(12)", "dihedral"),
+        ("wreath(cyclic(2), cyclic(3))", "wreath"),
+    ]:
+        assert main(["analyze", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}() needs degree 6, above the cap 5")
+    assert main(["analyze", "cyclic(5)"]) == 0
+
+
 def test_group_file_reader_skips_leading_blank_lines(tmp_path, capsys):
     matrix_file = tmp_path / "x.group"
     matrix_file.write_text("\ndim 2\ngenerators 1\n[[0, 1], [1, 0]]\n")

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import wreath_all_copies_generators
 from gategroups import groups
+from gategroups.errors import CapacityError
 from gategroups.perm import Permutation, PermGroup
 from gategroups.structure import center, derived_subgroup
 
@@ -127,6 +128,14 @@ def test_semidirect_rejects_bad_action():
     with pytest.raises(ValueError):
         # the 5-cycle itself does not normalize <(1..5)> as an order-2 action
         groups.semidirect(n, h, [Permutation.parse("(1,2)", 5)])
+
+
+def test_spec_degree_cap_is_a_capacity_error(monkeypatch):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "5")
+    with pytest.raises(CapacityError, match=r"^wreath\(\) needs degree 6"):
+        groups.parse_spec("wreath(cyclic(2), cyclic(3))")
+    with pytest.raises(CapacityError, match=r"^semidirect\(\) needs degree 6"):
+        groups.parse_spec("semidirect(cyclic(3), cyclic(3), [(1,2,3)])")
 
 
 def test_spec_parsing():
