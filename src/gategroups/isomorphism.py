@@ -1,11 +1,16 @@
 """Isomorphism testing, automorphism groups, commutator sets, complements.
 
-Isomorphisms and automorphisms are found by backtracking over the images
-of a greedily chosen minimal generating sequence, pruning candidates by
-element order, conjugacy class size and pairwise product/commutation
-relations; every accepted assignment is verified as a bijective
-homomorphism on the full element table, so a positive answer is always a
-checked witness.  Candidates for one image that are conjugate under the
+Isomorphisms, automorphisms and complements are found by one backtracking
+search over the images of a greedily chosen minimal generating sequence,
+pruning candidates by element order (and, between groups of one order,
+conjugacy class size) and pairwise product/commutation relations; every
+accepted assignment is verified as an injective homomorphism on the full
+element table, so a positive answer is always a checked witness.  A
+complement of N in G is the image of a section of G -> G/N, so it is
+searched as an injective homomorphism from G/N whose generator images lie
+in their cosets.  Every search runs under ``SEARCH_NODE_BUDGET`` and
+raises ``BudgetExceededError`` when it runs out, so a negative answer is
+always exhaustive.  Candidates for one image that are conjugate under the
 centralizer of the images already chosen stand or fall together, so one
 of each class is searched.  The last image is never pushed with its
 columns: its right column is a ``lazy_column`` that the leaf check fills
@@ -18,7 +23,6 @@ automorphisms already found, and only candidates outside it are searched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,20 +61,21 @@ def _min_generating_sequence(table):
     return seq
 
 
-def _hom_image(gcols, hcols):
-    """Full image array if seq -> images extends to a bijective homomorphism.
+def _hom_image(gcols, hcols, target_order=None):
+    """Full image array if seq -> images extends to an injective homomorphism.
 
     ``gcols`` holds the right-multiplication columns of the generating
     sequence seq in g, which a search computes once for all its leaves,
-    and ``hcols`` those of the images in a table of the same order (any
-    of them may be a ``lazy_column``).  The map is grown along g from the
-    identity and refuted at its first contradiction: two images for one
-    element, or one image for two.
+    and ``hcols`` those of the images in a table of ``target_order``
+    elements, by default the order of g (any column may be a
+    ``lazy_column``).  The map is grown along g from the identity and
+    refuted at its first contradiction: two images for one element, or
+    one image for two.
     """
     n = len(gcols[0])
     img = [-1] * n
     img[0] = 0
-    used = bytearray(n)
+    used = bytearray(target_order or n)
     used[0] = 1
     queue = [0]
     for e in queue:
@@ -91,7 +96,8 @@ def _hom_image(gcols, hcols):
 
 
 class _Search:
-    """Shared backtracking state for isomorphism / automorphism searches.
+    """Shared backtracking state for isomorphism, automorphism and section
+    searches: injective homomorphisms from the table ``tg`` into ``th``.
 
     The images chosen so far sit on a stack, ``chosen``, next to the
     columns of each image that later steps read: its right-multiplication
@@ -103,7 +109,7 @@ class _Search:
     they are read once from its columns.
     """
 
-    def __init__(self, tg, th, seq, node_budget=None):
+    def __init__(self, tg, th, seq):
         self.tg = tg
         self.th = th
         self.seq = seq
@@ -112,7 +118,7 @@ class _Search:
         self.g_classes = tg.class_partition()
         self.h_classes = th.class_partition()
         self.nodes = 0
-        self.budget = node_budget or limit("SEARCH_NODE_BUDGET")
+        self.budget = limit("SEARCH_NODE_BUDGET")
         # g_rel[pos][q]: (order of x_q * x_pos, whether x_q and x_pos commute)
         self.g_rel = [[] for _ in seq]
         for q, xq in enumerate(seq[:-1]):
@@ -162,12 +168,12 @@ class _Search:
 
     def leaf(self, gcols, y):
         """Image array if ``chosen`` and then y, the image of the last
-        sequence element, extend to a bijective homomorphism, else None.
+        sequence element, extend to an injective homomorphism, else None.
 
         y's right column is a ``lazy_column``, so a refuted leaf fills only
         the entries ``_hom_image`` reads before its first contradiction.
         """
-        return _hom_image(gcols, self.h_rcols + [self.th.lazy_column(y)])
+        return _hom_image(gcols, self.h_rcols + [self.th.lazy_column(y)], self.th.n)
 
     def tick(self):
         self.nodes += 1
@@ -187,7 +193,7 @@ class IsomorphismResult:
         return self.isomorphic
 
 
-def _tables_isomorphic(tg, th, node_budget=None):
+def _tables_isomorphic(tg, th):
     """Image array of an isomorphism between two element tables, or None."""
     if tg.n != th.n:
         return None, None, None
@@ -196,7 +202,7 @@ def _tables_isomorphic(tg, th, node_budget=None):
     if _fingerprint_of(tg) != _fingerprint_of(th):
         return None, None, None
     seq = _min_generating_sequence(tg)
-    search = _Search(tg, th, seq, node_budget)
+    search = _Search(tg, th, seq)
     cands = [search.candidates(x) for x in seq]
     if not all(cands):
         return None, None, None
@@ -207,7 +213,7 @@ def _tables_isomorphic(tg, th, node_budget=None):
     return seq, [img[x] for x in seq], img
 
 
-def isomorphic(g, h, node_budget=None):
+def isomorphic(g, h):
     """Isomorphism test with a verified generator-image witness."""
     order_g, order_h = g.order(), h.order()
     if order_g != order_h:
@@ -217,7 +223,7 @@ def isomorphic(g, h, node_budget=None):
         raise CapacityError(f"isomorphism test capped at order {cap}")
     tg = g.own_table()
     th = h.own_table()
-    seq, images, img = _tables_isomorphic(tg, th, node_budget)
+    seq, images, img = _tables_isomorphic(tg, th)
     if img is None:
         return IsomorphismResult(False)
     gen_perms = [g.perm_of(i) for i in seq]
@@ -266,17 +272,20 @@ def _orbit(points, gens):
 def _first_leaf(search, cands, gcols, K):
     """Image array of the first verified leaf below ``search.chosen``, or None.
 
-    ``K`` lists elements of h that centralize every image chosen so far.
-    Conjugation by them fixes those images, so the candidates of the next
-    level split into K-orbits and one representative of each is searched,
+    ``K`` lists elements of h that centralize every image chosen so far and
+    whose conjugation maps the candidates of each level onto themselves
+    (all of h for isomorphisms, N for sections of G -> G/N).  Conjugation
+    by them fixes those images, so the candidates of the next level split
+    into K-orbits and one representative of each is searched,
     in ascending order, each checked for compatibility only when its turn
     comes; below it K shrinks to the centralizer of the representative
     too.  The last level pushes nothing: ``leaf`` checks a representative
     on a lazily filled column, and a refuted one drops its K-orbit read
     off a lazy conjugation column, entry by entry.  A None answer is
     exhaustive: no choice of the remaining images extends
-    ``search.chosen`` to an isomorphism (an automorphism when g and h are
-    one table).
+    ``search.chosen`` to an injective homomorphism (an isomorphism when g
+    and h have one order, an automorphism when they are one table, a
+    section when the candidates are lifts).
     """
     pos = len(search.chosen)
     refuted = set()
@@ -300,7 +309,7 @@ def _first_leaf(search, cands, gcols, K):
     return None
 
 
-def automorphism_group(g, extended=False, node_budget=None):
+def automorphism_group(g, extended=False):
     """Automorphism group of g, counted along a stabilizer chain.
 
     An automorphism is fixed by the images of the generating sequence
@@ -330,7 +339,7 @@ def automorphism_group(g, extended=False, node_budget=None):
     if not seq:  # trivial group
         return AutomorphismGroup(1, 1, table, [])
 
-    search = _Search(table, table, seq, node_budget)
+    search = _Search(table, table, seq)
     cands = [search.candidates(x) for x in seq]
     gcols = [table.column(x) for x in seq]
 
@@ -423,7 +432,7 @@ def commutator_set(g, extended=False):
 
 @dataclass
 class ComplementResult:
-    status: str  # "found", "not-found" or "inconclusive"
+    status: str  # "found" or "not-found"; a search out of nodes raises instead
     complement: PermGroup | None
     exhaustive: bool
 
@@ -431,45 +440,38 @@ class ComplementResult:
         return self.status == "found"
 
 
-def find_complement(g, n, budget=200_000):
+def find_complement(g, n):
     """Search for a complement of the normal subgroup n inside g.
 
-    A complement witnesses that the extension splits.  Every complement is
-    generated by lifts of a fixed generating sequence of the quotient, one
-    lift per coset, so scanning all |n|^k lift tuples is a complete
-    search: "not-found" with ``exhaustive`` set is a definitive answer,
-    otherwise the search is inconclusive.
+    A complement witnesses that the extension splits.  It is the image of
+    a section Q = g/n -> g, an injective homomorphism that sends each
+    coset into itself, so the search looks for the images of Q's
+    generating sequence: the image of q is a member of the coset q with
+    the order of q.  Conjugation by n maps sections to sections, so K
+    starts as n.  The search is complete: "not-found" is a definitive
+    answer, and a search that runs out of ``SEARCH_NODE_BUDGET`` nodes
+    raises ``BudgetExceededError``.
     """
     own = g.own_table()
     members = g.indices_of(n)
     if not own.is_normal_set(members):
         raise ValueError("can only search complements of a normal subgroup")
 
-    quotient, _, reps = own.coset_action(members)
-    index = quotient.n
-    if index == 1:
+    quotient, coset_of, _ = own.coset_action(members)
+    if quotient.n == 1:
         return ComplementResult("found", g.subgroup_from_indices([], {0}), True)
 
     qseq = _min_generating_sequence(quotient)
-    nlist = sorted(members)
-    lifts = []
-    for q in qseq:
-        lrow = own.lcolumn(reps[q])
-        lifts.append([lrow[u] for u in nlist])
-
-    tried = 0
-    exhaustive = True
-    for combo in itertools.product(*lifts):
-        tried += 1
-        if tried > budget:
-            exhaustive = False
-            break
-        sub = own.subgroup_closure(combo, cap=index + 1)
-        if sub is None or len(sub) != index:
-            continue
-        if any(x in members for x in sub if x != 0):
-            continue
-        return ComplementResult("found", g.subgroup_from_indices(combo, sub), True)
-    if exhaustive:
+    search = _Search(quotient, own, qseq)
+    q_orders, orders = search.g_orders, search.h_orders
+    cands = [
+        [y for y in range(own.n) if coset_of[y] == q and orders[y] == q_orders[q]]
+        for q in qseq
+    ]
+    gcols = [quotient.column(q) for q in qseq]
+    img = _first_leaf(search, cands, gcols, sorted(members)) if all(cands) else None
+    if img is None:
         return ComplementResult("not-found", None, True)
-    return ComplementResult("inconclusive", None, False)
+    return ComplementResult(
+        "found", g.subgroup_from_indices([img[q] for q in qseq], set(img)), True
+    )

@@ -34,12 +34,15 @@ each row up where the engine maps the row positions of the other table
 once; the dense row product sums over every entry where the matrix keeps
 the nonzero ones; and the inverse oracle multiplies all the Galois
 conjugates of a cyclotomic number where ``cyclo._inv`` takes its norm one
-cyclic factor of the Galois group at a time.
+cyclic factor of the Galois group at a time.  The complement-scan oracle
+closes every lift tuple of the quotient's generating sequence, one lift
+per coset, where ``find_complement`` backtracks over sections.
 ``embed``, the complex value of a cyclotomic number, is the one
 floating-point routine, and it lives here so that ``src/`` stays exact.
 """
 
 import cmath
+import itertools
 import math
 import os
 
@@ -324,6 +327,26 @@ def leaf_count_automorphisms(table):
     conj_cols = [table.conj_column(x) for x in seq]
     inner = {tuple(col[z] for col in conj_cols) for z in range(table.n)}
     return count(0, range(table.n)), len(inner)
+
+
+def complement_scan_oracle(table, members):
+    """Member set of a complement of the normal subgroup ``members``, or None
+    (oracle).
+
+    Every complement is generated by lifts of a fixed generating sequence
+    of the quotient, one lift per coset, so closing all |N|^k lift tuples
+    decides whether one exists.
+    """
+    quotient, _, reps = table.coset_action(members)
+    index = quotient.n
+    nlist = sorted(members)
+    qseq = _min_generating_sequence(quotient)
+    lifts = [table.products(reps[q], nlist, left=True) for q in qseq]
+    for combo in itertools.product(*lifts):
+        sub = table.subgroup_closure(combo, cap=index)
+        if sub is not None and len(sub) == index and not (sub & members) - {0}:
+            return sub
+    return None
 
 
 def key_orbit_oracle(perms, base, cap):

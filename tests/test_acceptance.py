@@ -104,8 +104,9 @@ def test_criterion_2_c1_structure():
 def test_criterion_2_c1_splits_over_p1():
     """The split clause of criterion 2: C1 does not split over P1.
 
-    Two independent paths settle it.  The complement search scans every
-    lift tuple and must answer an exhaustive ``not-found``.  The witness
+    Two independent paths settle it.  The complement search backtracks
+    over every section of C1 -> C1/P1 and must answer an exhaustive
+    ``not-found``.  The witness
     uses only the element table: C1/P1 has exactly one nontrivial
     central element, the coset wP1 of the central scalar w = e^(i*pi/4),
     and that coset has order 2 in the quotient.  A complement maps

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     commutator_set_all_pairs,
+    complement_scan_oracle,
     conj_by_gen,
     leaf_count_automorphisms,
     search_compatible_oracle,
@@ -15,8 +16,8 @@ from conftest import (
 )
 from gategroups import groups, isomorphism, perm
 from gategroups.cayley import ElementTable
-from gategroups.claims import Evaluator
-from gategroups.errors import CapacityError
+from gategroups.claims import Evaluator, run_claims
+from gategroups.errors import BudgetExceededError, CapacityError
 from gategroups.isomorphism import (
     _first_leaf,
     _hom_image,
@@ -29,7 +30,7 @@ from gategroups.isomorphism import (
     isomorphic,
 )
 from gategroups.perm import PermGroup, Permutation
-from gategroups.structure import center, derived_subgroup, normal_closure
+from gategroups.structure import center, derived_subgroup, normal_closure, normal_subgroups
 
 
 def test_iso_basic():
@@ -185,9 +186,9 @@ def test_search_work_guards_the_pruning(monkeypatch):
     hom_checks, nodes = [], []
     hom_image, tick = isomorphism._hom_image, _Search.tick
 
-    def counted_hom_image(gcols, hcols):
+    def counted_hom_image(gcols, hcols, *target_order):
         hom_checks.append(1)
-        return hom_image(gcols, hcols)
+        return hom_image(gcols, hcols, *target_order)
 
     def counted_tick(self):
         nodes.append(1)
@@ -418,11 +419,106 @@ def test_complement_across_ambient_tables():
     assert s4.indices_of(res.complement) & s4.indices_of(a4) == {0}
 
 
-def test_complement_budget_inconclusive():
+def test_complement_search_out_of_nodes_raises(monkeypatch):
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1")
     s4 = groups.symmetric(4)
     v4 = normal_closure(s4, [Permutation.parse("(1,2)(3,4)", 4)])
-    res = find_complement(s4, v4, budget=1)
-    assert res.status in ("found", "inconclusive")
+    with pytest.raises(BudgetExceededError, match="exceeded 1 nodes"):
+        find_complement(s4, v4)
+
+
+def test_splits_row_out_of_nodes_is_inconclusive(monkeypatch):
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1")
+    ledger = "s4-v4 | core | splits(symmetric(4), derived(derived(symmetric(4)))) | true | derived | -\n"
+    reports, exit_code = run_claims(suite="core", ledger_text=ledger)
+    assert [r.status for r in reports] == ["inconclusive"]
+    assert reports[0].inconclusive_reason == "backtracking search exceeded 1 nodes"
+    assert exit_code == 0
+
+
+def _assert_complement(g, n, res):
+    """``res`` found a complement of n in g: a subgroup of order |g : n|
+    that meets n only in the identity."""
+    assert res.status == "found" and res.exhaustive
+    own = g.own_table()
+    members = g.indices_of(res.complement)
+    assert len(members) * n.order() == g.order()
+    assert members & g.indices_of(n) == {0}
+    assert own.subgroup_closure(list(members)) == members
+
+
+def test_complement_search_matches_the_scan_oracle():
+    """Found or not-found agrees with closing every lift tuple, for every
+    normal subgroup of every corpus group."""
+    pairs = found = 0
+    for name, g in small_corpus():
+        own = g.own_table()
+        for n in normal_subgroups(g).all:
+            res = find_complement(g, n)
+            want = complement_scan_oracle(own, g.indices_of(n))
+            assert bool(res) == (want is not None), (name, n.order())
+            assert res.exhaustive
+            if res:
+                _assert_complement(g, n, res)
+                found += 1
+            pairs += 1
+    assert pairs == 82 and 0 < found < pairs
+
+
+def _coset_without_its_order(table, members):
+    """A coset xN, as a quotient index, none of whose members has the order
+    of xN, or None.  A section of G -> G/N sends xN to an element of xN of
+    the same order, so such a coset shows that G does not split over N."""
+    quotient, coset_of, _ = table.coset_action(members)
+    cosets = [[] for _ in range(quotient.n)]
+    for y, q in enumerate(coset_of):
+        cosets[q].append(y)
+    orders = [quotient.order_of(q) for q in range(quotient.n)]
+    for q in sorted(range(quotient.n), key=lambda q: -orders[q]):
+        if all(table.order_of(y) != orders[q] for y in cosets[q]):
+            return q
+    return None
+
+
+@pytest.fixture(scope="module")
+def gate_ev():
+    return Evaluator()
+
+
+@pytest.mark.parametrize("name", ["b2", "c2"])
+def test_gate_group_does_not_split_over_pauli2(gate_ev, name):
+    g, p2 = gate_ev.group(name), gate_ev.group("p2")
+    res = find_complement(g, p2)
+    assert res.status == "not-found" and res.exhaustive
+    assert _coset_without_its_order(g.own_table(), g.indices_of(p2)) is not None
+
+
+def _normal_16(gate_ev, name):
+    q = gate_ev.group(f"central_quotient({name})")
+    (n,) = [s for s in normal_subgroups(q).proper_nontrivial if s.order() == 16]
+    return q, n
+
+
+def test_b2_central_quotient_splits_over_its_normal_16(gate_ev):
+    q, n = _normal_16(gate_ev, "b2")
+    _assert_complement(q, n, find_complement(q, n))
+    assert _coset_without_its_order(q.own_table(), q.indices_of(n)) is None
+
+
+def test_c2_central_quotient_does_not_split_over_its_normal_16(gate_ev):
+    q, n = _normal_16(gate_ev, "c2")
+    res = find_complement(q, n)
+    assert res.status == "not-found" and res.exhaustive
+    assert complement_scan_oracle(q.own_table(), q.indices_of(n)) is None
+
+
+@pytest.mark.long
+def test_c2_over_its_center_matches_the_scan_oracle(gate_ev):
+    c2 = gate_ev.group("c2")
+    z = center(c2)
+    res = find_complement(c2, z)
+    assert res.status == "not-found" and res.exhaustive
+    assert complement_scan_oracle(c2.own_table(), c2.indices_of(z)) is None
 
 
 def _shuffled(group, seed):
