@@ -9,37 +9,22 @@ with ``#`` comments.  Tiers are core < long < extended.  Provenance is
 (computed independently and frozen) or ``disputed`` (the source text and
 the computation disagree; such rows report both values and never affect
 the exit code).
+
+Parsing a ledger and writing a report need no engine module.  The
+``Evaluator`` imports each engine module in the method that first needs it
+and calls through the module (``isomorphism.commutator_set(...)``), so a
+wrapper or a test double installed on a module attribute is honoured.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
-from gategroups import config, structure
-from gategroups import groups as groupspec
+from gategroups import config
 from gategroups.errors import BudgetExceededError, CapacityError, LedgerParseError
-from gategroups.gates import (
-    bell_group,
-    catalog,
-    clifford_group,
-    clifford_order_formula,
-    pauli2_pair_generators,
-    pauli_group,
-    yang_baxter_check,
-)
-from gategroups.isomorphism import (
-    automorphism_group,
-    commutator_set,
-    find_complement,
-    is_perfect,
-    isomorphic,
-)
-from gategroups.matrix import closure
-from gategroups import pauligraph
 
 TIERS = ("core", "long", "extended")
 PROVENANCES = ("paper", "derived", "disputed")
@@ -47,24 +32,16 @@ PROVENANCES = ("paper", "derived", "disputed")
 __all__ = ["Claim", "ClaimReport", "parse_ledger", "default_ledger_text", "run_claims", "Evaluator"]
 
 
-@dataclass
-class Claim:
-    id: str
-    tier: str
-    recipe: str
-    expected: object
-    provenance: str
-    citation: str
+Claim = namedtuple("Claim", "id tier recipe expected provenance citation")
 
-
-@dataclass
-class ClaimReport:
-    claim: Claim
-    status: str  # pass, fail, error, inconclusive, disputed-match, disputed-mismatch
-    computed: object
-    seconds: float
-    error: str = ""  # the recipe's ValueError message when status is "error"
-    inconclusive_reason: str = ""  # the capacity or budget message when "inconclusive"
+# status: pass, fail, error, inconclusive, disputed-match, disputed-mismatch;
+# error: the recipe's ValueError message when status is "error";
+# inconclusive_reason: the capacity or budget message when "inconclusive".
+ClaimReport = namedtuple(
+    "ClaimReport",
+    "claim status computed seconds error inconclusive_reason",
+    defaults=("", ""),
+)
 
 
 def _parse_literal(text):
@@ -171,8 +148,10 @@ def _split_recipe(expr):
         return expr, []
     if not expr.endswith(")"):
         raise ValueError(f"unbalanced parentheses in {expr!r}")
+    from gategroups.groups import split_args
+
     name, args = expr[:-1].split("(", 1)
-    return name, groupspec.split_args(args) if args else []
+    return name, split_args(args) if args else []
 
 
 def _recipe_args(name, parts, kinds):
@@ -193,16 +172,18 @@ def _recipe_args(name, parts, kinds):
     return out
 
 
-# Each builder looks its constructor up when called, so a module name that
+# Each builder takes the gates and matrix modules, which
+# ``Evaluator.matrix_group`` imports when it first builds a gate group, and
+# looks its constructor up on them when called, so a module attribute that
 # is rebound later (a wrapper or a test double) is honoured.
 _GATE_BUILDERS = {
-    "p1": lambda: pauli_group(1),
-    "p2": lambda: pauli_group(2),
-    "p3": lambda: pauli_group(3),
-    "c1": lambda: clifford_group(1),
-    "c2": lambda: clifford_group(2),
-    "b2": lambda: bell_group(),
-    "p2pairs": lambda: closure(pauli2_pair_generators()),
+    "p1": lambda gates, matrix: gates.pauli_group(1),
+    "p2": lambda gates, matrix: gates.pauli_group(2),
+    "p3": lambda gates, matrix: gates.pauli_group(3),
+    "c1": lambda gates, matrix: gates.clifford_group(1),
+    "c2": lambda gates, matrix: gates.clifford_group(2),
+    "b2": lambda gates, matrix: gates.bell_group(),
+    "p2pairs": lambda gates, matrix: matrix.closure(gates.pauli2_pair_generators()),
 }
 
 
@@ -227,18 +208,22 @@ class Evaluator:
         if name not in self._matrix:
             if name not in _GATE_BUILDERS:
                 raise ValueError(f"unknown gate group {name!r}")
-            self._matrix[name] = _GATE_BUILDERS[name]()
+            from gategroups import gates, matrix
+
+            self._matrix[name] = _GATE_BUILDERS[name](gates, matrix)
         return self._matrix[name]
 
     def _mub_group(self, n, k):
         key = (n, k)
         if key not in self._mub:
+            from gategroups import matrix, pauligraph
+
             graph = pauligraph.pauli_graph(n)
             mis = pauligraph.maximum_independent_set(graph.neighbors)
             if k > len(mis):
                 raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
             mats = [graph.representatives[v] for v in mis[:k]]
-            self._mub[key] = closure(mats)
+            self._mub[key] = matrix.closure(mats)
         return self._mub[key]
 
     # -- group expressions ---------------------------------------------------
@@ -256,11 +241,14 @@ class Evaluator:
             return self.matrix_group(expr).perm_group()
         name, parts = _split_recipe(expr)
         if name not in _GROUP_RECIPES:
-            # reference constructors
-            return groupspec.parse_spec(expr).realized
+            from gategroups import groups  # reference constructors
+
+            return groups.parse_spec(expr).realized
         parts = _recipe_args(name, parts, _GROUP_RECIPES[name])
         if name == "mub":
             return self._mub_group(*parts).perm_group()
+        from gategroups import structure
+
         if name == "derived":
             return structure.derived_subgroup(self.group(parts[0]))
         if name == "center":
@@ -272,16 +260,24 @@ class Evaluator:
             return structure.coset_action(self.group(parts[0]), self.group(parts[1]))
         if name == "normal_subgroup":
             return self._normal_subgroup(*parts)
-        # aut
-        return automorphism_group(self.group(parts[0]), extended=self.allow_extended).group
+        return self._aut(self.group(parts[0])).group  # aut
+
+    def _aut(self, group):
+        from gategroups import isomorphism
+
+        return isomorphism.automorphism_group(group, extended=self.allow_extended)
+
+    def _normal_subgroups(self, expr):
+        key = _normalize(expr)
+        if key not in self._normals:
+            from gategroups import structure
+
+            self._normals[key] = structure.normal_subgroups(self.group(key))
+        return self._normals[key]
 
     def _normal_subgroup(self, parent_expr, order):
-        key = _normalize(parent_expr)
-        if key not in self._normals:
-            self._normals[key] = structure.normal_subgroups(self.group(key))
-        matches = [
-            s for s in self._normals[key].proper_nontrivial if s.order() == order
-        ]
+        normals = self._normal_subgroups(parent_expr).proper_nontrivial
+        matches = [s for s in normals if s.order() == order]
         if len(matches) != 1:
             raise ValueError(
                 f"expected one proper normal subgroup of order {order}, found {len(matches)}"
@@ -304,6 +300,7 @@ class Evaluator:
         if name not in _VALUE_RECIPES:
             raise ValueError(f"unknown recipe {expr!r}")
         parts = _recipe_args(name, parts, _VALUE_RECIPES[name])
+        from gategroups import isomorphism, structure
 
         if name == "order":
             return self.group(parts[0]).order()
@@ -314,31 +311,29 @@ class Evaluator:
         if name == "abelianization":
             return structure.abelian_invariants(self.group(parts[0]))
         if name == "is_perfect":
-            return is_perfect(self.group(parts[0]))
+            return isomorphism.is_perfect(self.group(parts[0]))
         if name == "iso":
-            return bool(isomorphic(self.group(parts[0]), self.group(parts[1])))
+            return bool(isomorphism.isomorphic(self.group(parts[0]), self.group(parts[1])))
         if name == "aut_order":
-            return automorphism_group(
-                self.group(parts[0]), extended=self.allow_extended
-            ).order
+            return self._aut(self.group(parts[0])).order
         if name == "out_order":
-            aut = automorphism_group(self.group(parts[0]), extended=self.allow_extended)
-            return aut.outer_order()
+            return self._aut(self.group(parts[0])).outer_order()
         if name == "normal_subgroup_orders":
-            key = _normalize(parts[0])
-            if key not in self._normals:
-                self._normals[key] = structure.normal_subgroups(self.group(key))
-            return self._normals[key].proper_orders()
+            return self._normal_subgroups(parts[0]).proper_orders()
         if name == "splits":
-            return bool(find_complement(self.group(parts[0]), self.group(parts[1])))
+            return bool(isomorphism.find_complement(self.group(parts[0]), self.group(parts[1])))
         if name == "commutators_equal_derived":
             return self._commutators(parts[0]).equals_derived
         if name == "commutator_deficiency":
             return self._commutators(parts[0]).deficiency
         if name == "yang_baxter":
-            return yang_baxter_check(self._matrix_atom(parts[0]))
+            from gategroups import gates
+
+            return gates.yang_baxter_check(self._matrix_atom(parts[0]))
         if name == "clifford_formula":
-            return clifford_order_formula(parts[0])
+            from gategroups import gates
+
+            return gates.clifford_order_formula(parts[0])
         if name == "subgroup_index":
             parent = self.group(parts[0])
             return parent.order() // len(parent.indices_of(self.group(parts[1])))
@@ -355,9 +350,7 @@ class Evaluator:
         if name == "mub_order":
             return self._mub_group(*parts).order()
         if name == "mub_aut_order":
-            return automorphism_group(
-                self._mub_group(*parts).perm_group(), extended=self.allow_extended
-            ).order
+            return self._aut(self._mub_group(*parts).perm_group()).order
         n, k = parts  # mub_same
         # the prefix groups nest, so equal orders mean equal groups
         return self._mub_group(n, k).order() == self._mub_group(n, k - 1).order()
@@ -365,13 +358,17 @@ class Evaluator:
     def _commutators(self, group_expr):
         key = (_normalize(group_expr), self.allow_extended)
         if key not in self._commutator_sets:
-            self._commutator_sets[key] = commutator_set(
+            from gategroups import isomorphism
+
+            self._commutator_sets[key] = isomorphism.commutator_set(
                 self.group(group_expr), extended=self.allow_extended
             )
         return self._commutator_sets[key]
 
     def _matrix_atom(self, name):
-        c = catalog()
+        from gategroups import gates
+
+        c = gates.catalog()
         if name == "bellR":
             return c.bell
         if name == "cz":
@@ -379,6 +376,8 @@ class Evaluator:
         raise ValueError(f"unknown matrix atom {name!r}")
 
     def _pauli_graph_value(self, name, n):
+        from gategroups import pauligraph
+
         graph = pauligraph.pauli_graph(n)
         if name == "pg_vertices":
             return graph.vertex_count
@@ -480,6 +479,8 @@ def _human_line(report):
 
 
 def _write_report(reports, path, suite, elapsed, limits):
+    import json
+
     with open(path, "w", encoding="ascii") as fh:
         header = {
             "suite": suite,

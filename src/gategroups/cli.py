@@ -10,6 +10,10 @@ Commands:
 Capacity limits honour GATEGROUPS_* environment variables (see config).
 Errors the package raises (``GategroupsError``) and other bad input
 (``ValueError``) print ``error: ...`` and exit with code 2.
+
+Only ``claims`` and ``errors`` are imported at start-up; each ``_cmd_*``
+function imports the engine modules it calls, so a command loads only
+what it uses.
 """
 
 from __future__ import annotations
@@ -18,12 +22,8 @@ import argparse
 import sys
 
 from gategroups import claims as claims_mod
-from gategroups import pauligraph, structure
 from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError, CapacityError, GategroupsError, LedgerParseError
-from gategroups.isomorphism import automorphism_group, is_perfect
-from gategroups.matrix import write_group
-from gategroups.perm import group_file_lines, read_perm_group, write_perm_group
 
 
 def _build_parser():
@@ -72,12 +72,16 @@ def _cmd_build(args):
         group = ev.matrix_group(name)
         print(f"{name}: matrix group of dimension {group.dim}, order {group.order()}")
         if args.export:
+            from gategroups.matrix import write_group
+
             write_group(group, args.export, include_elements=args.elements)
             print(f"written to {args.export}")
     else:
         group = ev.group(name)
         print(f"{name}: permutation group of degree {group.degree}, order {group.order()}")
         if args.export:
+            from gategroups.perm import write_perm_group
+
             write_perm_group(group, args.export)
             print(f"written to {args.export}")
     return 0
@@ -85,6 +89,8 @@ def _cmd_build(args):
 
 def _load_group_file(path):
     """Group file -> PermGroup; a matrix group acts on the orbit of its rows."""
+    from gategroups.perm import group_file_lines, read_perm_group
+
     lines = group_file_lines(path)
     if lines and lines[0][1].split()[0] == "dim":
         from gategroups.matrix import read_group
@@ -95,6 +101,8 @@ def _load_group_file(path):
 
 def _cmd_analyze(args):
     import os
+
+    from gategroups import isomorphism, structure
 
     if os.path.exists(args.expr):
         group = _load_group_file(args.expr)
@@ -112,14 +120,13 @@ def _cmd_analyze(args):
     report("center order:", lambda: structure.center(group).order())
     report("derived order:", lambda: structure.derived_subgroup(group).order())
     report("abelian invariants:", lambda: structure.abelian_invariants(group))
-    report("perfect:", lambda: is_perfect(group))
-    report("fingerprint:", lambda: _fingerprint_text(group))
-    report("automorphisms:", lambda: automorphism_group(group, extended=True).order)
+    report("perfect:", lambda: isomorphism.is_perfect(group))
+    report("fingerprint:", lambda: _fingerprint_text(structure.fingerprint(group)))
+    report("automorphisms:", lambda: isomorphism.automorphism_group(group, extended=True).order)
     return 0
 
 
-def _fingerprint_text(group):
-    fp = structure.fingerprint(group)
+def _fingerprint_text(fp):
     return (
         f"order {fp.order}; center {fp.center_order}; "
         f"derived series {list(fp.derived_series)}; "
@@ -155,6 +162,8 @@ def _cmd_claims_run(args):
 
 
 def _cmd_graph(args):
+    from gategroups import pauligraph
+
     graph = pauligraph.pauli_graph(args.n)
     degrees = sorted(set(graph.degree_sequence()))
     print(f"pauli graph n={args.n}: {graph.vertex_count} vertices, degrees {degrees}")
@@ -177,6 +186,8 @@ def _cmd_graph(args):
 
 
 def _cmd_mub_chain(args):
+    from gategroups import pauligraph
+
     links = pauligraph.mub_chain(args.n, with_aut=not args.no_aut, extended=args.extended)
     for link in links:
         aut = link.aut_order if link.aut_order is not None else f"({link.aut_status})"

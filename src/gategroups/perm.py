@@ -296,15 +296,16 @@ class PermGroup:
     the ambient element ``members[p]``, which is also element ``p`` of
     ``own_table()``.  This class is the only code that knows the encoding;
     callers speak own indices through ``index_of``, ``indices_of``,
-    ``perm_of`` and ``subgroup_from_indices``.
+    ``perm_of`` and ``subgroup_from_indices``.  Such a subgroup builds its
+    generator permutations only when ``generators`` is first read.
     """
 
     def __init__(self, degree, generators, order=None, table=None):
         self.degree = degree
-        self.generators = [
+        self._generators = [
             g if isinstance(g, Permutation) else Permutation(g) for g in generators
         ]
-        for g in self.generators:
+        for g in self._generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self._order = order
@@ -314,6 +315,12 @@ class PermGroup:
         self._gen_idx = None  # ambient indices of a subgroup's generators
         self._own = None  # standalone ElementTable of this very group
         self._pos = None  # ambient index -> own index of a subgroup
+
+    @property
+    def generators(self):
+        if self._generators is None:  # a subgroup's, replayed from its ambient table
+            self._generators = [Permutation(self._table.perm_of(i)) for i in self._gen_idx]
+        return self._generators
 
     def stabilizer_chain(self):
         if self._chain is None:
@@ -405,12 +412,10 @@ class PermGroup:
         if self._members is not None:
             gen_indices = [self._members[i] for i in gen_indices]
             members = [self._members[i] for i in members]
-        gens = [Permutation(table.perm_of(i)) for i in gen_indices]
-        if not gens:
-            gens = [Permutation.identity(self.degree)]
-        sub = PermGroup(self.degree, gens, order=len(members), table=table)
+        sub = PermGroup(self.degree, (), order=len(members), table=table)
+        sub._generators = None
         sub._members = tuple(sorted(members))
-        sub._gen_idx = list(gen_indices) or [0]
+        sub._gen_idx = list(gen_indices) or [0]  # [0] gives the identity
         return sub
 
     def __repr__(self):

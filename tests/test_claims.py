@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gategroups import claims, config
+from gategroups import config, isomorphism
 from gategroups.claims import (
     Evaluator,
     default_ledger_text,
@@ -187,8 +187,8 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
         calls.append(kwargs)
         return real(group, **kwargs)
 
-    real = claims.commutator_set
-    monkeypatch.setattr(claims, "commutator_set", counting)
+    real = isomorphism.commutator_set
+    monkeypatch.setattr(isomorphism, "commutator_set", counting)
     ev = Evaluator()
     m20 = "derived(wreath(cyclic(2), symmetric(5)))"
     assert ev.value(f"commutator_deficiency({m20})") == 120

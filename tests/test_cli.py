@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,56 @@ def test_recipe_with_missing_argument_is_a_per_claim_error(tmp_path, capsys):
 def test_recipe_with_non_integer_argument_is_a_clean_error(capsys):
     assert main(["analyze", "mub(x, 2)"]) == 2
     assert "error: mub() needs an integer argument, found 'x'" in capsys.readouterr().err
+
+
+ENGINE_MODULES = ["cyclo", "matrix", "perm", "groups", "structure", "isomorphism", "gates",
+                  "pauligraph", "cayley"]
+
+
+def modules_loaded_by(code, *argv):
+    """Modules that ``code`` loads in a fresh interpreter, beyond those loaded at start."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_start_up_loads_no_engine_module():
+    loaded = modules_loaded_by(
+        "import gategroups.cli\n"
+        "from gategroups.claims import default_ledger_text, parse_ledger\n"
+        "parse_ledger(default_ledger_text())"
+    )
+    assert {"gategroups.cli", "gategroups.claims"} <= loaded
+    assert loaded.isdisjoint({f"gategroups.{m}" for m in ENGINE_MODULES} | {"dataclasses"})
+
+
+def test_permutation_rows_load_no_matrix_module(tmp_path):
+    ledger = tmp_path / "perm.ledger"
+    ledger.write_text(
+        "a | core | order(symmetric(4)) | 24 | derived | -\n"
+        "b | core | derived_order(wreath(cyclic(2), symmetric(4))) | 96 | derived | -\n"
+        "c | core | aut_order(symmetric(4)) | 24 | derived | -\n"
+        "d | core | normal_subgroup_orders(symmetric(4)) | [4, 12] | derived | -\n"
+        "e | core | iso(quotient(symmetric(4), derived(derived(symmetric(4)))), symmetric(3))"
+        " | true | derived | -\n"
+        "f | core | commutators_equal_derived(symmetric(4)) | true | derived | -\n"
+        "g | core | splits(symmetric(4), derived(derived(symmetric(4)))) | true | derived | -\n"
+        "h | core | center_order(central_quotient(dihedral(8))) | 4 | derived | -\n"
+    )
+    loaded = modules_loaded_by(
+        "from gategroups.cli import main\n"
+        "assert main(['claims', 'run', '--ledger', sys.argv[1]]) == 0",
+        str(ledger),
+    )
+    assert {"gategroups.structure", "gategroups.isomorphism", "gategroups.groups"} <= loaded
+    assert loaded.isdisjoint({"gategroups.cyclo", "gategroups.matrix", "gategroups.gates",
+                              "gategroups.pauligraph"})

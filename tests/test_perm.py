@@ -163,6 +163,46 @@ def test_subgroup_from_indices_takes_own_indices():
     assert a4.indices_of(c3) == a4.own_table().subgroup_closure([i])
 
 
+def test_subgroup_generators_are_built_when_first_read(monkeypatch):
+    """A subgroup replays no generator word until ``generators`` is read.
+
+    The list it then builds is the eager one (the identity for a subgroup
+    with no generators), lies in the subgroup and generates all of it.
+    """
+    from gategroups import groups
+    from gategroups.cayley import ElementTable
+    from gategroups.structure import center, coset_action, normal_subgroups
+
+    replayed = []
+    real_perm_of = ElementTable.perm_of
+
+    def counting(table, i):
+        replayed.append(i)
+        return real_perm_of(table, i)
+
+    monkeypatch.setattr(ElementTable, "perm_of", counting)
+    g = groups.wreath(groups.cyclic(2), groups.symmetric(4))
+    cases = small_corpus() + [("Z2wrS4/Z", coset_action(g, center(g)))]
+    for name, group in cases:
+        subs = [s for s in normal_subgroups(group).all if s._gen_idx is not None]
+        assert replayed == [], name
+        assert any(s.order() == 1 for s in subs), name
+        for sub in subs:
+            table = sub._ambient_table()
+            eager = [Permutation(real_perm_of(table, i)) for i in sub._gen_idx]
+            assert sub.generators == eager, name
+            assert replayed == sub._gen_idx, name
+            assert sub.generators is sub.generators  # built once
+            del replayed[:]
+            for p in sub.generators:
+                sub.index_of(p)
+            assert PermGroup(sub.degree, sub.generators).order() == sub.order(), name
+            del replayed[:]
+        trivial = group.subgroup_from_indices([], {0})
+        assert trivial.generators == [Permutation.identity(group.degree)], name
+        del replayed[:]
+
+
 def test_indices_of_across_ambient_tables():
     """A4 built on a second S4 object is still found inside the first S4."""
     from gategroups import groups
