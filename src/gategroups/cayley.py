@@ -9,12 +9,15 @@ elements themselves are large objects such as 4x4 cyclotomic matrices.
 
 Every group is enumerated by ``from_permutations``: one breadth-first
 ``orbit`` that names each element by its images of a base of points and
-fills the columns in the same pass.  Permutation groups act on their
-points, matrix groups on the orbit of their rows, and quotients on their
-cosets.  ``orbit`` asks for the images of a point under all generators in
-one call, so a key of two or more base points is mapped by one
-``itemgetter`` call per generator, in C, rather than a Python frame per
-(element, generator) pair.
+fills the columns and the right spanning tree in the same pass.
+Permutation groups act on their points, matrix groups on the orbit of
+their rows, and quotients on their cosets.  The key of an element is
+encoded by the degree alone, and only the table reads it: up to 256
+points it is the ``bytes`` of the base images, which a generator maps
+with ``bytes.translate`` through a 256-byte table in one C call and the
+cyclic garbage collector does not track; above 256 points it is the
+tuple of the base images.  ``key_of`` encodes base images and
+``base_images`` decodes the keys.
 
 A whole column (multiplication by one element on either side, or
 conjugation) is filled in one O(n) pass along a spanning tree from the
@@ -60,22 +63,31 @@ from gategroups.errors import ClosureOverflowError
 __all__ = ["ElementTable", "orbit"]
 
 _SAMPLE = 16  # class members read per pair of classes by the sampled hits
+_BYTE_DEGREE = 256  # keys of permutations of at most this many points are bytes
 
 
-def orbit(seeds, images, ngens, cap, limit_name):
-    """Breadth-first orbit of the seed points under ``ngens`` generators.
+def orbit(seeds, gens, act, cap, limit_name):
+    """Breadth-first orbit of the seed points under the generators ``gens``.
 
-    ``images(x)`` gives the images of the point x under all the
-    generators, in generator order.  Returns ``(index, columns)``: the
-    points mapped to their positions in discovery order, seeds first, and
-    for every generator the column ``i -> position of the image of point
-    i``.  Raises ClosureOverflowError once more than ``cap`` points appear.
+    ``act(x, g)`` is the image of the point x under the generator g.
+    Returns ``(index, columns, tree)``: the points mapped to their
+    positions in discovery order, seeds first; for every generator the
+    column ``i -> position of the image of point i``; and the spanning
+    tree ``(range(n), prev, genpos)`` of ``_spanning_tree``, where point i
+    past the seeds was first reached as the image of point prev[i] under
+    generator genpos[i] (a seed is its own prev, with genpos -1).  Raises
+    ClosureOverflowError once more than ``cap`` points appear.
     """
     points = list(seeds)
     index = {p: i for i, p in enumerate(points)}
-    columns = [[] for _ in range(ngens)]
+    columns = [[] for _ in gens]
+    prev = list(range(len(points)))
+    genpos = [-1] * len(points)
+    steps = list(zip(range(len(gens)), gens, columns))
     for x in points:
-        for y, col in zip(images(x), columns):
+        i = index[x]  # the int the columns hold, which prev then shares
+        for g, t, col in steps:
+            y = act(x, t)
             j = index.get(y)
             if j is None:
                 if len(points) >= cap:
@@ -84,15 +96,18 @@ def orbit(seeds, images, ngens, cap, limit_name):
                     )
                 j = index[y] = len(points)
                 points.append(y)
+                prev.append(i)
+                genpos.append(g)
             col.append(j)
-    return index, columns
+    return index, columns, (range(len(points)), prev, genpos)
 
 
 class ElementTable:
     def __init__(self, n, gen_indices, rmul):
+        """``rmul`` holds a list per generator, which the table keeps, not copies."""
         self.n = n
         self.gen_indices = list(gen_indices)
-        self._rmul = [list(col) for col in rmul]
+        self._rmul = list(rmul)
         self._lmul = None
         self._conj = None  # conjugation column of every generator
         self._inv = None
@@ -104,7 +119,8 @@ class ElementTable:
         self._orders = None
         self._perms = None  # generator image tuples
         self._base = None  # base points whose images name an element
-        self.key_index = None  # base images -> element index, in index order
+        self._encode = None  # base images -> key: bytes or tuple, by the degree
+        self.key_index = None  # key -> element index, in index order
         self.rows = None  # row vector -> point, when the points are matrix rows
 
     # -- constructors ------------------------------------------------------
@@ -113,21 +129,26 @@ class ElementTable:
     def from_permutations(cls, perms, base, cap, limit_name="MAX_ENUMERATION"):
         """Enumerate the group generated by permutation tuples by base images.
 
-        Element i is named by its key, the tuple of its images of the base
-        points, and a generator acts on a key entrywise.  The generator
-        tuples are kept so ``perm_of`` can replay an element's word, and so
-        a permutation group can wrap the table with no word at all.  Raises
-        ClosureOverflowError once more than ``cap`` elements appear.
+        Element i is named by its key, its images of the base points, and
+        a generator acts on a key entrywise: a ``bytes`` key through the
+        generator as a 256-byte ``translate`` table, a tuple key (above 256
+        points) point by point.  The orbit's spanning tree is kept as the
+        right tree.  The generator tuples are kept so ``perm_of`` can replay
+        an element's word, and so a permutation group can wrap the table
+        with no word at all.  Raises ClosureOverflowError once more than
+        ``cap`` elements appear.
         """
         perms = [tuple(p) for p in perms]
         base = tuple(base)
-        if len(base) > 1:
-            images = lambda key: map(itemgetter(*key), perms)
-        else:  # itemgetter of one point gives a bare int, and of none fails
-            images = lambda key: [tuple(map(p.__getitem__, key)) for p in perms]
-        index, rmul = orbit([base], images, len(perms), cap, limit_name)
+        encode = _encoding(len(perms[0]))
+        if encode is bytes:
+            gens, act = [bytes(p).ljust(256, b"\0") for p in perms], bytes.translate
+        else:
+            gens, act = perms, _tuple_image
+        index, rmul, tree = orbit([encode(base)], gens, act, cap, limit_name)
         table = cls(len(index), [col[0] for col in rmul], rmul)
-        table._perms, table._base, table.key_index = perms, base, index
+        table._perms, table._base, table._encode = perms, base, encode
+        table.key_index, table._bfs = index, tree
         return table
 
     # -- element access ------------------------------------------------------
@@ -140,6 +161,21 @@ class ElementTable:
             x = itemgetter(*x)(self._perms[g])
         return x
 
+    def key_of(self, points):
+        """The key of the base images ``points``, or None when a point is
+        None or does not fit the encoding: then no element has the key."""
+        points = tuple(points)
+        if None in points:
+            return None
+        try:
+            return self._encode(points)
+        except ValueError:  # a byte key holds points 0..255 only
+            return None
+
+    def base_images(self):
+        """The base images of every element, as tuples, in index order."""
+        return map(tuple, self.key_index)
+
     def index_of(self, imgs):
         """Index of the element acting as the permutation ``imgs``.
 
@@ -147,7 +183,7 @@ class ElementTable:
         """
         imgs = tuple(imgs)
         if len(imgs) == len(self._perms[0]):
-            i = self.key_index.get(tuple(imgs[b] for b in self._base))
+            i = self.key_index.get(self.key_of(imgs[b] for b in self._base))
             if i is not None and self.perm_of(i) == imgs:
                 return i
         raise ValueError("permutation is not an element of the group")
@@ -166,14 +202,16 @@ class ElementTable:
             return {self.index_of(other.perm_of(a)) for a in members}
         # row positions there -> here, None for a row this group never reaches
         here = list(map(self.rows.get, other.rows))
-        keys = list(other.key_index)
+        keys = list(other.key_index)  # a key of either encoding iterates over its base images
         try:
-            return {self.key_index[tuple(map(here.__getitem__, keys[a]))] for a in members}
+            return {self.key_index[self.key_of(map(here.__getitem__, keys[a]))] for a in members}
         except KeyError:
             raise ValueError("matrix is not an element of the group") from None
 
     def _ensure_tree(self):
-        """Spanning tree along the right multiplications: x_i = x_prev * s."""
+        """Spanning tree along the right multiplications: x_i = x_prev * s.
+        A table built by ``from_permutations`` or ``coset_action`` has it
+        from its enumeration."""
         if self._bfs is None:
             self._bfs = _spanning_tree(self._rmul)
         return self._bfs
@@ -442,18 +480,18 @@ class ElementTable:
         subgroup itself, representatives are the minimal member indices.
         The breadth-first search finds the cosets in the order ``orbit``
         would, generator by generator from coset 0, and records the action
-        of each generator on them as it goes: that is already the
-        quotient's table, keyed by the coset alone.
+        of each generator on them and its spanning tree as it goes: that is
+        already the quotient's table, keyed by the coset alone.
         """
         coset_of = [-1] * self.n
         first = sorted(members)
         for m in first:
             coset_of[m] = 0
-        blocks, reps = [first], [0]
+        blocks, reps, prev, genpos = [first], [0], [0], [-1]
         qperms = [[] for _ in self._rmul]
-        for block in blocks:
+        for b, block in enumerate(blocks):
             x = block[0]
-            for col, qcol in zip(self._rmul, qperms):
+            for g, (col, qcol) in enumerate(zip(self._rmul, qperms)):
                 c = coset_of[col[x]]
                 if c < 0:
                     c = len(blocks)
@@ -462,10 +500,15 @@ class ElementTable:
                         coset_of[m] = c
                     blocks.append(image)
                     reps.append(min(image))
+                    prev.append(b)
+                    genpos.append(g)
                 qcol.append(c)
-        quotient = ElementTable(len(blocks), [col[0] for col in qperms], qperms)
+        n = len(blocks)
+        quotient = ElementTable(n, [col[0] for col in qperms], qperms)
         quotient._perms, quotient._base = list(map(tuple, qperms)), (0,)
-        quotient.key_index = {(c,): c for c in range(quotient.n)}
+        quotient._encode = encode = _encoding(n)
+        quotient.key_index = dict(zip(map(encode, zip(range(n))), range(n)))
+        quotient._bfs = (range(n), prev, genpos)
         return quotient, coset_of, reps
 
     def abelian_invariants(self):
@@ -634,6 +677,17 @@ class ElementTable:
             commutators = self.products(r, members_of[class_of[inv[r]]], left=True)
             hit_classes.update(map(class_of.__getitem__, commutators))
         return {i for i in range(self.n) if class_of[i] in hit_classes}
+
+
+def _encoding(degree):
+    """The key encoding of permutations of ``degree`` points."""
+    return bytes if degree <= _BYTE_DEGREE else tuple
+
+
+def _tuple_image(key, perm):
+    """The tuple key mapped by the permutation tuple, for a base of any
+    length: ``itemgetter`` of one point gives a bare int, and of none fails."""
+    return itemgetter(*key)(perm) if len(key) > 1 else tuple(map(perm.__getitem__, key))
 
 
 def _spanning_tree(cols):

@@ -196,7 +196,7 @@ class MatrixGroup:
         return self._table.n
 
     def _key(self, m):
-        return tuple(self._table.rows.get(r) for r in m.rows())
+        return self._table.key_of(map(self._table.rows.get, m.rows()))
 
     def __contains__(self, m):
         return self._key(m) in self._table.key_index
@@ -211,7 +211,7 @@ class MatrixGroup:
         if self._elements is None:
             rows = list(self._table.rows)
             self._elements = [
-                matrix_from_rows([rows[k] for k in key]) for key in self._table.key_index
+                matrix_from_rows([rows[k] for k in points]) for points in self._table.base_images()
             ]
         return self._elements
 
@@ -248,12 +248,8 @@ def closure(generators, budget=None):
         if not g.is_unitary():
             raise ValueError("generators must be unitary")
     d = gens[0].dim
-    row_index, row_perms = orbit(
-        identity_matrix(d).rows(),
-        lambda v: [g.row_times(v) for g in gens],
-        len(gens),
-        d * budget,
-        "MAX_CLOSURE",
+    row_index, row_perms, _ = orbit(
+        identity_matrix(d).rows(), gens, lambda v, g: g.row_times(v), d * budget, "MAX_CLOSURE"
     )
     table = ElementTable.from_permutations(row_perms, range(d), budget, "MAX_CLOSURE")
     table.rows = row_index

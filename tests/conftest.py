@@ -432,9 +432,10 @@ def is_normal_set_oracle(table, members, sub_gens):
 def indices_of_oracle(table, other, members):
     """Indices in the matrix table ``table`` of the members of the matrix table
     ``other``, looking each row vector up (oracle); ValueError for a non-member."""
-    keys, rows = list(other.key_index), list(other.rows)
+    keys, rows = list(other.base_images()), list(other.rows)
+    index = {points: i for i, points in enumerate(table.base_images())}
     try:
-        return {table.key_index[tuple(table.rows[rows[k]] for k in keys[a])] for a in members}
+        return {index[tuple(table.rows[rows[k]] for k in keys[a])] for a in members}
     except KeyError:
         raise ValueError("matrix is not an element of the group") from None
 

@@ -106,6 +106,7 @@ ENUMERATIONS = [
         lambda: _generators_and_base(PermGroup(3, [Permutation.identity(3)])), id="trivial"
     ),
     pytest.param(lambda: ([(0,)], [0]), id="degree1"),
+    pytest.param(lambda: ([tuple(range(300))], []), id="trivial300"),  # an empty base, tuple keys
     pytest.param(_quotient_of_c2wrs5_by_its_center, id="C2wrS5modZ"),  # one base point, 1920 cosets
     pytest.param(lambda: _table_perms_and_base(Evaluator().group("c1").own_table()), id="C1rows"),
     pytest.param(
@@ -118,18 +119,45 @@ ENUMERATIONS = [
 
 @pytest.mark.parametrize("build", ENUMERATIONS)
 def test_enumeration_matches_the_key_orbit_oracle(build):
-    """Same keys in the same order, same columns and same classes as one action per generator."""
+    """Same keys in the same order, same columns and same classes as one action per generator,
+    and the spanning tree of the enumeration is the one its columns give."""
     perms, base = build()
     cap = 10**6
     table = ElementTable.from_permutations(perms, base, cap)
     index, columns = key_orbit_oracle(perms, base, cap)
-    assert list(table.key_index.items()) == list(index.items())
+    assert list(zip(table.base_images(), table.key_index.values())) == list(index.items())
     assert table._rmul == columns
+    order, prev, genpos = table._bfs
+    assert (list(order), prev, genpos) == cayley._spanning_tree(columns)
     assert table.class_partition() == class_partition_oracle(table)
     for key, i in list(index.items())[:: max(1, table.n // 100)]:
         perm = table.perm_of(i)
         assert sorted(perm) == list(range(len(perms[0])))
         assert tuple(perm[b] for b in base) == key
+
+
+@pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
+def test_tuple_keys_above_256_points_match_byte_keys(name, group):
+    """The generators padded with fixed points to degree 257 are keyed by tuples, not bytes,
+    and give the same table: columns, tree, classes, base images and ``index_of``."""
+    perms, base = _generators_and_base(group)
+    padded = [p + tuple(range(len(p), 257)) for p in perms]
+    small = ElementTable.from_permutations(perms, base, 10**6)
+    big = ElementTable.from_permutations(padded, base, 10**6)
+    assert type(next(iter(small.key_index))) is bytes
+    assert type(next(iter(big.key_index))) is tuple
+    assert big._rmul == small._rmul
+    assert big._bfs == small._bfs
+    assert big.class_partition() == small.class_partition()
+    assert list(big.base_images()) == list(small.base_images())
+    for i in range(0, small.n, max(1, small.n // 50)):
+        perm = small.perm_of(i)
+        assert big.index_of(perm + tuple(range(len(perm), 257))) == small.index_of(perm) == i
+    for table in (small, big):
+        assert table.key_of([None] * len(base)) is None
+        assert table.key_of([300] * len(base)) not in table.key_index
+        with pytest.raises(ValueError):
+            table.index_of((0,) * len(table._perms[0]))
 
 
 C2_SQUARED = groups.direct(groups.cyclic(2), groups.cyclic(2))
@@ -402,8 +430,10 @@ def test_quotient_tables_match_from_permutations():
         assert quotient.n == expected.n, name
         assert quotient._rmul == expected._rmul, name
         assert quotient.gen_indices == expected.gen_indices, name
-        assert list(quotient.key_index.items()) == list(expected.key_index.items()), name
+        assert list(quotient.base_images()) == list(expected.base_images()), name
+        assert list(quotient.key_index.values()) == list(range(quotient.n)), name
         assert quotient._perms == expected._perms and quotient._base == expected._base, name
+        assert quotient._bfs == expected._bfs, name
     assert {name for name, _, _ in cases} >= {"C2/Z", "C2/P2", "B2/Z", "S4/4", "A4/4"}
 
 

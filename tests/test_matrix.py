@@ -185,6 +185,21 @@ def test_t_gate_is_not_in_c1():
         c1.index_of(t)
 
 
+@pytest.mark.parametrize("qubits, rows", [(1, 48), (2, 480)])
+def test_a_row_outside_the_orbit_is_no_member(qubits, rows):
+    """C1 (48 rows) keys its elements by bytes and C2 (480 rows) by tuples; on both, a
+    unitary with a row outside the row orbit is not a member and has no index."""
+    group = clifford_group(qubits)
+    table = group.element_table()
+    assert len(table.rows) == rows
+    assert type(next(iter(table.key_index))) is (bytes if rows <= 256 else tuple)
+    m = diagonal_matrix([1] * (2**qubits - 1) + [root_of_unity(16)])
+    assert m.rows()[-1] not in table.rows
+    assert m not in group
+    with pytest.raises(KeyError):
+        group.index_of(m)
+
+
 def test_closure_order_independent():
     c = catalog()
     a = closure([c.hadamard, c.phase])
@@ -341,7 +356,7 @@ def test_sparse_row_times_matches_the_dense_product(build):
     assert len(rows) == 480
     for g in group.generators:
         assert [g.row_times(r) for r in rows] == [row_times_dense(g, r) for r in rows]
-    for key in list(table.key_index)[:: table.n // 200]:
-        m = matrix_from_rows([rows[k] for k in key])
+    for points in list(table.base_images())[:: table.n // 200]:
+        m = matrix_from_rows([rows[k] for k in points])
         for r in rows[:: len(rows) // 2]:
             assert m.row_times(r) == row_times_dense(m, r)
