@@ -56,9 +56,10 @@ order ``orbit`` would, so it is not enumerated a second time.
 from __future__ import annotations
 
 from itertools import compress, islice
-from operator import eq, itemgetter
+from operator import eq
 
 from gategroups.errors import ClosureOverflowError
+from gategroups.perm import _compose, _invert
 
 __all__ = ["ElementTable", "orbit"]
 
@@ -144,7 +145,7 @@ class ElementTable:
         if encode is bytes:
             gens, act = [bytes(p).ljust(256, b"\0") for p in perms], bytes.translate
         else:
-            gens, act = perms, _tuple_image
+            gens, act = perms, _compose
         index, rmul, tree = orbit([encode(base)], gens, act, cap, limit_name)
         table = cls(len(index), [col[0] for col in rmul], rmul)
         table._perms, table._base, table._encode = perms, base, encode
@@ -156,9 +157,8 @@ class ElementTable:
     def perm_of(self, i):
         """Element i as a permutation of the points, replayed from its word."""
         x = tuple(range(len(self._perms[0])))
-        # words are empty on fewer than two points, where itemgetter gives no tuple
         for g in self.word(i):
-            x = itemgetter(*x)(self._perms[g])
+            x = _compose(x, self._perms[g])
         return x
 
     def key_of(self, points):
@@ -684,12 +684,6 @@ def _encoding(degree):
     return bytes if degree <= _BYTE_DEGREE else tuple
 
 
-def _tuple_image(key, perm):
-    """The tuple key mapped by the permutation tuple, for a base of any
-    length: ``itemgetter`` of one point gives a bare int, and of none fails."""
-    return itemgetter(*key)(perm) if len(key) > 1 else tuple(map(perm.__getitem__, key))
-
-
 def _spanning_tree(cols):
     """Breadth-first tree from element 0 along the columns.
 
@@ -763,11 +757,4 @@ def _bits(mask):
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def _invert(col):
-    out = [0] * len(col)
-    for i, j in enumerate(col):
-        out[j] = i
     return out

@@ -108,8 +108,18 @@ def _normalize(expr):
     return re.sub(r"\s+", "", expr)
 
 
-# The arguments of each recipe: "e" a group expression or name, "i" an integer.
+# The arguments of each recipe: "e" a group expression or name, "i" an
+# integer, "a" a raw argument (semidirect's ``[perm; perm; ...]`` action).
+# direct() takes one or more group expressions and is checked on its own.
 _GROUP_RECIPES = {
+    "cyclic": "i",
+    "dihedral": "i",
+    "symmetric": "i",
+    "alternating": "i",
+    "quaternion8": "",
+    "sl23": "",
+    "wreath": "ee",
+    "semidirect": "eea",
     "mub": "ii",
     "derived": "e",
     "center": "e",
@@ -118,6 +128,9 @@ _GROUP_RECIPES = {
     "normal_subgroup": "ei",
     "aut": "e",
 }
+# the recipes that call the reference constructor of the same name in groups
+_CONSTRUCTORS = ("cyclic", "dihedral", "symmetric", "alternating", "quaternion8", "sl23",
+                 "direct", "wreath")
 _VALUE_RECIPES = {
     "order": "e",
     "center_order": "e",
@@ -148,10 +161,20 @@ def _split_recipe(expr):
         return expr, []
     if not expr.endswith(")"):
         raise ValueError(f"unbalanced parentheses in {expr!r}")
-    from gategroups.groups import split_args
-
     name, args = expr[:-1].split("(", 1)
-    return name, split_args(args) if args else []
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(args):  # split at the commas of bracket depth zero
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(args[start:i])
+            start = i + 1
+    if args[start:]:
+        parts.append(args[start:])
+    return name, parts
 
 
 def _recipe_args(name, parts, kinds):
@@ -240,13 +263,23 @@ class Evaluator:
         if expr in self.GATE_NAMES:
             return self.matrix_group(expr).perm_group()
         name, parts = _split_recipe(expr)
-        if name not in _GROUP_RECIPES:
-            from gategroups import groups  # reference constructors
-
-            return groups.parse_spec(expr).realized
-        parts = _recipe_args(name, parts, _GROUP_RECIPES[name])
+        if name == "direct":  # one or more factors
+            if not parts:
+                raise ValueError("direct() needs at least one factor")
+        elif name in _GROUP_RECIPES:
+            parts = _recipe_args(name, parts, _GROUP_RECIPES[name])
+        else:
+            raise ValueError(f"unknown group spec {expr!r}")
         if name == "mub":
             return self._mub_group(*parts).perm_group()
+        if name == "semidirect":
+            return self._semidirect(*parts)
+        if name in _CONSTRUCTORS:
+            from gategroups import groups
+
+            if name in ("direct", "wreath"):
+                parts = map(self.group, parts)
+            return getattr(groups, name)(*parts)
         from gategroups import structure
 
         if name == "derived":
@@ -261,6 +294,16 @@ class Evaluator:
         if name == "normal_subgroup":
             return self._normal_subgroup(*parts)
         return self._aut(self.group(parts[0])).group  # aut
+
+    def _semidirect(self, n_expr, h_expr, action_text):
+        from gategroups import groups
+        from gategroups.perm import Permutation
+
+        n, h = self.group(n_expr), self.group(h_expr)
+        if not (action_text.startswith("[") and action_text.endswith("]")):
+            raise ValueError("semidirect action must be a [perm; perm; ...] list")
+        action = [Permutation.parse(p, n.degree) for p in action_text[1:-1].split(";") if p]
+        return groups.semidirect(n, h, action)
 
     def _aut(self, group):
         from gategroups import isomorphism
@@ -300,28 +343,32 @@ class Evaluator:
         if name not in _VALUE_RECIPES:
             raise ValueError(f"unknown recipe {expr!r}")
         parts = _recipe_args(name, parts, _VALUE_RECIPES[name])
-        from gategroups import isomorphism, structure
-
         if name == "order":
             return self.group(parts[0]).order()
-        if name == "center_order":
-            return structure.center(self.group(parts[0])).order()
-        if name == "derived_order":
-            return structure.derived_subgroup(self.group(parts[0])).order()
-        if name == "abelianization":
-            return structure.abelian_invariants(self.group(parts[0]))
-        if name == "is_perfect":
-            return isomorphism.is_perfect(self.group(parts[0]))
-        if name == "iso":
-            return bool(isomorphism.isomorphic(self.group(parts[0]), self.group(parts[1])))
+        if name in ("center_order", "derived_order", "abelianization"):
+            from gategroups import structure
+
+            g = self.group(parts[0])
+            if name == "center_order":
+                return structure.center(g).order()
+            if name == "derived_order":
+                return structure.derived_subgroup(g).order()
+            return structure.abelian_invariants(g)
+        if name in ("is_perfect", "iso", "splits"):
+            from gategroups import isomorphism
+
+            g = self.group(parts[0])
+            if name == "is_perfect":
+                return isomorphism.is_perfect(g)
+            if name == "iso":
+                return bool(isomorphism.isomorphic(g, self.group(parts[1])))
+            return bool(isomorphism.find_complement(g, self.group(parts[1])))
         if name == "aut_order":
             return self._aut(self.group(parts[0])).order
         if name == "out_order":
             return self._aut(self.group(parts[0])).outer_order()
         if name == "normal_subgroup_orders":
             return self._normal_subgroups(parts[0]).proper_orders()
-        if name == "splits":
-            return bool(isomorphism.find_complement(self.group(parts[0]), self.group(parts[1])))
         if name == "commutators_equal_derived":
             return self._commutators(parts[0]).equals_derived
         if name == "commutator_deficiency":

@@ -1,22 +1,19 @@
-"""Reference group constructors and the GroupSpec expression language.
+"""Reference group constructors.
 
 Every constructor realizes the group as permutations and checks the order
 against the formula for its kind.  Dihedral groups are named by ORDER:
-``dihedral(12)`` is the symmetry group of the hexagon.
+``dihedral(12)`` is the symmetry group of the hexagon.  Text such as
+``wreath(cyclic(2), symmetric(5))`` is parsed by the claims ``Evaluator``,
+which calls these constructors by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from gategroups.config import limit
 from gategroups.errors import CapacityError
 from gategroups.perm import Permutation, PermGroup
 
 __all__ = [
-    "GroupSpec",
-    "construct",
-    "parse_spec",
     "cyclic",
     "dihedral",
     "symmetric",
@@ -26,7 +23,6 @@ __all__ = [
     "direct",
     "semidirect",
     "wreath",
-    "split_args",
 ]
 
 
@@ -258,116 +254,3 @@ def semidirect(n, h, action):
             f"ill-defined action: realized order {group.order()} != {expected}"
         )
     return group
-
-
-@dataclass
-class GroupSpec:
-    kind: str
-    params: tuple
-    realized: PermGroup
-
-    def __str__(self):
-        return self.kind
-
-
-def construct(spec):
-    """Realize a GroupSpec or a textual spec like ``wreath(cyclic(2), symmetric(5))``."""
-    if isinstance(spec, GroupSpec):
-        return spec.realized
-    if isinstance(spec, PermGroup):
-        return spec
-    if isinstance(spec, str):
-        return parse_spec(spec).realized
-    raise TypeError(f"cannot construct a group from {spec!r}")
-
-
-def split_args(text):
-    """Split a comma-separated argument list at bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-# argument counts of the spec constructors; direct() takes one or more
-_ARITY = {
-    "cyclic": 1,
-    "dihedral": 1,
-    "symmetric": 1,
-    "alternating": 1,
-    "quaternion8": 0,
-    "sl23": 0,
-    "wreath": 2,
-    "semidirect": 3,
-}
-
-
-def parse_spec(text):
-    """Parse the textual GroupSpec syntax."""
-    text = text.strip()
-    name, args = text, ""
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ValueError(f"unbalanced parentheses in {text!r}")
-        name, args = text.split("(", 1)
-        name = name.strip()
-        args = args[:-1]
-    parts = split_args(args) if args.strip() else []
-    if name in _ARITY and len(parts) != _ARITY[name]:
-        raise ValueError(f"{name}() takes {_ARITY[name]} argument(s), found {len(parts)}")
-    if name == "direct" and not parts:
-        raise ValueError("direct() needs at least one factor")
-
-    def intarg(i):
-        try:
-            return int(parts[i])
-        except ValueError:
-            raise ValueError(f"{name}() needs an integer argument, found {parts[i]!r}") from None
-
-    if name == "cyclic":
-        return GroupSpec("cyclic", (intarg(0),), cyclic(intarg(0)))
-    if name == "dihedral":
-        return GroupSpec("dihedral", (intarg(0),), dihedral(intarg(0)))
-    if name == "symmetric":
-        return GroupSpec("symmetric", (intarg(0),), symmetric(intarg(0)))
-    if name == "alternating":
-        return GroupSpec("alternating", (intarg(0),), alternating(intarg(0)))
-    if name == "quaternion8":
-        return GroupSpec("quaternion8", (), quaternion8())
-    if name == "sl23":
-        return GroupSpec("sl23", (), sl23())
-    if name == "direct":
-        subs = [parse_spec(p) for p in parts]
-        return GroupSpec("direct", tuple(subs), direct(*(s.realized for s in subs)))
-    if name == "wreath":
-        m, h = (parse_spec(p) for p in parts)
-        return GroupSpec("wreath", (m, h), wreath(m.realized, h.realized))
-    if name == "semidirect":
-        nspec, hspec = parse_spec(parts[0]), parse_spec(parts[1])
-        action_text = parts[2].strip()
-        if not (action_text.startswith("[") and action_text.endswith("]")):
-            raise ValueError("semidirect action must be a [perm; perm; ...] list")
-        action = [
-            Permutation.parse(p.strip(), nspec.realized.degree)
-            for p in action_text[1:-1].split(";")
-            if p.strip()
-        ]
-        return GroupSpec(
-            "semidirect",
-            (nspec, hspec),
-            semidirect(nspec.realized, hspec.realized, action),
-        )
-    raise ValueError(f"unknown group spec {text!r}")

@@ -434,7 +434,6 @@ def commutator_set(g, extended=False):
 class ComplementResult:
     status: str  # "found" or "not-found"; a search out of nodes raises instead
     complement: PermGroup | None
-    exhaustive: bool
 
     def __bool__(self):
         return self.status == "found"
@@ -459,7 +458,7 @@ def find_complement(g, n):
 
     quotient, coset_of, _ = own.coset_action(members)
     if quotient.n == 1:
-        return ComplementResult("found", g.subgroup_from_indices([], {0}), True)
+        return ComplementResult("found", g.subgroup_from_indices([], {0}))
 
     qseq = _min_generating_sequence(quotient)
     search = _Search(quotient, own, qseq)
@@ -471,7 +470,7 @@ def find_complement(g, n):
     gcols = [quotient.column(q) for q in qseq]
     img = _first_leaf(search, cands, gcols, sorted(members)) if all(cands) else None
     if img is None:
-        return ComplementResult("not-found", None, True)
+        return ComplementResult("not-found", None)
     return ComplementResult(
-        "found", g.subgroup_from_indices([img[q] for q in qseq], set(img)), True
+        "found", g.subgroup_from_indices([img[q] for q in qseq], set(img))
     )

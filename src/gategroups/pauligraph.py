@@ -128,32 +128,19 @@ def _clique_cover_bound(cands, neighbors):
     return bound
 
 
-def _best_size(cands, neighbors, current, best):
+def _best_set(cands, neighbors, chosen, best):
+    """The largest independent set extending ``chosen`` within ``cands``
+    if it beats ``best``, else ``best``.  Including a vertex is tried
+    before excluding it, so among sets of one size the lexicographically
+    least is found first, and a later one replaces it only when larger."""
     if not cands:
-        return max(best, current)
-    if current + _clique_cover_bound(cands, neighbors) <= best:
+        return chosen if len(chosen) > len(best) else best
+    if len(chosen) + _clique_cover_bound(cands, neighbors) <= len(best):
         return best
     v = cands[0]
-    # include v
     rest = [u for u in cands[1:] if u not in neighbors[v]]
-    best = _best_size(rest, neighbors, current + 1, best)
-    # exclude v
-    best = _best_size(cands[1:], neighbors, current, best)
-    return best
-
-
-def _has_independent(cands, neighbors, need):
-    if need <= 0:
-        return True
-    if len(cands) < need:
-        return False
-    if _clique_cover_bound(cands, neighbors) < need:
-        return False
-    v = cands[0]
-    rest = [u for u in cands[1:] if u not in neighbors[v]]
-    if _has_independent(rest, neighbors, need - 1):
-        return True
-    return _has_independent(cands[1:], neighbors, need)
+    best = _best_set(rest, neighbors, chosen + [v], best)
+    return _best_set(cands[1:], neighbors, chosen, best)
 
 
 def maximum_independent_set(neighbors):
@@ -162,20 +149,7 @@ def maximum_independent_set(neighbors):
     ``neighbors`` is a list of adjacency sets; vertices are 0..n-1 in
     their canonical order, which pins the returned set deterministically.
     """
-    n = len(neighbors)
-    cands = list(range(n))
-    size = _best_size(cands, neighbors, 0, 0)
-    chosen = []
-    for v in range(n):
-        if v not in cands:
-            continue
-        rest = [u for u in cands if u != v and u not in neighbors[v]]
-        if _has_independent(rest, neighbors, size - len(chosen) - 1):
-            chosen.append(v)
-            cands = rest
-            if len(chosen) == size:
-                break
-    return chosen
+    return _best_set(list(range(len(neighbors))), neighbors, [], [])
 
 
 # -- graph isomorphism / automorphisms -------------------------------------

@@ -78,10 +78,7 @@ class Permutation:
         return Permutation(o[x] for x in self.imgs)
 
     def inverse(self):
-        out = [0] * len(self.imgs)
-        for i, j in enumerate(self.imgs):
-            out[j] = i
-        return Permutation(out)
+        return Permutation(_invert(self.imgs))
 
     def __pow__(self, k):
         if k < 0:
@@ -143,7 +140,8 @@ class Permutation:
 
 
 def _compose(p, q):
-    """p then q; itemgetter of one point gives a bare int, so degree 1 keeps the tuple."""
+    """p then q, for a tuple p of any length: itemgetter of one point gives
+    a bare int and of none fails, so fewer than two points keep the tuple."""
     return itemgetter(*p)(q) if len(p) > 1 else tuple(q[x] for x in p)
 
 

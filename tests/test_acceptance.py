@@ -105,8 +105,9 @@ def test_criterion_2_c1_splits_over_p1():
     """The split clause of criterion 2: C1 does not split over P1.
 
     Two independent paths settle it.  The complement search backtracks
-    over every section of C1 -> C1/P1 and must answer an exhaustive
-    ``not-found``.  The witness
+    over every section of C1 -> C1/P1 and must answer ``not-found``; a
+    returned ``not-found`` is exhaustive, since a search that runs out
+    of nodes raises ``BudgetExceededError`` instead.  The witness
     uses only the element table: C1/P1 has exactly one nontrivial
     central element, the coset wP1 of the central scalar w = e^(i*pi/4),
     and that coset has order 2 in the quotient.  A complement maps
@@ -117,7 +118,6 @@ def test_criterion_2_c1_splits_over_p1():
     with _criterion("2b C1 does not split over P1"):
         parent, child = _EV.group("c1"), _EV.group("p1")
         result = find_complement(parent, child)
-        assert result.exhaustive, "complement search must be exhaustive to settle this"
         assert result.status == "not-found", "a complement to P1 in C1 was reported"
 
         table = parent.own_table()

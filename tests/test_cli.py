@@ -337,6 +337,22 @@ def test_start_up_loads_no_engine_module():
     assert loaded.isdisjoint({f"gategroups.{m}" for m in ENGINE_MODULES} | {"dataclasses"})
 
 
+def test_graph_and_formula_rows_load_no_group_engine_module(tmp_path):
+    ledger = tmp_path / "graph.ledger"
+    ledger.write_text(
+        "a | core | pg_vertices(2) | 15 | derived | -\n"
+        "b | core | clifford_formula(2) | 92160 | derived | -\n"
+    )
+    loaded = modules_loaded_by(
+        "from gategroups.cli import main\n"
+        "assert main(['claims', 'run', '--ledger', sys.argv[1]]) == 0",
+        str(ledger),
+    )
+    assert "gategroups.pauligraph" in loaded
+    assert loaded.isdisjoint({"gategroups.groups", "gategroups.structure",
+                              "gategroups.isomorphism"})
+
+
 def test_permutation_rows_load_no_matrix_module(tmp_path):
     ledger = tmp_path / "perm.ledger"
     ledger.write_text(

@@ -1,9 +1,10 @@
-"""Reference constructors and the GroupSpec text syntax."""
+"""Reference constructors and the group expressions that name them."""
 
 import pytest
 
 from conftest import wreath_all_copies_generators
 from gategroups import groups
+from gategroups.claims import Evaluator
 from gategroups.errors import CapacityError
 from gategroups.perm import Permutation, PermGroup
 from gategroups.structure import center, derived_subgroup
@@ -133,24 +134,94 @@ def test_semidirect_rejects_bad_action():
 def test_spec_degree_cap_is_a_capacity_error(monkeypatch):
     monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "5")
     with pytest.raises(CapacityError, match=r"^wreath\(\) needs degree 6"):
-        groups.parse_spec("wreath(cyclic(2), cyclic(3))")
+        Evaluator().group("wreath(cyclic(2), cyclic(3))")
     with pytest.raises(CapacityError, match=r"^semidirect\(\) needs degree 6"):
-        groups.parse_spec("semidirect(cyclic(3), cyclic(3), [(1,2,3)])")
+        Evaluator().group("semidirect(cyclic(3), cyclic(3), [(1,2,3)])")
 
 
 def test_spec_parsing():
-    assert groups.construct("cyclic(6)").order() == 6
-    assert groups.construct("wreath(cyclic(2), alternating(5))").order() == 1920
-    assert groups.construct("direct(cyclic(2), symmetric(3))").order() == 12
-    assert groups.construct("quaternion8").order() == 8
-    assert groups.construct("sl23").order() == 24
-    sd = groups.construct("semidirect(cyclic(5), cyclic(4), [(2,3,5,4)])")
+    ev = Evaluator()
+    assert ev.group("cyclic(6)").order() == 6
+    assert ev.group("wreath(cyclic(2), alternating(5))").order() == 1920
+    assert ev.group("direct(cyclic(2), symmetric(3))").order() == 12
+    assert ev.group("quaternion8").order() == 8
+    assert ev.group("sl23").order() == 24
+    sd = ev.group("semidirect(cyclic(5), cyclic(4), [(2,3,5,4)])")
     assert sd.order() == 20
     with pytest.raises(ValueError):
-        groups.construct("frobnicate(3)")
+        ev.group("frobnicate(3)")
 
 
 def test_spec_realized_order_matches_formula():
-    spec = groups.parse_spec("wreath(cyclic(2), symmetric(4))")
-    m, h = spec.params
-    assert spec.realized.order() == m.realized.order() ** 4 * h.realized.order()
+    ev = Evaluator()
+    m, h = ev.group("cyclic(2)"), ev.group("symmetric(4)")
+    assert ev.group("wreath(cyclic(2), symmetric(4))").order() == m.order() ** 4 * h.order()
+
+
+# Each expression and the constructor call it must equal.
+_C2, _C3, _S3 = groups.cyclic(2), groups.cyclic(3), groups.symmetric(3)
+_SPEC_CORPUS = [
+    ("cyclic(5)", lambda: groups.cyclic(5)),
+    ("dihedral(12)", lambda: groups.dihedral(12)),
+    ("symmetric(4)", lambda: groups.symmetric(4)),
+    ("alternating(5)", lambda: groups.alternating(5)),
+    ("quaternion8", groups.quaternion8),
+    ("sl23()", groups.sl23),
+    ("direct(cyclic(2))", lambda: groups.direct(_C2)),
+    ("direct(cyclic(2), cyclic(3), symmetric(3))", lambda: groups.direct(_C2, _C3, _S3)),
+    ("wreath(cyclic(2), symmetric(3))", lambda: groups.wreath(_C2, _S3)),
+    ("semidirect(cyclic(5), cyclic(4), [(2,3,5,4)])", lambda: groups.semidirect(
+        groups.cyclic(5), groups.cyclic(4), [Permutation.parse("(2,3,5,4)", 5)])),
+    ("wreath(direct(cyclic(2), cyclic(2)), alternating(4))",
+     lambda: groups.wreath(groups.direct(_C2, _C2), groups.alternating(4))),
+    ("direct(wreath(cyclic(2), cyclic(3)), quaternion8)",
+     lambda: groups.direct(groups.wreath(_C2, _C3), groups.quaternion8())),
+    ("semidirect(direct(cyclic(3), cyclic(3)), cyclic(2), [(1,2,3)(4,5,6)])",
+     lambda: groups.semidirect(groups.direct(_C3, _C3), _C2,
+                               [Permutation.parse("(1,2,3)(4,5,6)", 6)])),
+    ("wreath(semidirect(cyclic(3), cyclic(2), [(2,3)]), cyclic(2))",
+     lambda: groups.wreath(groups.semidirect(_C3, _C2, [Permutation.parse("(2,3)", 3)]), _C2)),
+]
+
+
+@pytest.mark.parametrize("expr, build", _SPEC_CORPUS, ids=[e for e, _ in _SPEC_CORPUS])
+def test_spec_equals_the_constructor_call(expr, build):
+    """The evaluated expression has the constructor's generators and order."""
+    got, want = Evaluator().group(expr), build()
+    assert got.generators == want.generators
+    assert got.order() == want.order()
+
+
+def test_recipes_nest_inside_constructors():
+    """A ledger recipe is a constructor's argument like any group expression:
+    Z(P2) has order 4, so the product with C2 has order 8."""
+    ev = Evaluator()
+    assert ev.value("order(direct(center(p2), cyclic(2)))") == 8
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("frobnicate(3)", "unknown group spec 'frobnicate(3)'"),
+    ("direct(cyclic(2), center(frobnicate))", "unknown group spec 'frobnicate'"),
+    ("wreath(cyclic(2))", "wreath() takes 2 argument(s), found 1"),
+    ("quaternion8(1)", "quaternion8() takes 0 argument(s), found 1"),
+    ("cyclic(x)", "cyclic() needs an integer argument, found 'x'"),
+    ("direct()", "direct() needs at least one factor"),
+    ("wreath(cyclic(2), symmetric(5)x)", "unbalanced parentheses in 'symmetric(5)x'"),
+    ("semidirect(cyclic(5), cyclic(4), (2,3,5,4))",
+     "semidirect action must be a [perm; perm; ...] list"),
+    # both factors are evaluated before the action is read
+    ("semidirect(cyclic(5), frobnicate, (2,3,5,4))", "unknown group spec 'frobnicate'"),
+])
+def test_spec_error_messages(expr, message):
+    with pytest.raises(ValueError) as err:
+        Evaluator().group(expr)
+    assert str(err.value) == message
+
+
+def test_spec_capacity_error_of_a_nested_constructor(monkeypatch):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "5")
+    with pytest.raises(CapacityError) as err:
+        Evaluator().group("direct(cyclic(2), symmetric(6))")
+    assert str(err.value) == (
+        "symmetric() needs degree 6, above the cap 5 set by GATEGROUPS_MAX_ENUMERATION"
+    )

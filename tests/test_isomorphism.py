@@ -399,7 +399,6 @@ def test_q8_center_has_no_complement():
     q8 = groups.quaternion8()
     res = find_complement(q8, center(q8))
     assert res.status == "not-found"
-    assert res.exhaustive
 
 
 def test_complement_requires_normal_subgroup():
@@ -414,7 +413,7 @@ def test_complement_across_ambient_tables():
     s4 = groups.symmetric(4)
     a4 = derived_subgroup(groups.symmetric(4))
     res = find_complement(s4, a4)
-    assert res.status == "found" and res.exhaustive
+    assert res.status == "found"
     assert res.complement.order() == 2
     assert s4.indices_of(res.complement) & s4.indices_of(a4) == {0}
 
@@ -439,7 +438,7 @@ def test_splits_row_out_of_nodes_is_inconclusive(monkeypatch):
 def _assert_complement(g, n, res):
     """``res`` found a complement of n in g: a subgroup of order |g : n|
     that meets n only in the identity."""
-    assert res.status == "found" and res.exhaustive
+    assert res.status == "found"
     own = g.own_table()
     members = g.indices_of(res.complement)
     assert len(members) * n.order() == g.order()
@@ -457,7 +456,6 @@ def test_complement_search_matches_the_scan_oracle():
             res = find_complement(g, n)
             want = complement_scan_oracle(own, g.indices_of(n))
             assert bool(res) == (want is not None), (name, n.order())
-            assert res.exhaustive
             if res:
                 _assert_complement(g, n, res)
                 found += 1
@@ -489,7 +487,7 @@ def gate_ev():
 def test_gate_group_does_not_split_over_pauli2(gate_ev, name):
     g, p2 = gate_ev.group(name), gate_ev.group("p2")
     res = find_complement(g, p2)
-    assert res.status == "not-found" and res.exhaustive
+    assert res.status == "not-found"
     assert _coset_without_its_order(g.own_table(), g.indices_of(p2)) is not None
 
 
@@ -508,7 +506,7 @@ def test_b2_central_quotient_splits_over_its_normal_16(gate_ev):
 def test_c2_central_quotient_does_not_split_over_its_normal_16(gate_ev):
     q, n = _normal_16(gate_ev, "c2")
     res = find_complement(q, n)
-    assert res.status == "not-found" and res.exhaustive
+    assert res.status == "not-found"
     assert complement_scan_oracle(q.own_table(), q.indices_of(n)) is None
 
 
@@ -517,7 +515,7 @@ def test_c2_over_its_center_matches_the_scan_oracle(gate_ev):
     c2 = gate_ev.group("c2")
     z = center(c2)
     res = find_complement(c2, z)
-    assert res.status == "not-found" and res.exhaustive
+    assert res.status == "not-found"
     assert complement_scan_oracle(c2.own_table(), c2.indices_of(z)) is None
 
 

@@ -1,5 +1,8 @@
 """Commutation graphs, the quadrangle report, independent sets, MUB chains."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from gategroups.matrix import matmul
@@ -71,8 +74,35 @@ def test_max_independent_set_generic_graphs():
     assert maximum_independent_set([set(), set(), set()]) == [0, 1, 2]
 
 
+def _least_maximum_independent_set(neighbors):
+    """Brute force: the first independent subset, scanning sizes downward
+    and each size in lexicographic order."""
+    n = len(neighbors)
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            if all(b not in neighbors[a] for a, b in combinations(subset, 2)):
+                return list(subset)
+
+
+def test_max_independent_set_matches_a_subset_scan():
+    """The MUB rows take the first k operators of this set, so the set
+    itself, not only its size, must be the lexicographically least."""
+    rng = random.Random(2008)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        density = rng.random()
+        neighbors = [set() for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            if rng.random() < density:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+        assert maximum_independent_set(neighbors) == _least_maximum_independent_set(neighbors)
+
+
 def test_max_independent_sets_of_pauli_graphs():
     assert len(maximum_independent_set(pauli_graph(2).neighbors)) == 5
+    assert maximum_independent_set(pauli_graph(1).neighbors) == [0, 1, 2]
+    assert maximum_independent_set(pauli_graph(2).neighbors) == [0, 3, 6, 12, 14]
 
 
 @pytest.mark.long
