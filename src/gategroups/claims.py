@@ -10,10 +10,15 @@ with ``#`` comments.  Tiers are core < long < extended.  Provenance is
 the computation disagree; such rows report both values and never affect
 the exit code).
 
-Parsing a ledger and writing a report need no engine module.  The
-``Evaluator`` imports each engine module in the method that first needs it
-and calls through the module (``isomorphism.commutator_set(...)``), so a
-wrapper or a test double installed on a module attribute is honoured.
+A recipe is ``name(arg, ...)``; each name is one entry of ``_GROUP_RECIPES``
+(group expressions) or ``_VALUE_RECIPES`` (ledger values) that holds its
+argument kinds and its code.  Bad text raises ValueError before any group
+argument of the recipe is evaluated.  The ``Evaluator`` memoises every result.
+
+Parsing a ledger and writing a report need no engine module.  A recipe
+imports the engine modules it calls when it runs and calls through the
+module (``isomorphism.commutator_set(...)``), so a wrapper or a test
+double installed on a module attribute is honoured.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import re
 import time
 from collections import namedtuple
-from importlib import resources
+from importlib import import_module, resources
 
 from gategroups import config
 from gategroups.errors import BudgetExceededError, CapacityError, LedgerParseError
@@ -29,7 +34,9 @@ from gategroups.errors import BudgetExceededError, CapacityError, LedgerParseErr
 TIERS = ("core", "long", "extended")
 PROVENANCES = ("paper", "derived", "disputed")
 
-__all__ = ["Claim", "ClaimReport", "parse_ledger", "default_ledger_text", "run_claims", "Evaluator"]
+__all__ = [
+    "Claim", "ClaimReport", "parse_ledger", "default_ledger_text", "run_claims", "Evaluator"
+]
 
 
 Claim = namedtuple("Claim", "id tier recipe expected provenance citation")
@@ -108,355 +115,276 @@ def _normalize(expr):
     return re.sub(r"\s+", "", expr)
 
 
-# The arguments of each recipe: "e" a group expression or name, "i" an
-# integer, "a" a raw argument (semidirect's ``[perm; perm; ...]`` action).
-# direct() takes one or more group expressions and is checked on its own.
-_GROUP_RECIPES = {
-    "cyclic": "i",
-    "dihedral": "i",
-    "symmetric": "i",
-    "alternating": "i",
-    "quaternion8": "",
-    "sl23": "",
-    "wreath": "ee",
-    "semidirect": "eea",
-    "mub": "ii",
-    "derived": "e",
-    "center": "e",
-    "central_quotient": "e",
-    "quotient": "ee",
-    "normal_subgroup": "ei",
-    "aut": "e",
-}
-# the recipes that call the reference constructor of the same name in groups
-_CONSTRUCTORS = ("cyclic", "dihedral", "symmetric", "alternating", "quaternion8", "sl23",
-                 "direct", "wreath")
-_VALUE_RECIPES = {
-    "order": "e",
-    "center_order": "e",
-    "derived_order": "e",
-    "abelianization": "e",
-    "is_perfect": "e",
-    "iso": "ee",
-    "aut_order": "e",
-    "out_order": "e",
-    "normal_subgroup_orders": "e",
-    "splits": "ee",
-    "commutators_equal_derived": "e",
-    "commutator_deficiency": "e",
-    "yang_baxter": "e",
-    "clifford_formula": "i",
-    "subgroup_index": "ee",
-    "is_subgroup": "ee",
-    "is_normal": "ee",
-    "mub_order": "ii",
-    "mub_aut_order": "ii",
-    "mub_same": "ii",
-}
+# The deepest bracket nesting of a recipe (``derived(c1)`` nests one level);
+# each level costs a few frames of the recursive evaluation.
+_MAX_NESTING = 64
 
 
 def _split_recipe(expr):
-    """``name(a, b)`` -> (name, [a, b]); a bare name has no arguments."""
+    """``name(a, b)`` -> (name, [a, b]); a bare name has no arguments.
+
+    Raises ValueError for unbalanced parentheses, an empty argument or a
+    nesting deeper than ``_MAX_NESTING``.
+    """
     if "(" not in expr:
         return expr, []
     if not expr.endswith(")"):
         raise ValueError(f"unbalanced parentheses in {expr!r}")
     name, args = expr[:-1].split("(", 1)
+    if not args:
+        return name, []
     parts = []
     depth = start = 0
     for i, ch in enumerate(args):  # split at the commas of bracket depth zero
         if ch in "([":
             depth += 1
+            if depth == _MAX_NESTING:
+                raise ValueError(f"{name}(...) nests deeper than {_MAX_NESTING} levels")
         elif ch in ")]":
             depth -= 1
         elif ch == "," and depth == 0:
             parts.append(args[start:i])
             start = i + 1
-    if args[start:]:
-        parts.append(args[start:])
+    parts.append(args[start:])
+    if "" in parts:
+        raise ValueError(f"empty argument in {expr!r}")
     return name, parts
 
 
-def _recipe_args(name, parts, kinds):
-    """The arguments checked against ``kinds``, integers converted.
-
-    Raises ValueError naming the recipe and the argument.
-    """
-    if len(parts) != len(kinds):
-        raise ValueError(f"{name}() takes {len(kinds)} argument(s), found {len(parts)}")
-    out = []
-    for kind, part in zip(kinds, parts):
-        if kind == "i":
-            try:
-                part = int(part)
-            except ValueError:
-                raise ValueError(f"{name}() needs an integer argument, found {part!r}") from None
-        out.append(part)
-    return out
+def _engine(name):
+    """The engine module ``gategroups.<name>``, imported on first use."""
+    return import_module(f"gategroups.{name}")
 
 
-# Each builder takes the gates and matrix modules, which
-# ``Evaluator.matrix_group`` imports when it first builds a gate group, and
-# looks its constructor up on them when called, so a module attribute that
-# is rebound later (a wrapper or a test double) is honoured.
+def _graph(n):
+    return _engine("pauligraph").pauli_graph(n)
+
+
+def _uniform(values, what):
+    """The one value of ``values``; ValueError listing them if they differ."""
+    values = set(values)
+    if len(values) != 1:
+        raise ValueError(f"{what} {sorted(values)}")
+    return values.pop()
+
+
+def _semidirect(ev, n, h, action_text):
+    if not (action_text.startswith("[") and action_text.endswith("]")):
+        raise ValueError("semidirect action must be a [perm; perm; ...] list")
+    parse = _engine("perm").Permutation.parse
+    action = [parse(p, n.degree) for p in action_text[1:-1].split(";") if p]
+    return _engine("groups").semidirect(n, h, action)
+
+
+def _central_quotient(ev, g):
+    structure = _engine("structure")
+    return structure.coset_action(g, structure.center(g))
+
+
+def _normal_subgroup(ev, g, order):
+    matches = [s for s in ev._normal_subgroups(g).proper_nontrivial if s.order() == order]
+    if len(matches) != 1:
+        raise ValueError(
+            f"expected one proper normal subgroup of order {order}, found {len(matches)}"
+        )
+    return matches[0]
+
+
+def _is_subgroup(ev, sub_expr, parent_expr):
+    parent, sub = ev.group(parent_expr), ev.group(sub_expr)
+    try:
+        parent.indices_of(sub)
+    except ValueError:  # a member of sub outside parent
+        return False
+    return True
+
+
+def _yang_baxter(ev, atom):
+    gates = _engine("gates")
+    catalog = gates.catalog()
+    matrices = {"bellR": catalog.bell, "cz": catalog.cz}
+    if atom not in matrices:
+        raise ValueError(f"unknown matrix atom {atom!r}")
+    return gates.yang_baxter_check(matrices[atom])
+
+
+def _mub_same(ev, n, k):
+    # the prefix groups nest, so equal orders mean equal groups
+    return ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
+
+
+def _graph_aut_count(ev, n):
+    if n == 2:  # counted by the quadrangle report
+        return ev._quadrangles(n).automorphism_count
+    return _engine("pauligraph").graph_automorphism_count(_graph(n).neighbors)
+
+
+# Each recipe is one entry: (argument kinds, code).  The kinds are "e" a group
+# expression, "i" an integer, "a" raw text the code reads itself (a
+# semidirect action, a matrix atom, a group evaluated out of order) and "+"
+# one or more group expressions.  The code takes the Evaluator and the
+# arguments, group expressions evaluated, and reaches each engine module
+# through ``_engine`` when it runs: start-up imports none, and a wrapper or a
+# test double installed on a module attribute is honoured.
+_GROUP_RECIPES = {
+    "cyclic": ("i", lambda ev, n: _engine("groups").cyclic(n)),
+    "dihedral": ("i", lambda ev, n: _engine("groups").dihedral(n)),
+    "symmetric": ("i", lambda ev, n: _engine("groups").symmetric(n)),
+    "alternating": ("i", lambda ev, n: _engine("groups").alternating(n)),
+    "quaternion8": ("", lambda ev: _engine("groups").quaternion8()),
+    "sl23": ("", lambda ev: _engine("groups").sl23()),
+    "direct": ("+", lambda ev, *factors: _engine("groups").direct(*factors)),
+    "wreath": ("ee", lambda ev, m, h: _engine("groups").wreath(m, h)),
+    "semidirect": ("eea", _semidirect),
+    "mub": ("ii", lambda ev, n, k: ev._mub_group(n, k).perm_group()),
+    "derived": ("e", lambda ev, g: _engine("structure").derived_subgroup(g)),
+    "center": ("e", lambda ev, g: _engine("structure").center(g)),
+    "central_quotient": ("e", _central_quotient),
+    "quotient": ("ee", lambda ev, g, n: _engine("structure").coset_action(g, n)),
+    "normal_subgroup": ("ei", _normal_subgroup),
+    "aut": ("e", lambda ev, g: ev._aut(g).group),
+}
+_VALUE_RECIPES = {
+    "order": ("e", lambda ev, g: g.order()),
+    "center_order": ("e", lambda ev, g: _engine("structure").center(g).order()),
+    "derived_order": ("e", lambda ev, g: _engine("structure").derived_subgroup(g).order()),
+    "abelianization": ("e", lambda ev, g: _engine("structure").abelian_invariants(g)),
+    "is_perfect": ("e", lambda ev, g: _engine("isomorphism").is_perfect(g)),
+    "iso": ("ee", lambda ev, g, h: bool(_engine("isomorphism").isomorphic(g, h))),
+    "aut_order": ("e", lambda ev, g: ev._aut(g).order),
+    "out_order": ("e", lambda ev, g: ev._aut(g).outer_order()),
+    "normal_subgroup_orders": ("e", lambda ev, g: ev._normal_subgroups(g).proper_orders()),
+    "splits": ("ee", lambda ev, g, n: bool(_engine("isomorphism").find_complement(g, n))),
+    "commutators_equal_derived": ("e", lambda ev, g: ev._commutators(g).equals_derived),
+    "commutator_deficiency": ("e", lambda ev, g: ev._commutators(g).deficiency),
+    "yang_baxter": ("a", _yang_baxter),
+    "clifford_formula": ("i", lambda ev, n: _engine("gates").clifford_order_formula(n)),
+    "subgroup_index": ("ee", lambda ev, g, h: g.order() // len(g.indices_of(h))),
+    "is_subgroup": ("aa", _is_subgroup),  # the parent group is evaluated first
+    "is_normal": ("ee", lambda ev, g, h: g.own_table().is_normal_set(g.indices_of(h))),
+    "mub_order": ("ii", lambda ev, n, k: ev._mub_group(n, k).order()),
+    "mub_aut_order": ("ii", lambda ev, n, k: ev._aut(ev._mub_group(n, k).perm_group()).order),
+    "mub_same": ("ii", _mub_same),
+    "pg_vertices": ("i", lambda ev, n: _graph(n).vertex_count),
+    "pg_uniform_degree": (
+        "i", lambda ev, n: _uniform(_graph(n).degree_sequence(), "graph is not regular: degrees")
+    ),
+    "pg_max_independent": (
+        "i", lambda ev, n: len(_engine("pauligraph").maximum_independent_set(_graph(n).neighbors))
+    ),
+    "pg_aut_count": ("i", _graph_aut_count),
+    "pg_lines": ("i", lambda ev, n: ev._quadrangles(n).line_count),
+    "pg_line_size": (
+        "i", lambda ev, n: _uniform(ev._quadrangles(n).line_sizes, "lines are not uniform: sizes")
+    ),
+    "pg_lines_per_point": (
+        "i", lambda ev, n: _uniform(ev._quadrangles(n).lines_per_point, "incidence is not uniform:")
+    ),
+    "pg_complement_petersen": ("i", lambda ev, n: ev._quadrangles(n).complement_is_petersen),
+}
+
 _GATE_BUILDERS = {
-    "p1": lambda gates, matrix: gates.pauli_group(1),
-    "p2": lambda gates, matrix: gates.pauli_group(2),
-    "p3": lambda gates, matrix: gates.pauli_group(3),
-    "c1": lambda gates, matrix: gates.clifford_group(1),
-    "c2": lambda gates, matrix: gates.clifford_group(2),
-    "b2": lambda gates, matrix: gates.bell_group(),
-    "p2pairs": lambda gates, matrix: matrix.closure(gates.pauli2_pair_generators()),
+    "p1": lambda: _engine("gates").pauli_group(1),
+    "p2": lambda: _engine("gates").pauli_group(2),
+    "p3": lambda: _engine("gates").pauli_group(3),
+    "c1": lambda: _engine("gates").clifford_group(1),
+    "c2": lambda: _engine("gates").clifford_group(2),
+    "b2": lambda: _engine("gates").bell_group(),
+    "p2pairs": lambda: _engine("matrix").closure(_engine("gates").pauli2_pair_generators()),
 }
 
 
+def _mub_closure(n, k):
+    """The matrix group of the first ``k`` operators of the n-qubit independent set."""
+    pauligraph = _engine("pauligraph")
+    graph = pauligraph.pauli_graph(n)
+    mis = pauligraph.maximum_independent_set(graph.neighbors)
+    if k < 0:
+        raise ValueError(f"the number of operators must not be negative, found {k}")
+    if k > len(mis):
+        raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
+    return _engine("matrix").closure([graph.representatives[v] for v in mis[:k]])
+
+
 class Evaluator:
-    """Executes claim recipes; group construction is cached across claims."""
+    """Executes claim recipes; every result is memoised across claims."""
 
     GATE_NAMES = tuple(_GATE_BUILDERS)
 
     def __init__(self):
-        self._groups = {}
-        self._matrix = {}
-        self._values = {}
-        self._normals = {}
-        self._quadrangles = {}  # n -> the quadrangle report of the n-qubit graph
-        self._commutator_sets = {}
-        self._mub = {}
+        # (kind, key...) -> result.  Results derived from a group are keyed
+        # by the group object, which ``group`` returns once per expression.
+        self._memo = {}
         self.allow_extended = False
 
-    # -- gate-level groups -------------------------------------------------
+    def _cached(self, key, compute, *args):
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
+
+    def _apply(self, expr, table, unknown):
+        """The value of ``name(args)`` by the entry of ``name`` in ``table``.
+
+        The arity and the integers are checked before any group argument is
+        evaluated; group arguments are evaluated in order.
+        """
+        name, parts = _split_recipe(expr)
+        if name not in table:
+            raise ValueError(f"unknown {unknown} {expr!r}")
+        kinds, compute = table[name]
+        if kinds == "+":
+            if not parts:
+                raise ValueError(f"{name}() needs at least one factor")
+            kinds = "e" * len(parts)
+        if len(parts) != len(kinds):
+            raise ValueError(f"{name}() takes {len(kinds)} argument(s), found {len(parts)}")
+        for i, kind in enumerate(kinds):
+            if kind == "i":
+                try:
+                    parts[i] = int(parts[i])
+                except ValueError:
+                    raise ValueError(
+                        f"{name}() needs an integer argument, found {parts[i]!r}"
+                    ) from None
+        args = [self.group(part) if kind == "e" else part for kind, part in zip(kinds, parts)]
+        return compute(self, *args)
 
     def matrix_group(self, name):
-        if name not in self._matrix:
-            if name not in _GATE_BUILDERS:
-                raise ValueError(f"unknown gate group {name!r}")
-            from gategroups import gates, matrix
-
-            self._matrix[name] = _GATE_BUILDERS[name](gates, matrix)
-        return self._matrix[name]
-
-    def _mub_group(self, n, k):
-        key = (n, k)
-        if key not in self._mub:
-            from gategroups import matrix, pauligraph
-
-            graph = pauligraph.pauli_graph(n)
-            mis = pauligraph.maximum_independent_set(graph.neighbors)
-            if k > len(mis):
-                raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
-            mats = [graph.representatives[v] for v in mis[:k]]
-            self._mub[key] = matrix.closure(mats)
-        return self._mub[key]
-
-    # -- group expressions ---------------------------------------------------
+        if name not in _GATE_BUILDERS:
+            raise ValueError(f"unknown gate group {name!r}")
+        return self._cached(("matrix", name), _GATE_BUILDERS[name])
 
     def group(self, expr):
         expr = _normalize(expr)
-        # only aut(...) depends on the tier, through its capacity limit
-        key = (expr, self.allow_extended and "aut(" in expr)
-        if key not in self._groups:
-            self._groups[key] = self._eval_group(expr)
-        return self._groups[key]
-
-    def _eval_group(self, expr):
-        if expr in self.GATE_NAMES:
+        if expr in _GATE_BUILDERS:
             return self.matrix_group(expr).perm_group()
-        name, parts = _split_recipe(expr)
-        if name == "direct":  # one or more factors
-            if not parts:
-                raise ValueError("direct() needs at least one factor")
-        elif name in _GROUP_RECIPES:
-            parts = _recipe_args(name, parts, _GROUP_RECIPES[name])
-        else:
-            raise ValueError(f"unknown group spec {expr!r}")
-        if name == "mub":
-            return self._mub_group(*parts).perm_group()
-        if name == "semidirect":
-            return self._semidirect(*parts)
-        if name in _CONSTRUCTORS:
-            from gategroups import groups
-
-            if name in ("direct", "wreath"):
-                parts = map(self.group, parts)
-            return getattr(groups, name)(*parts)
-        from gategroups import structure
-
-        if name == "derived":
-            return structure.derived_subgroup(self.group(parts[0]))
-        if name == "center":
-            return structure.center(self.group(parts[0]))
-        if name == "central_quotient":
-            g = self.group(parts[0])
-            return structure.coset_action(g, structure.center(g))
-        if name == "quotient":
-            return structure.coset_action(self.group(parts[0]), self.group(parts[1]))
-        if name == "normal_subgroup":
-            return self._normal_subgroup(*parts)
-        return self._aut(self.group(parts[0])).group  # aut
-
-    def _semidirect(self, n_expr, h_expr, action_text):
-        from gategroups import groups
-        from gategroups.perm import Permutation
-
-        n, h = self.group(n_expr), self.group(h_expr)
-        if not (action_text.startswith("[") and action_text.endswith("]")):
-            raise ValueError("semidirect action must be a [perm; perm; ...] list")
-        action = [Permutation.parse(p, n.degree) for p in action_text[1:-1].split(";") if p]
-        return groups.semidirect(n, h, action)
-
-    def _aut(self, group):
-        from gategroups import isomorphism
-
-        return isomorphism.automorphism_group(group, extended=self.allow_extended)
-
-    def _normal_subgroups(self, expr):
-        key = _normalize(expr)
-        if key not in self._normals:
-            from gategroups import structure
-
-            self._normals[key] = structure.normal_subgroups(self.group(key))
-        return self._normals[key]
-
-    def _normal_subgroup(self, parent_expr, order):
-        normals = self._normal_subgroups(parent_expr).proper_nontrivial
-        matches = [s for s in normals if s.order() == order]
-        if len(matches) != 1:
-            raise ValueError(
-                f"expected one proper normal subgroup of order {order}, found {len(matches)}"
-            )
-        return matches[0]
-
-    # -- value recipes ----------------------------------------------------------
+        # only aut(...) depends on the tier, through its capacity limit
+        key = ("group", expr, self.allow_extended and "aut(" in expr)
+        return self._cached(key, self._apply, expr, _GROUP_RECIPES, "group spec")
 
     def value(self, recipe, tier="core"):
         self.allow_extended = tier in ("long", "extended")
-        key = (_normalize(recipe), self.allow_extended)
-        if key not in self._values:
-            self._values[key] = self._eval_value(_normalize(recipe))
-        return self._values[key]
+        expr = _normalize(recipe)
+        key = ("value", expr, self.allow_extended)
+        return self._cached(key, self._apply, expr, _VALUE_RECIPES, "recipe")
 
-    def _eval_value(self, expr):
-        name, parts = _split_recipe(expr)
-        if name.startswith("pg_"):
-            return self._pauli_graph_value(name, *_recipe_args(name, parts, "i"))
-        if name not in _VALUE_RECIPES:
-            raise ValueError(f"unknown recipe {expr!r}")
-        parts = _recipe_args(name, parts, _VALUE_RECIPES[name])
-        if name == "order":
-            return self.group(parts[0]).order()
-        if name in ("center_order", "derived_order", "abelianization"):
-            from gategroups import structure
+    def _aut(self, group):
+        return _engine("isomorphism").automorphism_group(group, extended=self.allow_extended)
 
-            g = self.group(parts[0])
-            if name == "center_order":
-                return structure.center(g).order()
-            if name == "derived_order":
-                return structure.derived_subgroup(g).order()
-            return structure.abelian_invariants(g)
-        if name in ("is_perfect", "iso", "splits"):
-            from gategroups import isomorphism
+    def _normal_subgroups(self, group):
+        return self._cached(("normals", group), _engine("structure").normal_subgroups, group)
 
-            g = self.group(parts[0])
-            if name == "is_perfect":
-                return isomorphism.is_perfect(g)
-            if name == "iso":
-                return bool(isomorphism.isomorphic(g, self.group(parts[1])))
-            return bool(isomorphism.find_complement(g, self.group(parts[1])))
-        if name == "aut_order":
-            return self._aut(self.group(parts[0])).order
-        if name == "out_order":
-            return self._aut(self.group(parts[0])).outer_order()
-        if name == "normal_subgroup_orders":
-            return self._normal_subgroups(parts[0]).proper_orders()
-        if name == "commutators_equal_derived":
-            return self._commutators(parts[0]).equals_derived
-        if name == "commutator_deficiency":
-            return self._commutators(parts[0]).deficiency
-        if name == "yang_baxter":
-            from gategroups import gates
+    def _commutators(self, group):
+        key = ("commutators", group, self.allow_extended)
+        commutator_set = _engine("isomorphism").commutator_set
+        return self._cached(key, lambda: commutator_set(group, extended=self.allow_extended))
 
-            return gates.yang_baxter_check(self._matrix_atom(parts[0]))
-        if name == "clifford_formula":
-            from gategroups import gates
+    def _quadrangles(self, n):
+        quadrangle_checks = _engine("pauligraph").quadrangle_checks
+        return self._cached(("quadrangles", n), lambda: quadrangle_checks(_graph(n)))
 
-            return gates.clifford_order_formula(parts[0])
-        if name == "subgroup_index":
-            parent = self.group(parts[0])
-            return parent.order() // len(parent.indices_of(self.group(parts[1])))
-        if name == "is_subgroup":
-            try:
-                self.group(parts[1]).indices_of(self.group(parts[0]))
-            except ValueError:
-                return False
-            return True
-        if name == "is_normal":
-            parent = self.group(parts[0])
-            members = parent.indices_of(self.group(parts[1]))
-            return parent.own_table().is_normal_set(members)
-        if name == "mub_order":
-            return self._mub_group(*parts).order()
-        if name == "mub_aut_order":
-            return self._aut(self._mub_group(*parts).perm_group()).order
-        n, k = parts  # mub_same
-        # the prefix groups nest, so equal orders mean equal groups
-        return self._mub_group(n, k).order() == self._mub_group(n, k - 1).order()
-
-    def _commutators(self, group_expr):
-        key = (_normalize(group_expr), self.allow_extended)
-        if key not in self._commutator_sets:
-            from gategroups import isomorphism
-
-            self._commutator_sets[key] = isomorphism.commutator_set(
-                self.group(group_expr), extended=self.allow_extended
-            )
-        return self._commutator_sets[key]
-
-    def _matrix_atom(self, name):
-        from gategroups import gates
-
-        c = gates.catalog()
-        if name == "bellR":
-            return c.bell
-        if name == "cz":
-            return c.cz
-        raise ValueError(f"unknown matrix atom {name!r}")
-
-    def _pauli_graph_value(self, name, n):
-        from gategroups import pauligraph
-
-        graph = pauligraph.pauli_graph(n)
-        if name == "pg_vertices":
-            return graph.vertex_count
-        if name == "pg_uniform_degree":
-            degrees = set(graph.degree_sequence())
-            if len(degrees) != 1:
-                raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
-            return degrees.pop()
-        if name == "pg_max_independent":
-            return len(pauligraph.maximum_independent_set(graph.neighbors))
-        if name == "pg_aut_count" and n != 2:
-            return pauligraph.graph_automorphism_count(graph.neighbors)
-        if n not in self._quadrangles:
-            self._quadrangles[n] = pauligraph.quadrangle_checks(graph)
-        report = self._quadrangles[n]
-        if name == "pg_aut_count":
-            return report.automorphism_count
-        if name == "pg_lines":
-            return report.line_count
-        if name == "pg_line_size":
-            sizes = set(report.line_sizes)
-            if len(sizes) != 1:
-                raise ValueError(f"lines are not uniform: sizes {sorted(sizes)}")
-            return sizes.pop()
-        if name == "pg_lines_per_point":
-            counts = set(report.lines_per_point)
-            if len(counts) != 1:
-                raise ValueError(f"incidence is not uniform: {sorted(counts)}")
-            return counts.pop()
-        if name == "pg_complement_petersen":
-            return report.complement_is_petersen
-        raise ValueError(f"unknown graph recipe {name!r}")
+    def _mub_group(self, n, k):
+        return self._cached(("mub_group", n, k), _mub_closure, n, k)
 
 
 def _status_for(claim, computed, failed):
@@ -474,12 +402,12 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
 
     A recipe that raises ValueError gets the status ``error`` and the
     remaining claims still run; one that hits a capacity limit or a search
-    budget is ``inconclusive`` and keeps the message as its reason.  The exit code is nonzero iff a claim has
-    status ``error`` or a non-disputed claim fails.  The machine
-    report is JSON-lines: one volatile header line (timestamps, wall
-    times and the capacity limits in effect), then one deterministic line
-    per claim.  The limits are read first, so a bad one fails before any
-    claim runs.
+    budget is ``inconclusive`` and keeps the message as its reason.  The
+    exit code is nonzero iff a claim has status ``error`` or a non-disputed
+    claim fails.  The machine report is JSON-lines: one volatile header
+    line (timestamps, wall times and the capacity limits in effect), then
+    one deterministic line per claim.  The limits are read first, so a bad
+    one fails before any claim runs.
     """
     if suite not in TIERS:
         raise ValueError(f"unknown suite {suite!r}")

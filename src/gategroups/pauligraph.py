@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from gategroups.config import limit
+from gategroups.errors import BudgetExceededError
 from gategroups.gates import catalog
 from gategroups.matrix import closure, kron
 
@@ -156,7 +158,10 @@ def maximum_independent_set(neighbors):
 
 
 def _graph_maps(nb1, nb2, count_all):
-    """Backtracking embeddings of graph 1 onto graph 2 (same size, bijective)."""
+    """Backtracking embeddings of graph 1 onto graph 2 (same size, bijective).
+
+    Raises BudgetExceededError after ``SEARCH_NODE_BUDGET`` nodes.
+    """
     n = len(nb1)
     if len(nb2) != n:
         return 0
@@ -166,10 +171,14 @@ def _graph_maps(nb1, nb2, count_all):
         return 0
     img = [-1] * n
     used = [False] * n
-    found = 0
+    found = nodes = 0
+    budget = limit("SEARCH_NODE_BUDGET")
 
     def backtrack(v):
-        nonlocal found
+        nonlocal found, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
         if v == n:
             found += 1
             return not count_all

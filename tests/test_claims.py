@@ -4,15 +4,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gategroups import config, isomorphism
+from gategroups import claims, config, isomorphism
 from gategroups.claims import (
     Evaluator,
     default_ledger_text,
+    format_value,
     parse_ledger,
     run_claims,
 )
-from gategroups.errors import LedgerParseError
+from gategroups.cli import main
+from gategroups.errors import GategroupsError, LedgerParseError
 
 
 def test_default_ledger_parses():
@@ -300,3 +303,205 @@ def test_is_normal_with_a_subgroup_parent():
     assert ev.value("subgroup_index(derived(symmetric(4)), derived(derived(symmetric(4))))") == 3
     assert ev.value("is_subgroup(derived(symmetric(4)), symmetric(4))") is True
     assert ev.value("is_subgroup(symmetric(4), derived(symmetric(4)))") is False
+
+
+def test_is_subgroup_refuses_a_bad_group():
+    """Only "not a member" means false; a group that fails to evaluate is an error,
+    and the parent group is evaluated first."""
+    ev = Evaluator()
+    with pytest.raises(ValueError, match=r"^unknown group spec 'bogus\(1\)'$"):
+        ev.value("is_subgroup(bogus(1), c1)")
+    with pytest.raises(ValueError, match=r"^unknown group spec 'bogus\(1\)'$"):
+        ev.value("is_subgroup(p1, bogus(1))")
+    with pytest.raises(ValueError, match=r"^unknown group spec 'nonsense\(2\)'$"):
+        ev.value("is_subgroup(bogus(1), nonsense(2))")
+    with pytest.raises(ValueError, match=r"^cyclic\(\) needs an integer argument, found 'x'$"):
+        ev.value("is_subgroup(cyclic(x), c1)")
+    assert ev.value("is_subgroup(c1, p1)") is False
+    reports, exit_code = run_claims(
+        ledger_text="typo | core | is_subgroup(bogus(1), c1) | false | derived | -\n"
+    )
+    assert [r.status for r in reports] == ["error"] and exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "call, expr, inner",
+    [
+        ("group", "cyclic(2,)", "cyclic(2,)"),
+        ("group", "cyclic(,2)", "cyclic(,2)"),
+        ("group", "direct(,)", "direct(,)"),
+        ("group", "direct(cyclic(2),,cyclic(3))", "direct(cyclic(2),,cyclic(3))"),
+        ("group", "wreath(cyclic(2),symmetric(3),)", "wreath(cyclic(2),symmetric(3),)"),
+        ("group", "wreath(,symmetric(3))", "wreath(,symmetric(3))"),
+        ("group", "semidirect(cyclic(3),cyclic(2),)", "semidirect(cyclic(3),cyclic(2),)"),
+        ("group", "derived(direct(cyclic(2),))", "direct(cyclic(2),)"),
+        ("value", "order(c1,)", "order(c1,)"),
+        ("value", "is_subgroup(,c1)", "is_subgroup(,c1)"),
+        ("value", "mub_order(2,)", "mub_order(2,)"),
+        ("value", "iso(cyclic(2), direct(,cyclic(2)))", "direct(,cyclic(2))"),
+    ],
+)
+def test_empty_arguments_are_refused(call, expr, inner):
+    with pytest.raises(ValueError) as err:
+        getattr(Evaluator(), call)(expr)
+    assert str(err.value) == f"empty argument in {inner!r}"
+
+
+def test_an_empty_argument_list_is_no_argument():
+    ev = Evaluator()
+    assert ev.group("quaternion8()").order() == 8
+    assert ev.value("order(quaternion8())") == 8
+    with pytest.raises(ValueError, match=r"^cyclic\(\) takes 1 argument\(s\), found 0$"):
+        ev.group("cyclic()")
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ("pg_bogus(2)", "unknown recipe 'pg_bogus(2)'"),
+        ("pg_bogus(x)", "unknown recipe 'pg_bogus(x)'"),
+        ("pg_lines(1)", "the quadrangle report is defined for the two-qubit graph"),
+        ("pg_vertices(5)", "pauli_graph supports 1..3 qubits"),
+        ("yang_baxter(xx)", "unknown matrix atom 'xx'"),
+        ("order(direct())", "direct() needs at least one factor"),
+        ("mub_order(2,-1)", "the number of operators must not be negative, found -1"),
+        ("order(mub(2,-3))", "the number of operators must not be negative, found -3"),
+        ("mub_order(2,6)", "the 2-qubit independent set has only 5 operators"),
+        ("frobnicate(c1)", "unknown recipe 'frobnicate(c1)'"),
+        ("order(order(c1))", "unknown group spec 'order(c1)'"),
+    ],
+)
+def test_recipe_error_messages(recipe, message):
+    with pytest.raises(ValueError) as err:
+        Evaluator().value(recipe)
+    assert str(err.value) == message
+
+
+def _nested(levels):
+    """``order(derived(...(c1)...))`` nesting ``levels`` levels deep."""
+    return "order(" + "derived(" * (levels - 1) + "c1" + ")" * levels
+
+
+def test_nesting_bound_through_run_claims():
+    bound = claims._MAX_NESTING
+    ledger = (
+        f"at-bound | core | {_nested(bound)} | 1 | derived | -\n"
+        f"past-bound | core | {_nested(bound + 1)} | 1 | derived | -\n"
+    )
+    reports, exit_code = run_claims(ledger_text=ledger)
+    assert [r.status for r in reports] == ["pass", "error"] and exit_code == 1
+    assert reports[1].error == f"order(...) nests deeper than {bound} levels"
+
+
+def test_nesting_bound_through_the_cli(tmp_path, capsys):
+    bound = claims._MAX_NESTING
+    at_bound = "derived(" * bound + "c1" + ")" * bound
+    assert main(["analyze", at_bound]) == 0
+    assert "order:              1" in capsys.readouterr().out
+    assert main(["analyze", f"derived({at_bound})"]) == 2
+    assert capsys.readouterr().err == f"error: derived(...) nests deeper than {bound} levels\n"
+    ledger = tmp_path / "deep.ledger"
+    ledger.write_text(f"deep | core | {_nested(600)} | 1 | derived | -\n")
+    assert main(["claims", "run", "--ledger", str(ledger)]) == 1
+    assert f"(order(...) nests deeper than {bound} levels)" in capsys.readouterr().out
+
+
+def test_extended_report_body_matches_the_golden_file(tmp_path):
+    """Every body line of the built-in ledger, all tiers, byte for byte by claim id."""
+    golden = Path(__file__).resolve().parent / "data" / "extended-suite.jsonl"
+    expected = {json.loads(line)["id"]: line for line in golden.read_text().splitlines()}
+    report = tmp_path / "extended.jsonl"
+    assert main(["claims", "run", "--suite", "extended", "--report", str(report)]) == 0
+    body = report.read_text().splitlines()[1:]
+    assert {json.loads(line)["id"]: line for line in body} == expected
+    assert len(body) == len(expected) == len(parse_ledger(default_ledger_text()))
+
+
+# -- fuzz: ledger lines and recipe text -----------------------------------------
+
+_FIELDS = st.sampled_from(["", "-", "a", "#x", "Sec 3", " c1 ", "[", "]", "(", ","])
+
+
+@st.composite
+def _ledger_lines(draw):
+    fields = [
+        draw(st.one_of(_FIELDS, st.text(alphabet="ab-_ ", max_size=4))),
+        draw(st.sampled_from(claims.TIERS + ("", "Core", "tier"))),
+        draw(_recipes()),
+        draw(st.sampled_from(["true", "false", "0", "-3", "07", "1_0", "[]", "[1, 2]", "[ 4 ]",
+                              "[1,,2]", "[1", "x", "", "True", "2.0"])),
+        draw(st.sampled_from(claims.PROVENANCES + ("", "nobody"))),
+        draw(_FIELDS),
+    ]
+    if draw(st.booleans()):  # a field short
+        del fields[draw(st.integers(0, 5))]
+    return " | ".join(fields + draw(st.lists(_FIELDS, max_size=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_ledger_lines(), st.sampled_from(["", "# note", "  "]),
+                          st.text(max_size=12)), max_size=5))
+def test_generated_ledger_lines_parse_or_raise(lines):
+    text = "\n".join(lines)
+    try:
+        parsed = parse_ledger(text)
+    except LedgerParseError as exc:
+        assert 1 <= exc.line_number <= len(text.splitlines())
+        assert str(exc).startswith(f"line {exc.line_number}: ")
+        return
+    again = "\n".join(
+        " | ".join([c.id, c.tier, c.recipe, format_value(c.expected), c.provenance, c.citation])
+        for c in parsed
+    )
+    assert parse_ledger(again) == parsed
+
+
+_INTS = ["0", "1", "2", "3", "4", "-1", "+2", "07", "1_0", "x"]
+_RAW = ["[(1,2)]", "[(1,2,3)]", "[]", "bellR", "cz", "p1", "c1", "x"]
+
+
+def _calls(table, groups):
+    """``name(args)`` for every recipe of ``table``, its arguments of the kinds it takes."""
+    def args(kinds):
+        if kinds == "+":
+            return st.lists(groups, max_size=3)
+        pick = {"e": groups, "i": st.sampled_from(_INTS), "a": st.sampled_from(_RAW)}
+        return st.tuples(*(pick[k] for k in kinds)).map(list)
+
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda name: args(table[name][0]).map(lambda parts: f"{name}({','.join(parts)})")
+    )
+
+
+_GROUPS = st.recursive(
+    st.sampled_from(["p1", "p2", "c1"]), lambda inner: _calls(claims._GROUP_RECIPES, inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _recipes(draw):
+    """Well-formed recipes with up to two stray, missing or extra characters, and some
+    nested past the bound."""
+    text = draw(st.one_of(_calls(claims._VALUE_RECIPES, _GROUPS), _GROUPS))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = draw(st.sampled_from([text[:i] + c + text[i:] for c in "(),[]"]
+                                    + [text[:i] + text[i + 1:], text[:i] + "x" + text[i:]]))
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(claims._MAX_NESTING - 4, claims._MAX_NESTING + 2))
+        text = "order(" + "center(" * k + text + ")" * (k + 1)
+    return text
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["value", "group"]), _recipes(), st.sampled_from(claims.TIERS))
+def test_generated_recipes_return_or_raise_typed_errors(monkeypatch, call, text, tier):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "200")
+    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "200")
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "2000")
+    ev = Evaluator()
+    try:
+        ev.value(text, tier) if call == "value" else ev.group(text)
+    except (ValueError, GategroupsError):
+        pass

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from gategroups.claims import run_claims
+from gategroups.errors import BudgetExceededError
 from gategroups.matrix import matmul
 from gategroups.pauligraph import (
     graph_automorphism_count,
@@ -125,6 +127,18 @@ def test_petersen_graph_shape():
     assert len(p) == 10
     assert all(len(nb) == 3 for nb in p)
     assert graph_automorphism_count(p) == 120
+
+
+def test_graph_automorphism_count_stops_at_the_node_budget(monkeypatch):
+    """Counting the 1451520 automorphisms of the three-qubit graph would take hours;
+    the search stops at the node budget and the ledger row is inconclusive."""
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "100")
+    with pytest.raises(BudgetExceededError, match="exceeded 100 nodes"):
+        graph_automorphism_count(petersen_graph())
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1000")
+    reports, exit_code = run_claims(ledger_text="a | core | pg_aut_count(3) | 1 | derived | -\n")
+    assert reports[0].status == "inconclusive" and exit_code == 0
+    assert reports[0].inconclusive_reason == "backtracking search exceeded 1000 nodes"
 
 
 def test_graphs_isomorphic_sanity():
