@@ -15,6 +15,11 @@ A recipe is ``name(arg, ...)``; each name is one entry of ``_GROUP_RECIPES``
 argument kinds and its code.  Bad text raises ValueError before any group
 argument of the recipe is evaluated.  The ``Evaluator`` memoises every result.
 
+The ``pg_*`` and ``mub_*`` recipes compute every Pauli-graph and MUB-chain
+fact, from one independent set, one set of quadrangle lines and one group
+per prefix, each memoised; the ``graph`` and ``mub-chain`` commands print
+them, and only the ledger states what they should be.
+
 Parsing a ledger and writing a report need no engine module.  A recipe
 imports the engine modules it calls when it runs and calls through the
 module (``isomorphism.commutator_set(...)``), so a wrapper or a test
@@ -88,6 +93,8 @@ def parse_ledger(text):
                 f"expected 6 |-separated fields, found {len(parts)}", lineno
             )
         cid, tier, recipe, expected, provenance, citation = parts
+        if not cid:
+            raise LedgerParseError("empty claim id", lineno)
         if cid in seen:
             raise LedgerParseError(f"duplicate claim id {cid!r}", lineno)
         seen.add(cid)
@@ -208,15 +215,23 @@ def _yang_baxter(ev, atom):
     return gates.yang_baxter_check(matrices[atom])
 
 
-def _mub_same(ev, n, k):
-    # the prefix groups nest, so equal orders mean equal groups
-    return ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
+def _quadrangle(n):
+    """The two-qubit graph; the recipes of its lines refuse any other n."""
+    graph = _graph(n)
+    if n != 2:
+        raise ValueError("the quadrangle report is defined for the two-qubit graph")
+    return graph
 
 
-def _graph_aut_count(ev, n):
-    if n == 2:  # counted by the quadrangle report
-        return ev._quadrangles(n).automorphism_count
-    return _engine("pauligraph").graph_automorphism_count(_graph(n).neighbors)
+def _lines_per_point(ev, n):
+    lines = ev._lines(n)
+    counts = [sum(v in line for line in lines) for v in range(_graph(n).vertex_count)]
+    return _uniform(counts, "incidence is not uniform:")
+
+
+def _complement_petersen(ev, n):
+    neighbors = _quadrangle(n).neighbors
+    return _engine("pauligraph").complement_is_petersen(neighbors, ev._independent_set(n))
 
 
 # Each recipe is one entry: (argument kinds, code).  The kinds are "e" a group
@@ -264,23 +279,23 @@ _VALUE_RECIPES = {
     "is_normal": ("ee", lambda ev, g, h: g.own_table().is_normal_set(g.indices_of(h))),
     "mub_order": ("ii", lambda ev, n, k: ev._mub_group(n, k).order()),
     "mub_aut_order": ("ii", lambda ev, n, k: ev._aut(ev._mub_group(n, k).perm_group()).order),
-    "mub_same": ("ii", _mub_same),
+    "mub_same": (  # the prefix groups nest, so equal orders mean equal groups
+        "ii", lambda ev, n, k: ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
+    ),
     "pg_vertices": ("i", lambda ev, n: _graph(n).vertex_count),
     "pg_uniform_degree": (
         "i", lambda ev, n: _uniform(_graph(n).degree_sequence(), "graph is not regular: degrees")
     ),
-    "pg_max_independent": (
-        "i", lambda ev, n: len(_engine("pauligraph").maximum_independent_set(_graph(n).neighbors))
+    "pg_max_independent": ("i", lambda ev, n: len(ev._independent_set(n))),
+    "pg_aut_count": (
+        "i", lambda ev, n: _engine("pauligraph").graph_automorphism_count(_graph(n).neighbors)
     ),
-    "pg_aut_count": ("i", _graph_aut_count),
-    "pg_lines": ("i", lambda ev, n: ev._quadrangles(n).line_count),
+    "pg_lines": ("i", lambda ev, n: len(ev._lines(n))),
     "pg_line_size": (
-        "i", lambda ev, n: _uniform(ev._quadrangles(n).line_sizes, "lines are not uniform: sizes")
+        "i", lambda ev, n: _uniform(map(len, ev._lines(n)), "lines are not uniform: sizes")
     ),
-    "pg_lines_per_point": (
-        "i", lambda ev, n: _uniform(ev._quadrangles(n).lines_per_point, "incidence is not uniform:")
-    ),
-    "pg_complement_petersen": ("i", lambda ev, n: ev._quadrangles(n).complement_is_petersen),
+    "pg_lines_per_point": ("i", _lines_per_point),
+    "pg_complement_petersen": ("i", _complement_petersen),
 }
 
 _GATE_BUILDERS = {
@@ -292,18 +307,6 @@ _GATE_BUILDERS = {
     "b2": lambda: _engine("gates").bell_group(),
     "p2pairs": lambda: _engine("matrix").closure(_engine("gates").pauli2_pair_generators()),
 }
-
-
-def _mub_closure(n, k):
-    """The matrix group of the first ``k`` operators of the n-qubit independent set."""
-    pauligraph = _engine("pauligraph")
-    graph = pauligraph.pauli_graph(n)
-    mis = pauligraph.maximum_independent_set(graph.neighbors)
-    if k < 0:
-        raise ValueError(f"the number of operators must not be negative, found {k}")
-    if k > len(mis):
-        raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
-    return _engine("matrix").closure([graph.representatives[v] for v in mis[:k]])
 
 
 class Evaluator:
@@ -379,12 +382,24 @@ class Evaluator:
         commutator_set = _engine("isomorphism").commutator_set
         return self._cached(key, lambda: commutator_set(group, extended=self.allow_extended))
 
-    def _quadrangles(self, n):
-        quadrangle_checks = _engine("pauligraph").quadrangle_checks
-        return self._cached(("quadrangles", n), lambda: quadrangle_checks(_graph(n)))
+    def _independent_set(self, n):
+        mis = _engine("pauligraph").maximum_independent_set
+        return self._cached(("independent_set", n), mis, _graph(n).neighbors)
+
+    def _lines(self, n):
+        """The lines of the two-qubit quadrangle: the maximal cliques of its graph."""
+        neighbors = _quadrangle(n).neighbors
+        return self._cached(("lines", n), _engine("pauligraph").maximal_cliques, neighbors)
 
     def _mub_group(self, n, k):
-        return self._cached(("mub_group", n, k), _mub_closure, n, k)
+        """The matrix group of the first ``k`` operators of the n-qubit independent set."""
+        mis = self._independent_set(n)
+        if k < 0:
+            raise ValueError(f"the number of operators must not be negative, found {k}")
+        if k > len(mis):
+            raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
+        operators = [_graph(n).representatives[v] for v in mis[:k]]
+        return self._cached(("mub_group", n, k), _engine("matrix").closure, operators)
 
 
 def _status_for(claim, computed, failed):

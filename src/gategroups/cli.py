@@ -34,9 +34,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a named gate group or a group spec")
-    b.add_argument("name", help="p1, p2, p3, c1, c2, b2, or a spec like wreath(cyclic(2), symmetric(5))")
+    b.add_argument(
+        "name", help="p1, p2, p3, c1, c2, b2, or a spec like wreath(cyclic(2), symmetric(5))"
+    )
     b.add_argument("--export", metavar="FILE", help="write the group to a file")
-    b.add_argument("--elements", action="store_true", help="include the full element list in the export")
+    b.add_argument(
+        "--elements", action="store_true", help="include the full element list in the export"
+    )
 
     a = sub.add_parser("analyze", help="print a structure report for a group expression")
     a.add_argument(
@@ -48,7 +52,9 @@ def _build_parser():
     csub = c.add_subparsers(dest="claims_command", required=True)
     crun = csub.add_parser("run", help="execute the ledger")
     crun.add_argument("--suite", choices=list(claims_mod.TIERS), default="core")
-    crun.add_argument("--ledger", metavar="FILE", help="ledger file (defaults to the built-in ledger)")
+    crun.add_argument(
+        "--ledger", metavar="FILE", help="ledger file (defaults to the built-in ledger)"
+    )
     crun.add_argument("--report", metavar="FILE", help="write a machine-readable JSONL report")
 
     g = sub.add_parser("graph", help="commutation graph exports")
@@ -170,15 +176,13 @@ def _cmd_graph(args):
     mis = pauligraph.maximum_independent_set(graph.neighbors)
     print(f"maximum independent set ({len(mis)}): {[graph.labels[v] for v in mis]}")
     if args.n == 2:
-        report = pauligraph.quadrangle_checks(graph)
+        ev = Evaluator()
         print(
-            f"lines: {report.line_count} (size {sorted(set(report.line_sizes))}), "
-            f"lines per point {sorted(set(report.lines_per_point))}, "
-            f"complement is Petersen: {report.complement_is_petersen}, "
-            f"graph automorphisms: {report.automorphism_count}"
+            f"lines: {ev.value('pg_lines(2)')} (size [{ev.value('pg_line_size(2)')}]), "
+            f"lines per point [{ev.value('pg_lines_per_point(2)')}], "
+            f"complement is Petersen: {ev.value('pg_complement_petersen(2)')}, "
+            f"graph automorphisms: {ev.value('pg_aut_count(2)')}"
         )
-        for failure in report.failures:
-            print(f"FAILED: {failure}")
     if args.dot:
         pauligraph.write_dot(graph, args.dot)
         print(f"DOT written to {args.dot}")
@@ -186,13 +190,20 @@ def _cmd_graph(args):
 
 
 def _cmd_mub_chain(args):
-    from gategroups import pauligraph
-
-    links = pauligraph.mub_chain(args.n, with_aut=not args.no_aut, extended=args.extended)
-    for link in links:
-        aut = link.aut_order if link.aut_order is not None else f"({link.aut_status})"
-        note = "  (= previous)" if link.same_as_previous else ""
-        print(f"g{link.k}: order {link.order:6}  aut {aut}{note}")
+    ev, n = Evaluator(), args.n
+    aut_tier = "extended" if args.extended else "core"
+    for k in range(2, ev.value(f"pg_max_independent({n})") + 1):
+        order = ev.value(f"mub_order({n}, {k})")
+        aut = "(skipped)"
+        if not args.no_aut:
+            try:
+                aut = ev.value(f"mub_aut_order({n}, {k})", aut_tier)
+            except CapacityError:
+                pass
+            except BudgetExceededError:
+                aut = "(inconclusive)"
+        note = "  (= previous)" if ev.value(f"mub_same({n}, {k})") else ""
+        print(f"g{k}: order {order:6}  aut {aut}{note}")
     return 0
 
 

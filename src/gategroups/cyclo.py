@@ -501,7 +501,9 @@ def _bounded_power(x, exponent):
         (c.numerator.bit_length() + c.denominator.bit_length() for _, c in x._items), default=0
     )
     if abs(exponent) * size > _MAX_POWER_BITS:
-        raise ValueError(f"exponent {exponent} is too large for a value that is not a root of unity")
+        raise ValueError(
+            f"exponent {exponent} is too large for a value that is not a root of unity"
+        )
     return x**exponent
 
 

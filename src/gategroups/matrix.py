@@ -12,6 +12,8 @@ sums over those alone.
 
 from __future__ import annotations
 
+import re
+
 from gategroups import cyclo
 from gategroups.config import limit
 from gategroups.errors import GroupFileError
@@ -108,7 +110,8 @@ class UnitaryMatrix:
         return f"UnitaryMatrix({self.dim}, {self.entries!r})"
 
     def __str__(self):
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows()) + "]"
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.rows())
+        return "[" + ", ".join(rows) + "]"
 
 
 def identity_matrix(dim):
@@ -273,27 +276,19 @@ def write_group(group, path, include_elements=False):
 
 
 def parse_matrix(text, dim=None):
-    """Parse a matrix literal [[...], [...]] with cyclotomic entries."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    """Parse a matrix literal [[...], [...]] with cyclotomic entries.
+
+    The rows are wrapped in one pair of brackets each, with commas between
+    them, inside one outer pair; other text raises ValueError.
+    """
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
         raise ValueError("matrix literal must be wrapped in [ ]")
-    rows = []
-    depth = 0
-    row_start = None
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                row_start = pos + 1
-        elif ch == "]":
-            if depth == 2:
-                rows.append(text[row_start:pos])
-            depth -= 1
-    entries = []
-    for row in rows:
-        cells = [cyclo.parse(cell) for cell in row.split(",")]
-        entries.append(cells)
-    m = matrix_from_rows(entries)
+    body = body[1:-1].strip()
+    rows = re.split(r"\]\s*,\s*\[", body[1:-1])
+    if body[:1] != "[" or body[-1:] != "]" or any("[" in r or "]" in r for r in rows):
+        raise ValueError("matrix literal must be [[row], [row], ...]")
+    m = matrix_from_rows([[cyclo.parse(cell) for cell in row.split(",")] for row in rows])
     if dim is not None and m.dim != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, found {m.dim}x{m.dim}")
     return m
@@ -345,7 +340,8 @@ def read_group(path):
     if pos < len(lines):
         declared = _count_line(lines, pos, "elements")
         listed = _matrix_lines(lines, pos + 1, declared, dim)
-        if len(set(listed)) != group.order() or not all(m in group for m in listed):
+        exact = declared == len(set(listed)) == group.order()
+        if not (exact and all(m in group for m in listed)):
             raise GroupFileError("element list does not match the generated group", lines[pos][0])
         if pos + 1 + declared < len(lines):
             lineno, text = lines[pos + 1 + declared]

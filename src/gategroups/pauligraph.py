@@ -1,9 +1,14 @@
-"""Pauli commutation graphs, the two-qubit quadrangle geometry, MUB chains.
+"""Pauli commutation graphs and the graph searches run on them.
 
 Vertices are the 4^n - 1 nonidentity Pauli tensor operators modulo phase,
 ordered by their symplectic label (X-part then Z-part, leftmost wire most
 significant); two vertices are joined iff representatives commute, which
 is independent of the chosen phases.
+
+The searches are the maximum independent set, the maximal cliques (the
+lines of the two-qubit quadrangle), automorphism counts and the Petersen
+test; the claims ``Evaluator`` memoises them and builds the MUB prefix
+groups, and only the ledger states their expected values.
 """
 
 from __future__ import annotations
@@ -13,19 +18,17 @@ from dataclasses import dataclass, field
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError
 from gategroups.gates import catalog
-from gategroups.matrix import closure, kron
+from gategroups.matrix import kron
 
 __all__ = [
     "PauliGraph",
     "pauli_graph",
     "maximum_independent_set",
-    "QuadrangleReport",
-    "quadrangle_checks",
+    "maximal_cliques",
+    "complement_is_petersen",
     "graph_automorphism_count",
     "graphs_isomorphic",
     "petersen_graph",
-    "mub_chain",
-    "ChainLink",
     "write_dot",
 ]
 
@@ -222,28 +225,10 @@ def petersen_graph():
     ]
 
 
-# -- the quadrangle report ---------------------------------------------------
+# -- the two-qubit quadrangle -------------------------------------------------
 
 
-@dataclass
-class QuadrangleReport:
-    vertex_count: int
-    degrees: list
-    line_count: int
-    line_sizes: list
-    lines_per_point: list
-    independent_set: list  # vertex ids
-    independent_labels: list
-    complement_is_petersen: bool
-    automorphism_count: int
-    failures: list
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def _maximal_cliques(neighbors):
+def maximal_cliques(neighbors):
     """Bron-Kerbosch, deterministic order."""
     n = len(neighbors)
     out = []
@@ -261,117 +246,12 @@ def _maximal_cliques(neighbors):
     return out
 
 
-def quadrangle_checks(graph):
-    """Structural report on the two-qubit commutation geometry.
-
-    Failed assertions are collected, never raised, so the report always
-    covers every check.
-    """
-    if graph.n != 2:
-        raise ValueError("the quadrangle report is defined for the two-qubit graph")
-    failures = []
-    degrees = graph.degree_sequence()
-    if graph.vertex_count != 15:
-        failures.append(f"expected 15 vertices, found {graph.vertex_count}")
-    if any(d != 6 for d in degrees):
-        failures.append(f"expected all degrees 6, found {sorted(set(degrees))}")
-
-    lines = _maximal_cliques(graph.neighbors)
-    line_sizes = sorted(len(l) for l in lines)
-    if len(lines) != 15:
-        failures.append(f"expected 15 lines, found {len(lines)}")
-    if set(line_sizes) != {3}:
-        failures.append(f"expected lines of size 3, found sizes {sorted(set(line_sizes))}")
-    per_point = [sum(1 for l in lines if v in l) for v in range(graph.vertex_count)]
-    if any(c != 3 for c in per_point):
-        failures.append(f"expected 3 lines per point, found {sorted(set(per_point))}")
-
-    ovoid = maximum_independent_set(graph.neighbors)
-    if len(ovoid) != 5:
-        failures.append(f"expected a maximum independent set of size 5, found {len(ovoid)}")
-
-    rest = [v for v in range(graph.vertex_count) if v not in ovoid]
+def complement_is_petersen(neighbors, independent):
+    """Whether the graph induced off the vertex set ``independent`` is the Petersen graph."""
+    rest = [v for v in range(len(neighbors)) if v not in independent]
     pos = {v: i for i, v in enumerate(rest)}
-    induced = [
-        {pos[u] for u in graph.neighbors[v] if u in pos} for v in rest
-    ]
-    is_petersen = graphs_isomorphic(induced, petersen_graph())
-    if not is_petersen:
-        failures.append("complement of the independent set is not the Petersen graph")
-
-    aut = graph_automorphism_count(graph.neighbors)
-    if aut != 720:
-        failures.append(f"expected 720 graph automorphisms, found {aut}")
-
-    return QuadrangleReport(
-        vertex_count=graph.vertex_count,
-        degrees=degrees,
-        line_count=len(lines),
-        line_sizes=line_sizes,
-        lines_per_point=per_point,
-        independent_set=ovoid,
-        independent_labels=[graph.labels[v] for v in ovoid],
-        complement_is_petersen=is_petersen,
-        automorphism_count=aut,
-        failures=failures,
-    )
-
-
-# -- MUB chain ----------------------------------------------------------------
-
-
-@dataclass
-class ChainLink:
-    k: int  # number of operators used
-    group: object  # MatrixGroup
-    order: int
-    aut_order: int | None
-    aut_status: str  # "ok", "skipped" or "inconclusive"
-    same_as_previous: bool
-
-
-def mub_chain(n, with_aut=True, extended=False):
-    """Groups generated by growing prefixes of the canonical independent set.
-
-    The operators are taken as matrices with their phases.  Automorphism
-    orders are computed within the configured tier; links whose group is
-    too large (or with with_aut off) carry aut_status "skipped".
-    """
-    from gategroups.errors import BudgetExceededError, CapacityError
-    from gategroups.isomorphism import automorphism_group
-
-    graph = pauli_graph(n)
-    mis = maximum_independent_set(graph.neighbors)
-    mats = [graph.representatives[v] for v in mis]
-    links = []
-    prev_order = None
-    for k in range(2, len(mats) + 1):
-        grp = closure(mats[:k])
-        # the prefix groups nest, so equal orders mean equal groups
-        same = grp.order() == prev_order
-        aut_order = None
-        status = "skipped"
-        if with_aut:
-            try:
-                aut = automorphism_group(grp.perm_group(), extended=extended)
-                aut_order = aut.order
-                status = "ok"
-            except CapacityError:
-                status = "skipped"
-            except BudgetExceededError:
-                status = "inconclusive"
-        links.append(
-            ChainLink(
-                k=k,
-                group=grp,
-                order=grp.order(),
-                aut_order=aut_order,
-                aut_status=status,
-                same_as_previous=same,
-            )
-        )
-        prev_order = grp.order()
-    return links
+    induced = [{pos[u] for u in neighbors[v] if u in pos} for v in rest]
+    return graphs_isomorphic(induced, petersen_graph())
 
 
 def write_dot(graph, path):

@@ -93,16 +93,19 @@ def brute_force_elements(group: PermGroup):
 
 
 def matrix_product(a, b):
-    """Exact product entry by entry (oracle; independent of ``matmul``)."""
+    """Exact product entry by entry, each a sum over the nonzero entries of
+    its row of ``a`` (oracle; independent of ``matmul`` and ``row_times``)."""
     d = a.dim
-    return UnitaryMatrix(
-        d,
-        tuple(
-            sum((a[i, k] * b[k, j] for k in range(d)), ZERO)
-            for i in range(d)
-            for j in range(d)
-        ),
-    )
+    columns = [b.entries[j::d] for j in range(d)]
+    entries = []
+    for row in a.rows():
+        nonzero = [(k, x) for k, x in enumerate(row) if x != ZERO]
+        for column in columns:
+            total = ZERO
+            for k, x in nonzero:
+                total = total + x * column[k]
+            entries.append(total)
+    return UnitaryMatrix(d, tuple(entries))
 
 
 def dimino_closure(generators):

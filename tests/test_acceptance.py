@@ -47,12 +47,7 @@ from gategroups.isomorphism import (
     is_perfect,
     isomorphic,
 )
-from gategroups.pauligraph import (
-    maximum_independent_set,
-    mub_chain,
-    pauli_graph,
-    quadrangle_checks,
-)
+from gategroups.pauligraph import maximum_independent_set, pauli_graph
 from gategroups.structure import (
     abelian_invariants,
     center,
@@ -189,27 +184,22 @@ def test_criterion_6_yang_baxter():
 
 def test_criterion_7_pauli_geometry():
     with _criterion("7 two-qubit Pauli geometry"):
-        graph = pauli_graph(2)
-        report = quadrangle_checks(graph)
-        assert report.vertex_count == 15
-        assert set(report.degrees) == {6}
-        assert report.line_count == 15
-        assert set(report.line_sizes) == {3}
-        assert set(report.lines_per_point) == {3}
-        assert len(report.independent_set) == 5
-        assert report.complement_is_petersen
-        assert report.automorphism_count == 720
-        assert report.ok
+        assert _EV.value("pg_vertices(2)") == 15
+        assert _EV.value("pg_uniform_degree(2)") == 6
+        assert _EV.value("pg_lines(2)") == 15
+        assert _EV.value("pg_line_size(2)") == 3
+        assert _EV.value("pg_lines_per_point(2)") == 3
+        assert _EV.value("pg_max_independent(2)") == 5
+        assert _EV.value("pg_complement_petersen(2)") is True
+        assert _EV.value("pg_aut_count(2)") == 720
 
 
 def test_criterion_8_table_chain():
     with _criterion("8 independent-set chain"):
-        links = mub_chain(2)
-        by_k = {l.k: l for l in links}
-        assert by_k[2].aut_order == 8
-        assert by_k[3].aut_order == 48
-        assert by_k[4].aut_order == 1920
-        assert by_k[5].same_as_previous  # g5 = g4
+        assert _EV.value("mub_aut_order(2, 2)") == 8
+        assert _EV.value("mub_aut_order(2, 3)") == 48
+        assert _EV.value("mub_aut_order(2, 4)") == 1920
+        assert _EV.value("mub_same(2, 5)") is True  # g5 = g4
 
 
 def test_criterion_9_property_suites():

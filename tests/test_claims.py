@@ -1,6 +1,7 @@
 """Ledger parsing, claim execution, the exit-code contract, report determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from gategroups.claims import (
 )
 from gategroups.cli import main
 from gategroups.errors import GategroupsError, LedgerParseError
+from gategroups.perm import PermGroup
 
 
 def test_default_ledger_parses():
@@ -44,6 +46,13 @@ def test_parse_errors_carry_line_numbers():
             "a | core | order(c1) | 192 | derived | -\n"
             "a | core | order(c1) | 192 | derived | -"
         )
+
+
+def test_an_empty_claim_id_is_refused():
+    with pytest.raises(LedgerParseError) as err:
+        parse_ledger("a | core | order(c1) | 192 | derived | -\n | core | order(c1) | 16 | derived | -")
+    assert str(err.value) == "line 2: empty claim id"
+    assert err.value.line_number == 2
 
 
 def test_small_suite_passes():
@@ -202,35 +211,48 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     assert calls[1:] == [{"extended": True}]
 
 
-def test_graph_values_read_one_quadrangle_report(monkeypatch):
-    """The pg_* values of the two-qubit graph come from one report and one
-    automorphism count, equal to a fresh report's; other n keep their counts."""
+def test_graph_searches_run_once_per_qubit_count(monkeypatch):
+    """Every pg_* and mub_* recipe reads one memoised independent set and one set
+    of lines per n, and each automorphism count runs once."""
     from gategroups import pauligraph
 
-    fresh = pauligraph.quadrangle_checks(pauligraph.pauli_graph(2))
-    reports, counts = [], []
-    real_report, real_count = pauligraph.quadrangle_checks, pauligraph.graph_automorphism_count
+    calls = []
 
-    def counting_report(graph):
-        reports.append(graph.n)
-        return real_report(graph)
+    def counting(name):
+        real = getattr(pauligraph, name)
 
-    def counting_count(neighbors):
-        counts.append(len(neighbors))
-        return real_count(neighbors)
+        def wrapper(neighbors):
+            calls.append((name, len(neighbors)))
+            return real(neighbors)
 
-    monkeypatch.setattr(pauligraph, "quadrangle_checks", counting_report)
-    monkeypatch.setattr(pauligraph, "graph_automorphism_count", counting_count)
+        monkeypatch.setattr(pauligraph, name, wrapper)
+
+    for name in ("maximal_cliques", "maximum_independent_set", "graph_automorphism_count"):
+        counting(name)
     ev = Evaluator()
-    assert ev.value("pg_lines(2)") == fresh.line_count == 15
-    assert ev.value("pg_line_size(2)") == fresh.line_sizes[0] == 3
-    assert ev.value("pg_lines_per_point(2)") == fresh.lines_per_point[0] == 3
-    assert ev.value("pg_complement_petersen(2)") is fresh.complement_is_petersen is True
-    assert ev.value("pg_aut_count(2)") == fresh.automorphism_count == 720
-    assert reports == [2] and counts == [15]
-    assert ev.value("pg_aut_count(1)") == 6
-    assert counts == [15, 3]
-    with pytest.raises(ValueError):
+    graph_recipes = [
+        "pg_vertices", "pg_uniform_degree", "pg_max_independent", "pg_aut_count",
+        "pg_lines", "pg_line_size", "pg_lines_per_point", "pg_complement_petersen",
+    ]
+    for _ in range(2):
+        assert [ev.value(f"{r}(2)") for r in graph_recipes] == [15, 6, 5, 720, 15, 3, 3, True]
+        for n, size in ((1, 3), (2, 5)):
+            assert ev.value(f"pg_max_independent({n})") == size
+            for k in range(1, size + 1):
+                ev.value(f"mub_order({n}, {k})")
+                ev.group(f"mub({n}, {k})")
+                if k > 1:
+                    ev.value(f"mub_same({n}, {k})")
+            ev.value(f"mub_aut_order({n}, 2)")
+        assert ev.value("pg_aut_count(1)") == 6
+    assert sorted(calls) == [
+        ("graph_automorphism_count", 3),
+        ("graph_automorphism_count", 15),
+        ("maximal_cliques", 15),
+        ("maximum_independent_set", 3),
+        ("maximum_independent_set", 15),
+    ]
+    with pytest.raises(ValueError, match="defined for the two-qubit graph"):
         ev.value("pg_lines(1)")
 
 
@@ -505,3 +527,44 @@ def test_generated_recipes_return_or_raise_typed_errors(monkeypatch, call, text,
         ev.value(text, tier) if call == "value" else ev.group(text)
     except (ValueError, GategroupsError):
         pass
+
+
+# -- fuzz: constructor orders against their closed forms --------------------------
+# Each node is (expression, order, degree of its permutation action).
+
+_CONSTRUCTORS = st.one_of(
+    st.integers(1, 6).map(lambda n: (f"cyclic({n})", n, n)),
+    st.integers(1, 6).map(lambda n: (f"dihedral({2 * n})", 2 * n, {1: 2, 2: 4}.get(n, n))),
+    st.integers(1, 4).map(lambda n: (f"symmetric({n})", math.factorial(n), n)),
+    st.integers(1, 5).map(lambda n: (f"alternating({n})", max(math.factorial(n) // 2, 1), n)),
+)
+
+
+def _direct(factors):
+    texts, orders, degrees = zip(*factors)
+    return f"direct({', '.join(texts)})", math.prod(orders), sum(degrees)
+
+
+def _wreath(pair):
+    (m, m_order, m_degree), (h, h_order, h_degree) = pair
+    return f"wreath({m}, {h})", m_order**h_degree * h_order, m_degree * h_degree
+
+
+def _products(inner):
+    return st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(_direct), st.tuples(inner, inner).map(_wreath)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_CONSTRUCTORS, _products, max_leaves=3).filter(lambda node: node[2] <= 60))
+def test_generated_constructor_orders_match_their_closed_forms(node):
+    """|cyclic(n)| = n, |dihedral(2n)| = 2n, |symmetric(n)| = n!, |alternating(n)| = n!/2,
+    a direct product multiplies orders and |wreath(m, h)| = |m|^deg(h) |h|; the order
+    of a fresh chain on the generators agrees."""
+    text, order, degree = node
+    ev = Evaluator()
+    assert ev.value(f"order({text})") == order
+    group = ev.group(text)
+    assert group.degree == degree
+    assert PermGroup(degree, group.generators).order() == order

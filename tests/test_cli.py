@@ -96,11 +96,44 @@ def test_graph_pauli_dot(tmp_path, capsys):
     assert dot.read_text().startswith("graph pauli2")
 
 
+def test_graph_pauli_prints_the_quadrangle_recipes(capsys):
+    assert main(["graph", "pauli", "-n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "lines: 15 (size [3]), lines per point [3], complement is Petersen: True, "
+        "graph automorphisms: 720"
+    )
+
+
 def test_mub_chain_command(capsys):
     assert main(["mub-chain", "-n", "2"]) == 0
     out = capsys.readouterr().out
     assert "aut 1920" in out
     assert "(= previous)" in out
+
+
+def test_mub_chain_without_aut(capsys):
+    assert main(["mub-chain", "-n", "2", "--no-aut"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "g2: order      8  aut (skipped)",
+        "g3: order     16  aut (skipped)",
+        "g4: order     32  aut (skipped)",
+        "g5: order     32  aut (skipped)  (= previous)",
+    ]
+
+
+def test_mub_chain_capacity_and_budget(monkeypatch, capsys):
+    """A group past the core capacity is skipped; a search out of nodes is inconclusive."""
+    assert main(["mub-chain", "-n", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "g7: order    256  aut (skipped)"
+    assert main(["mub-chain", "-n", "3", "--extended"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "g7: order    256  aut 185794560"
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "5")
+    assert main(["mub-chain", "-n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "g3: order     16  aut (inconclusive)",
+        "g4: order     32  aut (inconclusive)",
+        "g5: order     32  aut (inconclusive)  (= previous)",
+    ]
 
 
 def test_analyze_group_file(tmp_path, capsys):

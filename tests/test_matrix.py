@@ -1,10 +1,13 @@
 """Exact matrices, base-image enumeration, the action on the row orbit, group files."""
 
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import dimino_closure, indices_of_oracle, matrix_product, row_times_dense
+from gategroups.claims import Evaluator
 from gategroups.cyclo import ONE, ZERO, rational, root_of_unity, sqrt2
 from gategroups.errors import CapacityError, ClosureOverflowError, GroupFileError
 from gategroups.gates import (
@@ -25,7 +28,6 @@ from gategroups.matrix import (
     read_group,
     write_group,
 )
-from gategroups.pauligraph import mub_chain
 from gategroups.structure import center
 
 
@@ -110,7 +112,7 @@ def test_limit_rejects_bad_values(monkeypatch, value, message):
 
 def _oracle_group(name):
     if name.startswith("mub"):
-        return mub_chain(2, with_aut=False)[int(name[-1]) - 2].group
+        return Evaluator()._mub_group(2, int(name[-1]))
     return {
         "p1": lambda: pauli_group(1),
         "p2": lambda: pauli_group(2),
@@ -307,6 +309,117 @@ def test_group_file_errors_name_the_line(tmp_path, text, line):
         read_group(path)
     assert err.value.line_number == line
     assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[0, 1] x [1, 0]]", "[[0, 1], [1, 0]", "[[0, 1], [1, 0]]]", "[x[0, 1], [1, 0]]",
+     "[[0, 1]][[1, 0]]", "[[[0, 1], [1, 0]]]", "[]"],
+)
+def test_malformed_matrix_literals_are_refused(tmp_path, text):
+    """Stray text or brackets around the rows once loaded as the bare rows."""
+    path = tmp_path / "bad.group"
+    path.write_text(f"dim 2\ngenerators 1\n{text}\n", encoding="ascii")
+    with pytest.raises(GroupFileError) as err:
+        read_group(path)
+    assert str(err.value) == "line 3: matrix literal must be [[row], [row], ...]"
+
+
+def test_an_element_list_with_a_repeat_is_refused(tmp_path):
+    """Three listed elements of a group of order 2 once loaded, one of them twice."""
+    path = tmp_path / "repeat.group"
+    x, one = "[[0, 1], [1, 0]]", "[[1, 0], [0, 1]]"
+    path.write_text(f"dim 2\ngenerators 1\n{x}\nelements 3\n{one}\n{x}\n{x}\n", encoding="ascii")
+    with pytest.raises(GroupFileError) as err:
+        read_group(path)
+    assert str(err.value) == "line 4: element list does not match the generated group"
+
+
+# -- fuzz: matrix group files ------------------------------------------------------
+
+_CELLS = ["0", "1", "-1", "E(4)", "-E(4)", "E(8)", "ER(2)/2", "-ER(2)/2", "1/2", "2", "E(",
+          "x", "", "1/0", "E(0)", "E(99999999999)", "2^99999999999"]
+
+
+def _gates():
+    """Unitary matrices written as ``write_group`` writes them, by dimension."""
+    c = catalog()
+    return {
+        1: ["[[1]]", "[[-1]]", "[[E(4)]]", "[[E(8)]]"],
+        2: [str(m) for m in (c.sigma0, c.sigma_x, c.sigma_z, c.hadamard, c.phase)],
+        4: [str(m) for m in (c.cz, c.bell)],
+    }
+
+
+@st.composite
+def _matrix_lines(draw, dim):
+    """Mostly a gate of dimension ``dim``; else a grid of cells of any shape, a gate
+    of another dimension, or one of these with a character cut."""
+    kind = draw(st.integers(0, 5))
+    if kind < 3:
+        text = draw(st.sampled_from(_gates().get(dim, ["[[1]]"])))
+    elif kind == 3:
+        text = draw(st.sampled_from(sum(_gates().values(), [])))
+    else:
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        cells = st.sampled_from(_CELLS)
+        grid = [[draw(cells) for _ in range(cols)] for _ in range(rows)]
+        text = "[" + ", ".join("[" + ", ".join(row) + "]" for row in grid) + "]"
+    if text and draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + text[i + 1:]
+    return text
+
+
+# one bracket pair around the rows and one around each row, commas between
+_MATRIX_LITERAL = re.compile(r"\[\s*\[[^][]*\](\s*,\s*\[[^][]*\])*\s*\]")
+_BAD_COUNTS = st.sampled_from(["0", "-1", "x", "", "1 2", "99999999999"])
+
+
+def _count(draw, keyword, n):
+    """``keyword n``, or now and then a count that is wrong or malformed."""
+    count = str(n) if draw(st.integers(0, 4)) else draw(st.one_of(_BAD_COUNTS, st.just(str(n + 1))))
+    return f"{keyword} {count}"
+
+
+@st.composite
+def _group_files(draw):
+    """Header, generators and an optional element list, each count mostly right; then
+    sometimes an extra line and sometimes cut short."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    gens = draw(st.lists(_matrix_lines(dim), min_size=1, max_size=3))
+    lines = [_count(draw, "dim", dim), _count(draw, "generators", len(gens)), *gens]
+    if draw(st.booleans()):
+        elements = draw(st.lists(_matrix_lines(dim), max_size=4))
+        lines += [_count(draw, "elements", len(elements)), *elements]
+    if draw(st.integers(0, 3)) == 0:
+        extra = st.one_of(_matrix_lines(dim), _BAD_COUNTS, st.text(st.characters(max_codepoint=127), max_size=8))
+        lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    if draw(st.integers(0, 3)) == 0:
+        lines = lines[: draw(st.integers(0, len(lines)))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_group_files())
+def test_any_matrix_group_file_loads_or_names_its_line(tmp_path, monkeypatch, text):
+    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "64")
+    path = tmp_path / "any.group"
+    path.write_text(text, encoding="ascii")
+    try:
+        group = read_group(path)
+    except GroupFileError as exc:
+        assert 1 <= exc.line_number <= text.count("\n") + 2
+        assert str(exc).startswith(f"line {exc.line_number}: ")
+    except CapacityError:
+        pass
+    else:
+        assert all(g.dim == group.dim and g.is_unitary() for g in group.generators)
+        assert group.order() <= 64
+        lines = [line.strip() for line in text.split("\n") if line.strip()]
+        assert all(_MATRIX_LITERAL.fullmatch(line) for line in lines[2:] if line[0] == "[")
+        counts = [line.split()[1] for line in lines if line.startswith("elements")]
+        assert counts in ([], [str(group.order())])
 
 
 def test_sqrt2_entries_survive_round_trip(tmp_path):

@@ -1,21 +1,21 @@
-"""Commutation graphs, the quadrangle report, independent sets, MUB chains."""
+"""Commutation graphs, the quadrangle lines, independent sets, MUB chains."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from gategroups.claims import run_claims
+from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError
 from gategroups.matrix import matmul
 from gategroups.pauligraph import (
+    complement_is_petersen,
     graph_automorphism_count,
     graphs_isomorphic,
+    maximal_cliques,
     maximum_independent_set,
-    mub_chain,
     pauli_graph,
     petersen_graph,
-    quadrangle_checks,
     write_dot,
 )
 
@@ -151,44 +151,57 @@ def test_graphs_isomorphic_sanity():
     assert not graphs_isomorphic(k3, path)
 
 
+def test_quadrangle_lines_and_ovoid():
+    g = pauli_graph(2)
+    lines = maximal_cliques(g.neighbors)
+    assert len(lines) == 15
+    assert {len(line) for line in lines} == {3}
+    assert {sum(v in line for line in lines) for v in range(15)} == {3}
+    ovoid = maximum_independent_set(g.neighbors)
+    assert len(ovoid) == 5
+    assert complement_is_petersen(g.neighbors, ovoid)
+    assert not complement_is_petersen(g.neighbors, ovoid[:4] + [13])  # 13 is joined to 3
+    assert graph_automorphism_count(g.neighbors) == 720
+
+
 def test_quadrangle_report():
-    rep = quadrangle_checks(pauli_graph(2))
-    assert rep.ok, rep.failures
-    assert rep.vertex_count == 15
-    assert set(rep.degrees) == {6}
-    assert rep.line_count == 15
-    assert set(rep.line_sizes) == {3}
-    assert set(rep.lines_per_point) == {3}
-    assert len(rep.independent_set) == 5
-    assert rep.complement_is_petersen
-    assert rep.automorphism_count == 720
+    """The eight values of the two-qubit geometry, as the pg2-* ledger rows read them."""
+    ev = Evaluator()
+    assert ev.value("pg_vertices(2)") == 15
+    assert ev.value("pg_uniform_degree(2)") == 6
+    assert ev.value("pg_lines(2)") == 15
+    assert ev.value("pg_line_size(2)") == 3
+    assert ev.value("pg_lines_per_point(2)") == 3
+    assert ev.value("pg_max_independent(2)") == 5
+    assert ev.value("pg_complement_petersen(2)") is True
+    assert ev.value("pg_aut_count(2)") == 720
 
 
 def test_quadrangle_requires_two_qubits():
-    with pytest.raises(ValueError):
-        quadrangle_checks(pauli_graph(1))
+    for recipe in ("pg_lines", "pg_line_size", "pg_lines_per_point", "pg_complement_petersen"):
+        for n in (1, 3):
+            with pytest.raises(ValueError) as err:
+                Evaluator().value(f"{recipe}({n})")
+            assert str(err.value) == "the quadrangle report is defined for the two-qubit graph"
 
 
 def test_mub_chain_two_qubits():
-    links = mub_chain(2)
-    assert [l.order for l in links] == [8, 16, 32, 32]
-    assert [l.aut_order for l in links] == [8, 48, 1920, 1920]
-    assert links[-1].same_as_previous  # g5 = g4
+    ev = Evaluator()
+    assert [ev.value(f"mub_order(2, {k})") for k in range(2, 6)] == [8, 16, 32, 32]
+    assert [ev.value(f"mub_aut_order(2, {k})") for k in range(2, 6)] == [8, 48, 1920, 1920]
+    assert [ev.value(f"mub_same(2, {k})") for k in range(2, 6)] == [False, False, False, True]
     # nested and non-decreasing
-    for prev, cur in zip(links, links[1:]):
-        assert set(prev.group.elements) <= set(cur.group.elements)
-        assert prev.order <= cur.order
-
-
-def test_mub_chain_without_aut():
-    links = mub_chain(2, with_aut=False)
-    assert all(l.aut_status == "skipped" for l in links)
+    for k in range(3, 6):
+        prev, cur = ev._mub_group(2, k - 1), ev._mub_group(2, k)
+        assert set(prev.elements) <= set(cur.elements)
+        assert prev.order() <= cur.order()
 
 
 @pytest.mark.long
 def test_mub_chain_three_qubits_orders():
-    links = mub_chain(3, with_aut=False)
-    assert [l.order for l in links] == [8, 16, 32, 64, 128, 256]
+    ev = Evaluator()
+    orders = [ev.value(f"mub_order(3, {k})") for k in range(2, 8)]
+    assert orders == [8, 16, 32, 64, 128, 256]
 
 
 def test_dot_export(tmp_path):
