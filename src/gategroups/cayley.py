@@ -19,18 +19,18 @@ cyclic garbage collector does not track; above 256 points it is the
 tuple of the base images.  ``key_of`` encodes base images and
 ``base_images`` decodes the keys.
 
-A whole column (multiplication by one element on either side, or
-conjugation) is filled in one O(n) pass along a spanning tree from the
-identity, a Python step per element.  It pays when the reads spread over
-the whole table, as in a search.  When a search may stop at its first
-few reads, ``lazy_column(j)`` and ``lazy_conj_column(j)`` fill the same
-columns entry by entry, only where they are read.  When the reads are
-confined to a few conjugacy classes or to a subgroup, ``products(j, xs)``
-pays instead: it replays the word of j over the list xs, one ``map`` over
-a generator column per letter, so |xs|·|word(j)| lookups run in C.  A
-single product ``mult(i, j)`` replays the word of j and costs
-O(|word(j)|), and ``order_of(i)`` replays the word of i until the
-identity comes back.
+A whole column (multiplication by one element on either side) is filled
+in one O(n) pass along a spanning tree from the identity, a Python step
+per element.  It pays when the reads spread over the whole table, as in a
+search.  When a search may stop at its first few reads, ``lazy_column(j)``
+fills the same column entry by entry, only where it is read, and
+``lazy_conj_column(j)`` fills a conjugation column that way.  When the
+reads are confined to a few conjugacy classes or to a subgroup,
+``products(j, xs)`` pays instead: it replays the word of j over the list
+xs, one ``map`` over a generator column per letter, so |xs|·|word(j)|
+lookups run in C.  A single product ``mult(i, j)`` replays the word of j
+and costs O(|word(j)|), and ``order_of(i)`` replays the word of i until
+the identity comes back.
 
 Subgroups and normal closures need no whole column either: ``_extend``
 grows a subgroup one right coset at a time (Dimino), replaying the word
@@ -293,13 +293,10 @@ class ElementTable:
         # x_i = x_prev * s  =>  x_j * x_i = (x_j * x_prev) * s
         return _fill(self._ensure_tree(), j, self._rmul)
 
-    def conj_column(self, j):
-        """Conjugation column: i -> x_i^-1 * x_j * x_i."""
-        # x_i = x_prev * s  =>  x_i^-1 x_j x_i = s^-1 (x_prev^-1 x_j x_prev) s
-        return _fill(self._ensure_tree(), j, self._ensure_conj())
-
     def lazy_conj_column(self, j):
-        """``conj_column(j)`` as a dict whose entries are filled when first read."""
+        """Conjugation column i -> x_i^-1 * x_j * x_i, as a dict whose
+        entries are filled when first read."""
+        # x_i = x_prev * s  =>  x_i^-1 x_j x_i = s^-1 (x_prev^-1 x_j x_prev) s
         return _LazyFill(self._ensure_tree(), j, self._ensure_conj())
 
     def order_of(self, i):
@@ -650,10 +647,8 @@ class ElementTable:
             for key in sorted(pool, key=lambda key: pool[key][0])
         ]
 
-    def subgroup_table(self, gen_indices, members=None):
+    def subgroup_table(self, gen_indices, members):
         """Standalone table for a subgroup; element p is sorted(members)[p]."""
-        if members is None:
-            members = self.subgroup_closure(gen_indices)
         elems = sorted(members)
         pos = {e: p for p, e in enumerate(elems)}
         cols = [list(map(pos.__getitem__, self.products(g, elems))) for g in gen_indices]

@@ -398,8 +398,11 @@ class Evaluator:
             raise ValueError(f"the number of operators must not be negative, found {k}")
         if k > len(mis):
             raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
+        matrix = _engine("matrix")
         operators = [_graph(n).representatives[v] for v in mis[:k]]
-        return self._cached(("mub_group", n, k), _engine("matrix").closure, operators)
+        # no operators generate the trivial group on the n-qubit space
+        gens = operators or [matrix.identity_matrix(2**n)]
+        return self._cached(("mub_group", n, k), matrix.closure, gens)
 
 
 def _status_for(claim, computed, failed):

@@ -41,7 +41,6 @@ __all__ = [
     "sqrt2",
     "rational",
     "arith",
-    "conj",
     "parse",
 ]
 
@@ -462,10 +461,6 @@ def arith(a, b, op):
     if op == "div":
         return _mul(a, _inv(b))
     raise ValueError(f"unknown operation {op!r}")
-
-
-def conj(a):
-    return Cyclotomic(a).conjugate()
 
 
 # -- parser ---------------------------------------------------------------

@@ -168,8 +168,6 @@ def _shift(perm, offset, degree):
 
 def direct(*groups):
     """Direct product acting on the disjoint union of the factors' points."""
-    if len(groups) == 1 and isinstance(groups[0], (list, tuple)):
-        groups = tuple(groups[0])
     degree = sum(g.degree for g in groups)
     _check_degree("direct", degree)
     gens = []

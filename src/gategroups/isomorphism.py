@@ -10,15 +10,19 @@ complement of N in G is the image of a section of G -> G/N, so it is
 searched as an injective homomorphism from G/N whose generator images lie
 in their cosets.  Every search runs under ``SEARCH_NODE_BUDGET`` and
 raises ``BudgetExceededError`` when it runs out, so a negative answer is
-always exhaustive.  Candidates for one image that are conjugate under the
-centralizer of the images already chosen stand or fall together, so one
-of each class is searched.  The last image is never pushed with its
-columns: its right column is a ``lazy_column`` that the leaf check fills
-only as far as it reads, which for a refuted leaf is up to its first
-contradiction.  Automorphisms are counted level by level along the
-generating sequence: the orbit of each element under the automorphisms
-that fix the earlier ones is grown from inner automorphisms and from
-automorphisms already found, and only candidates outside it are searched.
+always exhaustive.  Each image chosen is pushed with its right and left
+multiplication columns, which give both its products and whether it
+commutes with a later image or a centralizer candidate.  Candidates for
+one image that are conjugate under the centralizer of the images already
+chosen stand or fall together, so one of each class is searched, and a
+refuted one drops its class off a lazy conjugation column.  The last
+image is never pushed with its columns: its right column is a
+``lazy_column`` that the leaf check fills only as far as it reads, which
+for a refuted leaf is up to its first contradiction.  Automorphisms are
+counted level by level along the generating sequence: the orbit of each
+element under the automorphisms that fix the earlier ones is grown from
+inner automorphisms and from automorphisms already found, and only
+candidates outside it are searched.
 """
 
 from __future__ import annotations
@@ -99,14 +103,14 @@ class _Search:
     """Shared backtracking state for isomorphism, automorphism and section
     searches: injective homomorphisms from the table ``tg`` into ``th``.
 
-    The images chosen so far sit on a stack, ``chosen``, next to the
-    columns of each image that later steps read: its right-multiplication
-    column (for the homomorphism check at a leaf), its conjugation column
-    (y_q commutes with y iff ``conj[y] == y_q``) and its
-    left-multiplication column (y_q * y).  The image of the last sequence
-    element is never pushed: ``leaf`` checks it on a lazily filled column.
-    The matching relations of the generating sequence in g are fixed, so
-    they are read once from its columns.
+    The images chosen so far sit on a stack, ``chosen``, next to two
+    columns of each image y_q: its right-multiplication column (y * y_q,
+    for the homomorphism check at a leaf) and its left-multiplication
+    column (y_q * y).  y_q commutes with y iff the two agree at y.  The
+    image of the last sequence element is never pushed: ``leaf`` checks it
+    on a lazily filled column.  The matching relations of the generating
+    sequence in g are fixed, so they are read once, by ``mult``, and so
+    are the right columns ``gcols`` of the sequence that every leaf reads.
     """
 
     def __init__(self, tg, th, seq):
@@ -115,65 +119,60 @@ class _Search:
         self.seq = seq
         self.g_orders = tg.element_orders()
         self.h_orders = th.element_orders()
-        self.g_classes = tg.class_partition()
-        self.h_classes = th.class_partition()
         self.nodes = 0
         self.budget = limit("SEARCH_NODE_BUDGET")
         # g_rel[pos][q]: (order of x_q * x_pos, whether x_q and x_pos commute)
         self.g_rel = [[] for _ in seq]
-        for q, xq in enumerate(seq[:-1]):
-            lcol, conj = tg.lcolumn(xq), tg.conj_column(xq)
-            for pos in range(q + 1, len(seq)):
-                x = seq[pos]
-                self.g_rel[pos].append((self.g_orders[lcol[x]], conj[x] == xq))
+        for pos, x in enumerate(seq):
+            for xq in seq[:pos]:
+                xq_x = tg.mult(xq, x)
+                self.g_rel[pos].append((self.g_orders[xq_x], xq_x == tg.mult(x, xq)))
+        self.gcols = [tg.column(x) for x in seq]
         self.chosen = []
         self.h_rcols = []
-        self.h_conj = []
         self.h_lcols = []
 
-    def key_g(self, i):
-        class_of, _, sizes = self.g_classes
-        return (self.g_orders[i], sizes[class_of[i]])
-
-    def key_h(self, j):
-        class_of, _, sizes = self.h_classes
-        return (self.h_orders[j], sizes[class_of[j]])
-
     def candidates(self, x):
-        key = self.key_g(x)
-        return [j for j in range(1, self.th.n) if self.key_h(j) == key]
+        """The elements of h with the order and class size of x in g."""
+        g_class, _, g_sizes = self.tg.class_partition()
+        h_class, _, h_sizes = self.th.class_partition()
+        key = (self.g_orders[x], g_sizes[g_class[x]])
+        h_orders = self.h_orders
+        return [j for j in range(1, self.th.n) if (h_orders[j], h_sizes[h_class[j]]) == key]
 
     def compatible(self, pos, y):
         """Whether y may follow ``chosen`` as the image of ``seq[pos]``."""
         h_orders = self.h_orders
-        for q, (order, commutes) in enumerate(self.g_rel[pos]):
-            if h_orders[self.h_lcols[q][y]] != order:
-                return False
-            if (self.h_conj[q][y] == self.chosen[q]) != commutes:
+        for (order, commutes), rcol, lcol in zip(self.g_rel[pos], self.h_rcols, self.h_lcols):
+            yq_y = lcol[y]
+            if h_orders[yq_y] != order or (yq_y == rcol[y]) != commutes:
                 return False
         return True
+
+    def centralizing(self, K):
+        """The members of K that commute with the image pushed last."""
+        rcol, lcol = self.h_rcols[-1], self.h_lcols[-1]
+        return [z for z in K if rcol[z] == lcol[z]]
 
     def push(self, y):
         """Choose y as the image of the next sequence element but the last."""
         self.chosen.append(y)
         self.h_rcols.append(self.th.column(y))
-        self.h_conj.append(self.th.conj_column(y))
         self.h_lcols.append(self.th.lcolumn(y))
 
     def pop(self):
         self.chosen.pop()
         self.h_rcols.pop()
-        self.h_conj.pop()
         self.h_lcols.pop()
 
-    def leaf(self, gcols, y):
+    def leaf(self, y):
         """Image array if ``chosen`` and then y, the image of the last
         sequence element, extend to an injective homomorphism, else None.
 
         y's right column is a ``lazy_column``, so a refuted leaf fills only
         the entries ``_hom_image`` reads before its first contradiction.
         """
-        return _hom_image(gcols, self.h_rcols + [self.th.lazy_column(y)], self.th.n)
+        return _hom_image(self.gcols, self.h_rcols + [self.th.lazy_column(y)], self.th.n)
 
     def tick(self):
         self.nodes += 1
@@ -207,7 +206,7 @@ def _tables_isomorphic(tg, th):
     if not all(cands):
         return None, None, None
     # an isomorphism followed by conjugation in h is another one, so K is all of h
-    img = _first_leaf(search, cands, [tg.column(x) for x in seq], range(th.n))
+    img = _first_leaf(search, cands, range(th.n))
     if img is None:
         return None, None, None
     return seq, [img[x] for x in seq], img
@@ -269,7 +268,7 @@ def _orbit(points, gens):
     return orbit
 
 
-def _first_leaf(search, cands, gcols, K):
+def _first_leaf(search, cands, K):
     """Image array of the first verified leaf below ``search.chosen``, or None.
 
     ``K`` lists elements of h that centralize every image chosen so far and
@@ -278,14 +277,12 @@ def _first_leaf(search, cands, gcols, K):
     by them fixes those images, so the candidates of the next level split
     into K-orbits and one representative of each is searched,
     in ascending order, each checked for compatibility only when its turn
-    comes; below it K shrinks to the centralizer of the representative
-    too.  The last level pushes nothing: ``leaf`` checks a representative
-    on a lazily filled column, and a refuted one drops its K-orbit read
-    off a lazy conjugation column, entry by entry.  A None answer is
-    exhaustive: no choice of the remaining images extends
-    ``search.chosen`` to an injective homomorphism (an isomorphism when g
-    and h have one order, an automorphism when they are one table, a
-    section when the candidates are lifts).
+    comes.  A refuted representative drops its K-orbit, read off a lazy
+    conjugation column entry by entry.  A None answer is exhaustive: no
+    choice of the remaining images extends ``search.chosen`` to an
+    injective homomorphism (an isomorphism when g and h have one order, an
+    automorphism when they are one table, a section when the candidates
+    are lifts).
     """
     pos = len(search.chosen)
     refuted = set()
@@ -295,18 +292,27 @@ def _first_leaf(search, cands, gcols, K):
         search.tick()
         if not search.compatible(pos, rep):
             continue
-        if pos == len(search.seq) - 1:
-            img = search.leaf(gcols, rep)
-            conj = search.th.lazy_conj_column(rep)  # z -> z^-1 rep z
-        else:
-            search.push(rep)
-            conj = search.h_conj[-1]
-            img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == rep])
-            search.pop()
+        img = _subtree(search, cands, K, rep)
         if img is not None:
             return img
+        conj = search.th.lazy_conj_column(rep)  # z -> z^-1 rep z
         refuted.update(conj[z] for z in K)
     return None
+
+
+def _subtree(search, cands, K, y):
+    """Image array of the first verified leaf with y as the next image, or None.
+
+    The last image is checked by ``leaf`` without a push; any other is
+    pushed, and the search below it runs on the members of K that
+    centralize it too.
+    """
+    if len(search.chosen) == len(search.seq) - 1:
+        return search.leaf(y)
+    search.push(y)
+    img = _first_leaf(search, cands, search.centralizing(K))
+    search.pop()
+    return img
 
 
 def automorphism_group(g, extended=False):
@@ -341,14 +347,12 @@ def automorphism_group(g, extended=False):
 
     search = _Search(table, table, seq)
     cands = [search.candidates(x) for x in seq]
-    gcols = [table.column(x) for x in seq]
 
     # the identity path: K_k is the centralizer of x_0, ..., x_{k-1}
     centralizers = [range(n)]
     for x in seq[:-1]:
         search.push(x)
-        conj = search.h_conj[-1]
-        centralizers.append([z for z in centralizers[-1] if conj[z] == x])
+        centralizers.append(search.centralizing(centralizers[-1]))
 
     inv = table.inverses()
     gens = []  # image arrays; all of them fix x_0, ..., x_{k-1} at level k
@@ -370,13 +374,7 @@ def automorphism_group(g, extended=False):
             search.tick()
             if not search.compatible(k, y):
                 continue
-            if k == len(seq) - 1:
-                img = search.leaf(gcols, y)
-            else:
-                search.push(y)
-                conj = search.h_conj[-1]
-                img = _first_leaf(search, cands, gcols, [z for z in K if conj[z] == y])
-                search.pop()
+            img = _subtree(search, cands, K, y)
             if img is None:
                 refuted |= _orbit([y], gens)
             else:
@@ -467,8 +465,7 @@ def find_complement(g, n):
         [y for y in range(own.n) if coset_of[y] == q and orders[y] == q_orders[q]]
         for q in qseq
     ]
-    gcols = [quotient.column(q) for q in qseq]
-    img = _first_leaf(search, cands, gcols, sorted(members)) if all(cands) else None
+    img = _first_leaf(search, cands, sorted(members)) if all(cands) else None
     if img is None:
         return ComplementResult("not-found", None)
     return ComplementResult(

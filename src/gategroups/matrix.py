@@ -46,7 +46,7 @@ class UnitaryMatrix:
 
     __slots__ = ("dim", "entries", "_hash", "_sparse")
 
-    def __init__(self, dim, entries, check_unitary=False):
+    def __init__(self, dim, entries):
         entries = tuple(cyclo.Cyclotomic(e) for e in entries)
         if len(entries) != dim * dim:
             raise ValueError(f"need {dim * dim} entries for a {dim}x{dim} matrix")
@@ -58,8 +58,6 @@ class UnitaryMatrix:
             for i in range(dim)
         )
         object.__setattr__(self, "_sparse", sparse)
-        if check_unitary and not self.is_unitary():
-            raise ValueError("matrix is not unitary")
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryMatrix is immutable")

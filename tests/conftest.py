@@ -273,12 +273,13 @@ def conj_by_gen(table, i, g):
 
 def commutator_set_all_pairs(table):
     """K(G) by brute force over all ordered pairs (oracle)."""
-    # [a, b] = a * (b a^-1 b^-1) = lcolumn(a)[conj_column(a^-1)[b^-1]], and
+    # [a, b] = a * (b a^-1 b^-1) = lcolumn(a)[conj(a^-1)[b^-1]], and
     # b^-1 runs over the whole table as b does
     inv = table.inverses()
     out = set()
     for a in range(table.n):
-        out.update(map(table.lcolumn(a).__getitem__, table.conj_column(inv[a])))
+        conj = table.lazy_conj_column(inv[a])
+        out.update(table.lcolumn(a)[conj[b]] for b in range(table.n))
     return out
 
 
@@ -320,14 +321,14 @@ def leaf_count_automorphisms(table):
         while unseen:
             rep = min(unseen)
             search.push(rep)
-            conj = search.h_conj[-1]
+            conj = table.lazy_conj_column(rep)
             orbit = {conj[z] for z in K} & unseen
             subtotal += len(orbit) * count(pos + 1, [z for z in K if conj[z] == rep])
             search.pop()
             unseen -= orbit
         return subtotal
 
-    conj_cols = [table.conj_column(x) for x in seq]
+    conj_cols = [table.lazy_conj_column(x) for x in seq]
     inner = {tuple(col[z] for col in conj_cols) for z in range(table.n)}
     return count(0, range(table.n)), len(inner)
 

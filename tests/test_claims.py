@@ -399,6 +399,18 @@ def test_recipe_error_messages(recipe, message):
     assert str(err.value) == message
 
 
+def test_mub_of_no_operators_is_the_trivial_group():
+    """No operators generate the trivial group on the n-qubit space, so one
+    operator always gives a new group."""
+    ev = Evaluator()
+    for n in (1, 2, 3):
+        assert ev.value(f"mub_order({n}, 0)") == 1
+        group = ev.group(f"mub({n}, 0)")
+        assert group.order() == 1 and group.degree == 2**n
+        assert ev.value(f"mub_same({n}, 1)") is False
+        assert ev.value(f"mub_aut_order({n}, 0)") == 1
+
+
 def _nested(levels):
     """``order(derived(...(c1)...))`` nesting ``levels`` levels deep."""
     return "order(" + "derived(" * (levels - 1) + "c1" + ")" * levels

@@ -169,12 +169,12 @@ def test_first_leaf_answers_every_prefix():
                     assert prefix not in extends, (g, prefix)
                     continue
                 if len(prefix) == len(seq):  # a leaf: the last image is never pushed
-                    assert (search.leaf(gcols, y) is not None) == (prefix in extends), (g, prefix)
+                    assert (search.leaf(y) is not None) == (prefix in extends), (g, prefix)
                     continue
                 search.push(y)
                 K = [z for z in range(table.n)
                      if all(table.mult(z, c) == table.mult(c, z) for c in prefix)]
-                found = _first_leaf(search, cands, gcols, K) is not None
+                found = _first_leaf(search, cands, K) is not None
                 assert found == (prefix in extends), (g, prefix)
                 visit(prefix)
                 search.pop()
@@ -296,6 +296,45 @@ def test_search_compatibility_matches_word_oracle(monkeypatch):
         isomorphic(g, h)
     assert True in answers[:aut_answers] and False in answers[:aut_answers]
     assert True in answers[aut_answers:] and False in answers[aut_answers:]
+
+
+def test_centralizing_matches_word_oracle(monkeypatch):
+    """``centralizing`` reads commutation off the two pushed columns; in an
+    automorphism search K is the centralizer of every image chosen so far,
+    so with every pushed prefix its answer must be the centralizer of the
+    whole prefix, found from scratch by word-replayed products."""
+    column_form = _Search.centralizing
+    sizes = []
+
+    def checked(search, K):
+        got = column_form(search, K)
+        th, chosen = search.th, search.chosen
+        want = [
+            z for z in range(th.n) if all(th.mult(z, c) == th.mult(c, z) for c in chosen)
+        ]
+        assert got == want, (search.seq, chosen)
+        sizes.append((len(got), th.n))
+        return got
+
+    def walk(search, cands, K):  # every compatible prefix, pushed
+        pos = len(search.chosen)
+        for y in cands[pos] if pos < len(search.seq) - 1 else ():
+            if search.compatible(pos, y):
+                search.push(y)
+                walk(search, cands, search.centralizing(K))
+                search.pop()
+
+    monkeypatch.setattr(_Search, "centralizing", checked)
+    for name, group in small_corpus():
+        automorphism_group(group, extended=True)
+    searched = len(sizes)
+    for name, group in small_corpus():
+        if group.order() <= 120:
+            table = group.own_table()
+            search = _Search(table, table, _min_generating_sequence(table))
+            walk(search, [search.candidates(x) for x in search.seq], range(table.n))
+    assert 20 < searched < len(sizes)
+    assert any(1 < size < n for size, n in sizes) and any(size == n for size, n in sizes)
 
 
 def test_counting_automorphisms_builds_no_stabilizer_chain(monkeypatch):
@@ -572,7 +611,7 @@ def test_lazy_leaf_matches_full_columns():
         for _ in _last_level_prefixes(search, cands):
             for y in cands[last]:
                 if search.compatible(last, y):
-                    lazy = search.leaf(gcols, y)
+                    lazy = search.leaf(y)
                     assert lazy == _hom_image(gcols, search.h_rcols + [th.column(y)])
                     accepted += lazy is not None
                     refuted += lazy is None
@@ -613,7 +652,7 @@ def test_last_level_candidates_fill_no_columns(monkeypatch):
     monkeypatch.setattr(_Search, "compatible", checked_compatible)
     monkeypatch.setattr(_Search, "push", leave_last_level(push))
     monkeypatch.setattr(_Search, "pop", leave_last_level(pop))
-    for name in ("column", "lcolumn", "conj_column"):
+    for name in ("column", "lcolumn"):
         monkeypatch.setattr(ElementTable, name, no_fill_at_last_level(getattr(ElementTable, name)))
     c2_wr_s5 = groups.wreath(groups.cyclic(2), groups.symmetric(5))
     m20 = derived_subgroup(c2_wr_s5)
