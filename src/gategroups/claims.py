@@ -4,11 +4,12 @@ A ledger is line-oriented and diff-friendly:
 
     id | tier | recipe | expected | provenance | citation
 
-with ``#`` comments.  Tiers are core < long < extended.  Provenance is
-``paper`` (asserted by the source text, citation required), ``derived``
-(computed independently and frozen) or ``disputed`` (the source text and
-the computation disagree; such rows report both values and never affect
-the exit code).
+with ``#`` comments.  Tiers are core < long < extended; a tier only picks
+the suites that run the row, and every row runs under the same limits.
+Provenance is ``paper`` (asserted by the source text, citation required),
+``derived`` (computed independently and frozen) or ``disputed`` (the
+source text and the computation disagree; such rows report both values
+and never affect the exit code).
 
 A recipe is ``name(arg, ...)``; each name is one entry of ``_GROUP_RECIPES``
 (group expressions) or ``_VALUE_RECIPES`` (ledger values) that holds its
@@ -318,7 +319,6 @@ class Evaluator:
         # (kind, key...) -> result.  Results derived from a group are keyed
         # by the group object, which ``group`` returns once per expression.
         self._memo = {}
-        self.allow_extended = False
 
     def _cached(self, key, compute, *args):
         if key not in self._memo:
@@ -361,26 +361,20 @@ class Evaluator:
         expr = _normalize(expr)
         if expr in _GATE_BUILDERS:
             return self.matrix_group(expr).perm_group()
-        # only aut(...) depends on the tier, through its capacity limit
-        key = ("group", expr, self.allow_extended and "aut(" in expr)
-        return self._cached(key, self._apply, expr, _GROUP_RECIPES, "group spec")
+        return self._cached(("group", expr), self._apply, expr, _GROUP_RECIPES, "group spec")
 
-    def value(self, recipe, tier="core"):
-        self.allow_extended = tier in ("long", "extended")
+    def value(self, recipe):
         expr = _normalize(recipe)
-        key = ("value", expr, self.allow_extended)
-        return self._cached(key, self._apply, expr, _VALUE_RECIPES, "recipe")
+        return self._cached(("value", expr), self._apply, expr, _VALUE_RECIPES, "recipe")
 
     def _aut(self, group):
-        return _engine("isomorphism").automorphism_group(group, extended=self.allow_extended)
+        return _engine("isomorphism").automorphism_group(group)
 
     def _normal_subgroups(self, group):
         return self._cached(("normals", group), _engine("structure").normal_subgroups, group)
 
     def _commutators(self, group):
-        key = ("commutators", group, self.allow_extended)
-        commutator_set = _engine("isomorphism").commutator_set
-        return self._cached(key, lambda: commutator_set(group, extended=self.allow_extended))
+        return self._cached(("commutators", group), _engine("isomorphism").commutator_set, group)
 
     def _independent_set(self, n):
         mis = _engine("pauligraph").maximum_independent_set
@@ -443,7 +437,7 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
         failed = False
         error = reason = ""
         try:
-            computed = ev.value(claim.recipe, claim.tier)
+            computed = ev.value(claim.recipe)
         except (CapacityError, BudgetExceededError) as exc:
             failed = True
             reason = str(exc) or type(exc).__name__

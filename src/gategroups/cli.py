@@ -5,11 +5,12 @@ Commands:
     gategroups analyze EXPR
     gategroups claims run [--suite core|long|extended] [--ledger FILE] [--report FILE]
     gategroups graph pauli -n N [--dot FILE]
-    gategroups mub-chain -n N [--no-aut] [--extended]
+    gategroups mub-chain -n N [--no-aut]
 
 Capacity limits honour GATEGROUPS_* environment variables (see config).
-Errors the package raises (``GategroupsError``) and other bad input
-(``ValueError``) print ``error: ...`` and exit with code 2.
+Errors the package raises (``GategroupsError``), other bad input
+(``ValueError``) and a path that cannot be opened or written (``OSError``)
+print ``error: ...`` and exit with code 2.
 
 Only ``claims`` and ``errors`` are imported at start-up; each ``_cmd_*``
 function imports the engine modules it calls, so a command loads only
@@ -66,7 +67,6 @@ def _build_parser():
     m = sub.add_parser("mub-chain", help="groups generated by the canonical independent set")
     m.add_argument("-n", type=int, required=True, choices=(2, 3))
     m.add_argument("--no-aut", action="store_true", help="skip automorphism orders")
-    m.add_argument("--extended", action="store_true", help="allow the extended automorphism tier")
 
     return parser
 
@@ -128,7 +128,7 @@ def _cmd_analyze(args):
     report("abelian invariants:", lambda: structure.abelian_invariants(group))
     report("perfect:", lambda: isomorphism.is_perfect(group))
     report("fingerprint:", lambda: _fingerprint_text(structure.fingerprint(group)))
-    report("automorphisms:", lambda: isomorphism.automorphism_group(group, extended=True).order)
+    report("automorphisms:", lambda: isomorphism.automorphism_group(group).order)
     return 0
 
 
@@ -191,13 +191,12 @@ def _cmd_graph(args):
 
 def _cmd_mub_chain(args):
     ev, n = Evaluator(), args.n
-    aut_tier = "extended" if args.extended else "core"
     for k in range(2, ev.value(f"pg_max_independent({n})") + 1):
         order = ev.value(f"mub_order({n}, {k})")
         aut = "(skipped)"
         if not args.no_aut:
             try:
-                aut = ev.value(f"mub_aut_order({n}, {k})", aut_tier)
+                aut = ev.value(f"mub_aut_order({n}, {k})")
             except CapacityError:
                 pass
             except BudgetExceededError:
@@ -220,7 +219,7 @@ def main(argv=None):
             return _cmd_graph(args)
         if args.command == "mub-chain":
             return _cmd_mub_chain(args)
-    except (GategroupsError, ValueError) as exc:
+    except (GategroupsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,12 +16,10 @@ _DEFAULTS = {
     "MAX_ENUMERATION": 200_000,
     # largest order accepted by the isomorphism test
     "MAX_ISO_ORDER": 20_000,
-    # automorphism-group tiers (required / extended)
-    "MAX_AUT_ORDER": 128,
-    "MAX_AUT_ORDER_EXTENDED": 8_192,
-    # commutator-set tiers (required / extended)
-    "MAX_COMMUTATOR_ORDER": 4_096,
-    "MAX_COMMUTATOR_ORDER_EXTENDED": 20_000,
+    # largest order whose automorphism group is searched
+    "MAX_AUT_ORDER": 8_192,
+    # largest order whose commutator set is enumerated
+    "MAX_COMMUTATOR_ORDER": 20_000,
     # node budget for backtracking searches (automorphisms, complements)
     "SEARCH_NODE_BUDGET": 50_000_000,
 }

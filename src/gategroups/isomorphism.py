@@ -315,7 +315,7 @@ def _subtree(search, cands, K, y):
     return img
 
 
-def automorphism_group(g, extended=False):
+def automorphism_group(g):
     """Automorphism group of g, counted along a stabilizer chain.
 
     An automorphism is fixed by the images of the generating sequence
@@ -336,7 +336,7 @@ def automorphism_group(g, extended=False):
     Aut(G), from which ``group`` is built on demand.
     """
     n = g.order()
-    cap = limit("MAX_AUT_ORDER_EXTENDED") if extended else limit("MAX_AUT_ORDER")
+    cap = limit("MAX_AUT_ORDER")
     if n > cap:
         raise CapacityError(f"automorphism computation capped at order {cap}")
     table = g.own_table()
@@ -401,18 +401,14 @@ class CommutatorSet:
     deficiency: int  # |G'| - |K(G)|
 
 
-def commutator_set(g, extended=False):
+def commutator_set(g):
     """K(G) = all commutators; a subset of G' that can be proper.
 
     K(G) is a union of conjugacy classes, so the first arguments run over
     class representatives only.
     """
     n = g.order()
-    cap = (
-        limit("MAX_COMMUTATOR_ORDER_EXTENDED")
-        if extended
-        else limit("MAX_COMMUTATOR_ORDER")
-    )
+    cap = limit("MAX_COMMUTATOR_ORDER")
     if n > cap:
         raise CapacityError(f"commutator set enumeration capped at order {cap}")
     table = g.own_table()

@@ -229,16 +229,16 @@ class MatrixGroup:
         return self._perm_group
 
 
-def closure(generators, budget=None):
+def closure(generators):
     """Enumerate the group generated by unitary matrices by base images.
 
-    Raises ClosureOverflowError if more than ``budget`` elements (or dim *
-    budget rows) appear, which signals wrong generators or a non-finite group.
+    Raises ClosureOverflowError if more than ``MAX_CLOSURE`` elements (or
+    dim * ``MAX_CLOSURE`` rows) appear, which signals wrong generators or a
+    non-finite group.
     """
     from gategroups.cayley import ElementTable, orbit
 
-    if budget is None:
-        budget = limit("MAX_CLOSURE")
+    budget = limit("MAX_CLOSURE")
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")

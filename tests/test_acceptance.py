@@ -254,7 +254,7 @@ def test_criterion_10_aut_g5():
     with _criterion("10b three-qubit chain g5 automorphisms"):
         grp = _EV._mub_group(3, 5)
         assert grp.order() == 64
-        assert automorphism_group(grp.perm_group(), extended=True).order == 61440
+        assert automorphism_group(grp.perm_group()).order == 61440
 
 
 def _orthogonal_order(n, q, sign):
@@ -289,7 +289,7 @@ def test_criterion_10_aut_g6():
         assert small == 56  # type -; type + would have 72
         oracle = 2 ** 6 * _orthogonal_order(3, 2, -1)
         assert oracle == 3317760
-        assert automorphism_group(perm, extended=True).order == oracle
+        assert automorphism_group(perm).order == oracle
 
 
 @pytest.mark.long
@@ -305,7 +305,7 @@ def test_criterion_10_aut_p2_derived_is_u6():
 def test_criterion_10_out_u6():
     with _criterion("10e outer automorphisms of U6"):
         u6 = _EV.group("derived(central_quotient(c2))")
-        aut = automorphism_group(u6, extended=True)
+        aut = automorphism_group(u6)
         assert aut.outer_order() == 4
 
 
@@ -316,6 +316,6 @@ def test_criterion_10_noncommutators_in_15360():
         d = derived_subgroup(w)
         assert d.order() == 15360
         assert is_perfect(d)
-        ks = commutator_set(d, extended=True)
+        ks = commutator_set(d)
         assert not ks.equals_derived
         assert ks.deficiency > 0

@@ -97,7 +97,8 @@ def test_disputed_claims_never_affect_exit_code():
     assert reports[1].status == "disputed-match"
 
 
-def test_capacity_marks_inconclusive():
+def test_capacity_marks_inconclusive(monkeypatch):
+    monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "128")
     ledger = "big | core | aut_order(wreath(cyclic(2), symmetric(5))) | 1 | derived | -\n"
     reports, exit_code = run_claims(suite="core", ledger_text=ledger)
     assert reports[0].status == "inconclusive"
@@ -119,15 +120,22 @@ def test_inconclusive_rows_carry_their_reason(monkeypatch, tmp_path):
     assert rows[1]["inconclusive_reason"] == "commutator set enumeration capped at order 10"
 
 
-def test_group_cache_keeps_the_tier_of_aut():
+def test_aut_groups_do_not_depend_on_the_tier_run_before(capsys):
+    """The tier of a row picks its suites only: every row computes under one cap."""
+    ev = Evaluator()
+    assert ev.group("aut(c1)").order() == 192
+    long_row = "g4 | long | mub_aut_order(2, 4) | 1920 | derived | -\n"
+    reports, _ = run_claims(suite="long", ledger_text=long_row, evaluator=ev)
+    assert [r.status for r in reports] == ["pass"]
+    assert ev.group("aut(c1)").order() == 192
     ledger = (
         "a | extended | order(aut(c1)) | 192 | derived | -\n"
         "b | core | order(aut(c1)) | 192 | derived | -\n"
     )
     reports, _ = run_claims(suite="extended", ledger_text=ledger)
-    assert [r.status for r in reports] == ["pass", "inconclusive"]
-    alone, _ = run_claims(suite="core", ledger_text=ledger)
-    assert [r.status for r in alone] == ["inconclusive"]
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert main(["analyze", "aut(c1)"]) == 0
+    assert "automorphisms:" in capsys.readouterr().out
 
 
 def test_suite_tier_filtering():
@@ -195,9 +203,9 @@ def test_recipe_evaluator_caches_groups():
 def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     calls = []
 
-    def counting(group, **kwargs):
-        calls.append(kwargs)
-        return real(group, **kwargs)
+    def counting(group):
+        calls.append(group)
+        return real(group)
 
     real = isomorphism.commutator_set
     monkeypatch.setattr(isomorphism, "commutator_set", counting)
@@ -205,10 +213,15 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     m20 = "derived(wreath(cyclic(2), symmetric(5)))"
     assert ev.value(f"commutator_deficiency({m20})") == 120
     assert ev.value("commutators_equal_derived(derived(wreath(cyclic(2),symmetric(5))))") is False
-    assert calls == [{"extended": False}]
-    # the capacity tier is part of the key
-    assert ev.value(f"commutator_deficiency({m20})", tier="extended") == 120
-    assert calls[1:] == [{"extended": True}]
+    assert len(calls) == 1
+    # a row of any tier reads the same memo entry
+    ledger = (
+        f"d | core | commutator_deficiency({m20}) | 120 | derived | -\n"
+        f"e | long | commutators_equal_derived({m20}) | false | derived | -\n"
+    )
+    reports, _ = run_claims(suite="long", ledger_text=ledger, evaluator=Evaluator())
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert len(calls) == 2
 
 
 def test_graph_searches_run_once_per_qubit_count(monkeypatch):
@@ -529,14 +542,14 @@ def _recipes(draw):
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["value", "group"]), _recipes(), st.sampled_from(claims.TIERS))
-def test_generated_recipes_return_or_raise_typed_errors(monkeypatch, call, text, tier):
+@given(st.sampled_from(["value", "group"]), _recipes())
+def test_generated_recipes_return_or_raise_typed_errors(monkeypatch, call, text):
     monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "200")
     monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "200")
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "2000")
     ev = Evaluator()
     try:
-        ev.value(text, tier) if call == "value" else ev.group(text)
+        ev.value(text) if call == "value" else ev.group(text)
     except (ValueError, GategroupsError):
         pass
 

@@ -122,11 +122,16 @@ def test_mub_chain_without_aut(capsys):
 
 
 def test_mub_chain_capacity_and_budget(monkeypatch, capsys):
-    """A group past the core capacity is skipped; a search out of nodes is inconclusive."""
+    """A group past the automorphism cap is skipped; a search out of nodes is inconclusive."""
+    monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "128")
     assert main(["mub-chain", "-n", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "g7: order    256  aut (skipped)"
-    assert main(["mub-chain", "-n", "3", "--extended"]) == 0
+    monkeypatch.delenv("GATEGROUPS_MAX_AUT_ORDER")
+    assert main(["mub-chain", "-n", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "g7: order    256  aut 185794560"
+    with pytest.raises(SystemExit) as exc:
+        main(["mub-chain", "-n", "3", "--extended"])
+    assert exc.value.code == 2
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "5")
     assert main(["mub-chain", "-n", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
@@ -210,6 +215,22 @@ def test_group_file_reader_skips_leading_blank_lines(tmp_path, capsys):
 def test_error_reporting(capsys):
     assert main(["analyze", "frobnicate(2)"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_paths_that_cannot_be_opened_are_clean_errors(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    ledger = tmp_path / "small.ledger"
+    ledger.write_text("a | core | order(cyclic(2)) | 2 | derived | -\n")
+    for argv in (
+        ["claims", "run", "--ledger", str(missing / "x.ledger")],
+        ["analyze", str(tmp_path)],  # a directory
+        ["claims", "run", "--ledger", str(ledger), "--report", str(missing / "r.jsonl")],
+        ["build", "c1", "--export", str(missing / "x")],
+        ["graph", "pauli", "-n", "2", "--dot", str(missing / "x.dot")],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err, argv
 
 
 def test_closure_overflow_is_a_clean_error(monkeypatch, tmp_path, capsys):

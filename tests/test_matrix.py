@@ -76,16 +76,18 @@ def test_closure_rejects_nonunitary():
         closure([bad])
 
 
-def test_closure_budget_overflow():
+def test_closure_budget_overflow(monkeypatch):
     c = catalog()
     assert issubclass(ClosureOverflowError, CapacityError)
+    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "64")
     with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
-        closure([c.hadamard, c.phase], budget=64)
+        closure([c.hadamard, c.phase])
     # a rotation of infinite order overflows its row orbit
     three, four = rational(3, 5), rational(4, 5)
     rotation = matrix_from_rows([[three, -four], [four, three]])
+    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "50")
     with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
-        closure([rotation], budget=50)
+        closure([rotation])
 
 
 def test_environment_capacity_override(monkeypatch):

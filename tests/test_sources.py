@@ -1,11 +1,15 @@
 """Checks over the package's source files themselves."""
 
+import re
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gategroups").glob("*.py"))
+from gategroups import config
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gategroups").glob("*.py"))
 MAX_LINE = 100
 
 
@@ -21,3 +25,16 @@ def test_no_line_is_over_the_limit(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     long = [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name}: lines over {MAX_LINE} characters: {long}"
+
+
+def test_every_limit_is_read_and_documented():
+    """Each limit is read by a literal ``limit("NAME")``, and only limits are read;
+    the README's limit paragraph names exactly the GATEGROUPS_* variables."""
+    read = set()
+    for path in SOURCES:
+        read |= set(re.findall(r'\blimit\("([A-Z_]+)"\)', path.read_text(encoding="utf-8")))
+    assert read == set(config._DEFAULTS)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Capacity limits"))
+    named = set(re.findall(r"GATEGROUPS_([A-Z_]+)", paragraph))
+    assert named == set(config._DEFAULTS)
