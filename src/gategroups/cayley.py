@@ -67,7 +67,7 @@ _SAMPLE = 16  # class members read per pair of classes by the sampled hits
 _BYTE_DEGREE = 256  # keys of permutations of at most this many points are bytes
 
 
-def orbit(seeds, gens, act, cap, limit_name):
+def orbit(seeds, gens, act, cap):
     """Breadth-first orbit of the seed points under the generators ``gens``.
 
     ``act(x, g)`` is the image of the point x under the generator g.
@@ -93,7 +93,7 @@ def orbit(seeds, gens, act, cap, limit_name):
             if j is None:
                 if len(points) >= cap:
                     raise ClosureOverflowError(
-                        f"enumeration exceeded {cap}, the cap set by GATEGROUPS_{limit_name}"
+                        f"enumeration exceeded {cap}, the cap set by GATEGROUPS_MAX_ENUMERATION"
                     )
                 j = index[y] = len(points)
                 points.append(y)
@@ -127,7 +127,7 @@ class ElementTable:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_permutations(cls, perms, base, cap, limit_name="MAX_ENUMERATION"):
+    def from_permutations(cls, perms, base, cap):
         """Enumerate the group generated by permutation tuples by base images.
 
         Element i is named by its key, its images of the base points, and
@@ -146,7 +146,7 @@ class ElementTable:
             gens, act = [bytes(p).ljust(256, b"\0") for p in perms], bytes.translate
         else:
             gens, act = perms, _compose
-        index, rmul, tree = orbit([encode(base)], gens, act, cap, limit_name)
+        index, rmul, tree = orbit([encode(base)], gens, act, cap)
         table = cls(len(index), [col[0] for col in rmul], rmul)
         table._perms, table._base, table._encode = perms, base, encode
         table.key_index, table._bfs = index, tree

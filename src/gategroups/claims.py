@@ -368,7 +368,7 @@ class Evaluator:
         return self._cached(("value", expr), self._apply, expr, _VALUE_RECIPES, "recipe")
 
     def _aut(self, group):
-        return _engine("isomorphism").automorphism_group(group)
+        return self._cached(("aut", group), _engine("isomorphism").automorphism_group, group)
 
     def _normal_subgroups(self, group):
         return self._cached(("normals", group), _engine("structure").normal_subgroups, group)
@@ -418,19 +418,30 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
     exit code is nonzero iff a claim has status ``error`` or a non-disputed
     claim fails.  The machine report is JSON-lines: one volatile header
     line (timestamps, wall times and the capacity limits in effect), then
-    one deterministic line per claim.  The limits are read first, so a bad
-    one fails before any claim runs.
+    one deterministic line per claim.  The limits are read and the report
+    file is opened first, so a bad limit or an unwritable path fails before
+    any claim runs.
     """
     if suite not in TIERS:
         raise ValueError(f"unknown suite {suite!r}")
-    limits = config.limits() if report_path else None
     allowed = TIERS[: TIERS.index(suite) + 1]
     if ledger_text is None:
         ledger_text = default_ledger_text()
     claims = [c for c in parse_ledger(ledger_text) if c.tier in allowed]
     ev = evaluator if evaluator is not None else Evaluator()
+    if not report_path:
+        return _run(claims, ev, echo)
+    limits = config.limits()
+    with open(report_path, "w", encoding="ascii") as fh:
+        started = time.time()
+        reports, exit_code = _run(claims, ev, echo)
+        _write_report(fh, reports, suite, time.time() - started, limits)
+    return reports, exit_code
+
+
+def _run(claims, ev, echo):
+    """(reports, exit code) of the claims, in order; see ``run_claims``."""
     reports = []
-    started = time.time()
     for claim in claims:
         t0 = time.time()
         computed = None
@@ -449,8 +460,6 @@ def run_claims(suite="core", ledger_text=None, report_path=None, echo=None, eval
         if echo:
             echo(_human_line(report))
     exit_code = 1 if any(r.status in ("fail", "error") for r in reports) else 0
-    if report_path:
-        _write_report(reports, report_path, suite, time.time() - started, limits)
     return reports, exit_code
 
 
@@ -465,31 +474,30 @@ def _human_line(report):
     return f"{line}  ({note})" if note else line
 
 
-def _write_report(reports, path, suite, elapsed, limits):
+def _write_report(fh, reports, suite, elapsed, limits):
     import json
 
-    with open(path, "w", encoding="ascii") as fh:
-        header = {
-            "suite": suite,
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "elapsed_seconds": round(elapsed, 3),
-            "claim_seconds": {r.claim.id: round(r.seconds, 3) for r in reports},
-            "limits": limits,
+    header = {
+        "suite": suite,
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "elapsed_seconds": round(elapsed, 3),
+        "claim_seconds": {r.claim.id: round(r.seconds, 3) for r in reports},
+        "limits": limits,
+    }
+    fh.write(json.dumps(header, sort_keys=True) + "\n")
+    for r in reports:
+        body = {
+            "id": r.claim.id,
+            "tier": r.claim.tier,
+            "recipe": r.claim.recipe,
+            "expected": format_value(r.claim.expected),
+            "computed": format_value(r.computed),
+            "status": r.status,
+            "provenance": r.claim.provenance,
+            "citation": r.claim.citation,
         }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for r in reports:
-            body = {
-                "id": r.claim.id,
-                "tier": r.claim.tier,
-                "recipe": r.claim.recipe,
-                "expected": format_value(r.claim.expected),
-                "computed": format_value(r.computed),
-                "status": r.status,
-                "provenance": r.claim.provenance,
-                "citation": r.claim.citation,
-            }
-            if r.error:
-                body["error"] = r.error
-            if r.inconclusive_reason:
-                body["inconclusive_reason"] = r.inconclusive_reason
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
+        if r.error:
+            body["error"] = r.error
+        if r.inconclusive_reason:
+            body["inconclusive_reason"] = r.inconclusive_reason
+        fh.write(json.dumps(body, sort_keys=True) + "\n")

@@ -2,7 +2,7 @@
 
 Limits exist to fail fast with a clear error instead of thrashing; they are
 not correctness knobs.  Every value can be raised for bigger experiments,
-e.g. ``GATEGROUPS_MAX_CLOSURE=500000``.
+e.g. ``GATEGROUPS_MAX_ENUMERATION=500000``.
 """
 
 from __future__ import annotations
@@ -10,20 +10,15 @@ from __future__ import annotations
 import os
 
 _DEFAULTS = {
-    # element budget for matrix-group closure
-    "MAX_CLOSURE": 200_000,
-    # element budget for enumeration-based structure computations
+    # element budget for every element table: matrix closures, permutation
+    # groups and quotients
     "MAX_ENUMERATION": 200_000,
-    # largest order accepted by the isomorphism test
-    "MAX_ISO_ORDER": 20_000,
     # largest order whose automorphism group is searched
     "MAX_AUT_ORDER": 8_192,
-    # largest order whose commutator set is enumerated
-    "MAX_COMMUTATOR_ORDER": 20_000,
-    # node budget for backtracking searches (automorphisms, complements)
+    # node budget for backtracking searches (isomorphisms, automorphisms,
+    # complements)
     "SEARCH_NODE_BUDGET": 50_000_000,
 }
-
 
 def limit(name: str) -> int:
     """Return the configured value for one of the capacity limits.

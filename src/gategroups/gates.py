@@ -18,6 +18,7 @@ from gategroups.matrix import (
 __all__ = [
     "GateCatalog",
     "catalog",
+    "pauli_operator",
     "pauli_group",
     "pauli2_pair_generators",
     "clifford_group",
@@ -77,12 +78,16 @@ def catalog():
     return _CATALOG
 
 
-def _wire(op, wire, n):
-    """op acting on one wire of an n-qubit register (wire 0 most significant)."""
-    m = None
-    for w in range(n):
-        factor = op if w == wire else identity_matrix(2)
-        m = factor if m is None else kron(m, factor)
+def pauli_operator(label):
+    """The tensor product of the Pauli matrices a label names over IXYZ, one
+    letter per wire (the leftmost wire most significant): ``"XZ"`` is ``kron(X, Z)``."""
+    c = catalog()
+    ops = {"I": c.sigma0, "X": c.sigma_x, "Y": c.sigma_y, "Z": c.sigma_z}
+    if not label or not set(label) <= set(ops):
+        raise ValueError(f"a Pauli label is a nonempty word over IXYZ, found {label!r}")
+    m = ops[label[0]]
+    for ch in label[1:]:
+        m = kron(m, ops[ch])
     return m
 
 
@@ -99,12 +104,8 @@ def pauli_group(n):
         raise ValueError("pauli_group supports 1..3 qubits")
     key = ("pauli", n)
     if key not in _GROUPS:
-        c = catalog()
-        gens = []
-        for wire in range(n):
-            for op in (c.sigma_x, c.sigma_y, c.sigma_z):
-                gens.append(_wire(op, wire, n))
-        _GROUPS[key] = closure(gens)
+        single_wire = ["I" * wire + ch + "I" * (n - 1 - wire) for wire in range(n) for ch in "XYZ"]
+        _GROUPS[key] = closure(map(pauli_operator, single_wire))
     return _GROUPS[key]
 
 
@@ -115,14 +116,7 @@ def pauli2_pair_generators():
     they generate an index-2 subgroup (order 32) of the two-qubit Pauli
     group rather than the full 64-element group.
     """
-    c = catalog()
-    return [
-        kron(c.sigma_x, c.sigma_x),
-        kron(c.sigma_z, c.sigma_z),
-        kron(c.sigma_x, c.sigma_y),
-        kron(c.sigma_y, c.sigma_z),
-        kron(c.sigma_z, c.sigma_x),
-    ]
+    return [pauli_operator(label) for label in ("XX", "ZZ", "XY", "YZ", "ZX")]
 
 
 def clifford_group(n):

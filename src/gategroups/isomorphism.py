@@ -217,9 +217,6 @@ def isomorphic(g, h):
     order_g, order_h = g.order(), h.order()
     if order_g != order_h:
         return IsomorphismResult(False)
-    cap = limit("MAX_ISO_ORDER")
-    if order_g > cap:
-        raise CapacityError(f"isomorphism test capped at order {cap}")
     tg = g.own_table()
     th = h.own_table()
     seq, images, img = _tables_isomorphic(tg, th)
@@ -405,12 +402,8 @@ def commutator_set(g):
     """K(G) = all commutators; a subset of G' that can be proper.
 
     K(G) is a union of conjugacy classes, so the first arguments run over
-    class representatives only.
+    class representatives only: n products in all.
     """
-    n = g.order()
-    cap = limit("MAX_COMMUTATOR_ORDER")
-    if n > cap:
-        raise CapacityError(f"commutator set enumeration capped at order {cap}")
     table = g.own_table()
     k = table.commutator_set_by_classes()
     derived, _ = table.derived_data()

@@ -232,13 +232,13 @@ class MatrixGroup:
 def closure(generators):
     """Enumerate the group generated by unitary matrices by base images.
 
-    Raises ClosureOverflowError if more than ``MAX_CLOSURE`` elements (or
-    dim * ``MAX_CLOSURE`` rows) appear, which signals wrong generators or a
-    non-finite group.
+    Raises ClosureOverflowError if more than ``MAX_ENUMERATION`` elements
+    (or dim * ``MAX_ENUMERATION`` rows) appear, which signals wrong
+    generators or a non-finite group.
     """
     from gategroups.cayley import ElementTable, orbit
 
-    budget = limit("MAX_CLOSURE")
+    budget = limit("MAX_ENUMERATION")
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -250,9 +250,9 @@ def closure(generators):
             raise ValueError("generators must be unitary")
     d = gens[0].dim
     row_index, row_perms, _ = orbit(
-        identity_matrix(d).rows(), gens, lambda v, g: g.row_times(v), d * budget, "MAX_CLOSURE"
+        identity_matrix(d).rows(), gens, lambda v, g: g.row_times(v), d * budget
     )
-    table = ElementTable.from_permutations(row_perms, range(d), budget, "MAX_CLOSURE")
+    table = ElementTable.from_permutations(row_perms, range(d), budget)
     table.rows = row_index
     return MatrixGroup(gens, table)
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError
-from gategroups.gates import catalog
-from gategroups.matrix import kron
+from gategroups.gates import pauli_operator
 
 __all__ = [
     "PauliGraph",
@@ -68,15 +67,6 @@ def _label_bits(label):
     return x, z
 
 
-def _label_matrix(label):
-    c = catalog()
-    ops = {"I": c.sigma0, "X": c.sigma_x, "Y": c.sigma_y, "Z": c.sigma_z}
-    m = None
-    for ch in label:
-        m = ops[ch] if m is None else kron(m, ops[ch])
-    return m
-
-
 _GRAPHS = {}
 
 
@@ -95,7 +85,7 @@ def pauli_graph(n):
     # square to the identity, which pins the extraspecial type of the chain
     # groups of the independent set (the +-i lifts square to -1 and
     # generate the other type, whose automorphism group is smaller).
-    reps = [_label_matrix(lb) for lb in labels]
+    reps = [pauli_operator(lb) for lb in labels]
     bits = [_label_bits(lb) for lb in labels]
     neighbors = [set() for _ in labels]
     for a, (xa, za) in enumerate(bits):

@@ -279,7 +279,8 @@ def commutator_set_all_pairs(table):
     out = set()
     for a in range(table.n):
         conj = table.lazy_conj_column(inv[a])
-        out.update(table.lcolumn(a)[conj[b]] for b in range(table.n))
+        lcol = table.lcolumn(a)  # one O(n) fill per a, not per pair
+        out.update(lcol[conj[b]] for b in range(table.n))
     return out
 
 

@@ -106,10 +106,10 @@ def test_capacity_marks_inconclusive(monkeypatch):
 
 
 def test_inconclusive_rows_carry_their_reason(monkeypatch, tmp_path):
-    monkeypatch.setenv("GATEGROUPS_MAX_COMMUTATOR_ORDER", "10")
+    monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "10")
     ledger = (
-        "small | core | commutator_deficiency(symmetric(3)) | 0 | derived | -\n"
-        "big | core | commutator_deficiency(symmetric(4)) | 0 | derived | -\n"
+        "small | core | aut_order(symmetric(3)) | 6 | derived | -\n"
+        "big | core | aut_order(symmetric(4)) | 24 | derived | -\n"
     )
     report = tmp_path / "report.jsonl"
     reports, exit_code = run_claims(suite="core", ledger_text=ledger, report_path=str(report))
@@ -117,7 +117,7 @@ def test_inconclusive_rows_carry_their_reason(monkeypatch, tmp_path):
     assert exit_code == 0
     rows = [json.loads(line) for line in report.read_text().splitlines()[1:]]
     assert "inconclusive_reason" not in rows[0]
-    assert rows[1]["inconclusive_reason"] == "commutator set enumeration capped at order 10"
+    assert rows[1]["inconclusive_reason"] == "automorphism computation capped at order 10"
 
 
 def test_aut_groups_do_not_depend_on_the_tier_run_before(capsys):
@@ -173,12 +173,12 @@ def test_report_body_is_deterministic(tmp_path):
 
 
 def test_report_header_records_the_limits(monkeypatch, tmp_path):
-    monkeypatch.setenv("GATEGROUPS_MAX_ISO_ORDER", "100")
+    monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "100")
     report = tmp_path / "r.jsonl"
     ledger = "a | core | order(p1) | 16 | derived | -\n"
     run_claims(suite="core", ledger_text=ledger, report_path=str(report))
     header = json.loads(report.read_text().splitlines()[0])
-    assert header["limits"]["GATEGROUPS_MAX_ISO_ORDER"] == 100
+    assert header["limits"]["GATEGROUPS_MAX_AUT_ORDER"] == 100
     assert set(header["limits"]) == {f"GATEGROUPS_{name}" for name in config._DEFAULTS}
 
 
@@ -222,6 +222,22 @@ def test_commutator_set_is_enumerated_once_per_group(monkeypatch):
     reports, _ = run_claims(suite="long", ledger_text=ledger, evaluator=Evaluator())
     assert [r.status for r in reports] == ["pass", "pass"]
     assert len(calls) == 2
+
+
+def test_automorphisms_are_searched_once_per_group(monkeypatch):
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return real(group)
+
+    real = isomorphism.automorphism_group
+    monkeypatch.setattr(isomorphism, "automorphism_group", counting)
+    ev = Evaluator()
+    assert ev.value("aut_order(c1)") == 192
+    assert ev.value("out_order(c1)") == 8
+    assert ev.value("order(aut(c1))") == 192
+    assert len(calls) == 1
 
 
 def test_graph_searches_run_once_per_qubit_count(monkeypatch):
@@ -545,7 +561,6 @@ def _recipes(draw):
 @given(st.sampled_from(["value", "group"]), _recipes())
 def test_generated_recipes_return_or_raise_typed_errors(monkeypatch, call, text):
     monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "200")
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "200")
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "2000")
     ev = Evaluator()
     try:

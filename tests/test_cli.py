@@ -233,14 +233,27 @@ def test_paths_that_cannot_be_opened_are_clean_errors(tmp_path, capsys):
         assert err.startswith("error: ") and str(tmp_path) in err, argv
 
 
+def test_report_is_opened_before_any_claim_runs(monkeypatch, tmp_path, capsys):
+    from gategroups.claims import Evaluator
+
+    evaluated = []
+    monkeypatch.setattr(Evaluator, "value", lambda ev, recipe: evaluated.append(recipe))
+    ledger = tmp_path / "small.ledger"
+    ledger.write_text("a | core | order(cyclic(2)) | 2 | derived | -\n")
+    report = tmp_path / "missing" / "r.jsonl"
+    assert main(["claims", "run", "--ledger", str(ledger), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert evaluated == []
+
+
 def test_closure_overflow_is_a_clean_error(monkeypatch, tmp_path, capsys):
     from gategroups import gates
 
     monkeypatch.setattr(gates, "_GROUPS", {})  # build c1 afresh under the small cap
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "100")
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "100")
     assert main(["build", "c1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "GATEGROUPS_MAX_CLOSURE" in err
+    assert err.startswith("error: ") and "GATEGROUPS_MAX_ENUMERATION" in err
 
     ledger = tmp_path / "c1.ledger"
     ledger.write_text("a | core | order(c1) | 192 | derived | -\n")

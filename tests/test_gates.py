@@ -12,6 +12,7 @@ from gategroups.gates import (
     clifford_order_formula,
     pauli2_pair_generators,
     pauli_group,
+    pauli_operator,
     yang_baxter_check,
 )
 from gategroups.matrix import closure, dagger, diagonal_matrix, identity_matrix, kron, matmul
@@ -40,6 +41,21 @@ def test_pauli_group_orders_and_centers():
     assert len(z) == 4
     z2 = pauli_group(2).perm_group().own_table().center_set()
     assert len(z2) == 4
+
+
+def test_pauli_operator_is_the_tensor_of_its_letters():
+    c = catalog()
+    assert pauli_operator("Y") == c.sigma_y
+    assert pauli_operator("XZ") == kron(c.sigma_x, c.sigma_z)
+    i2 = identity_matrix(2)
+    assert pauli_operator("IYI") == kron(kron(i2, c.sigma_y), i2)
+    assert pauli_group(2).generators == [
+        kron(c.sigma_x, i2), kron(c.sigma_y, i2), kron(c.sigma_z, i2),
+        kron(i2, c.sigma_x), kron(i2, c.sigma_y), kron(i2, c.sigma_z),
+    ]
+    for bad in ("", "XA", "xz"):
+        with pytest.raises(ValueError, match="IXYZ"):
+            pauli_operator(bad)
 
 
 def test_pauli_pair_generators_are_an_index2_subgroup():

@@ -56,11 +56,25 @@ def test_iso_different_orders_short_circuit():
     assert not isomorphic(groups.cyclic(4), groups.cyclic(8))
 
 
-def test_iso_capacity():
-    big = groups.wreath(groups.cyclic(2), groups.symmetric(5))
-    huge = groups.direct(big, groups.cyclic(7))  # order 26880 > cap
-    with pytest.raises(CapacityError):
-        isomorphic(huge, huge)
+def test_iso_capacity(monkeypatch):
+    """No order caps the isomorphism test or the commutator set: on order
+    26880 the search answers with a checked witness, and only the node
+    budget bounds it."""
+    g = groups.direct(groups.wreath(groups.cyclic(2), groups.symmetric(5)), groups.cyclic(7))
+    assert g.order() == 26880
+    res = isomorphic(g, g)
+    assert res.isomorphic
+    table = g.own_table()
+    seq = [g.index_of(p) for p in res.generators]
+    images = [g.index_of(p) for p in res.images]
+    img = _hom_image([table.column(x) for x in seq], [table.column(y) for y in images])
+    assert img is not None  # bijective homomorphism on the full table
+    ks = commutator_set(g)
+    assert ks.derived_order == derived_subgroup(g).order()
+    assert len(ks.indices) + ks.deficiency == ks.derived_order
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1")
+    with pytest.raises(BudgetExceededError):
+        isomorphic(g, g)
 
 
 def slow_automorphism_count(table):

@@ -79,22 +79,22 @@ def test_closure_rejects_nonunitary():
 def test_closure_budget_overflow(monkeypatch):
     c = catalog()
     assert issubclass(ClosureOverflowError, CapacityError)
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "64")
-    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "64")
+    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_ENUMERATION"):
         closure([c.hadamard, c.phase])
     # a rotation of infinite order overflows its row orbit
     three, four = rational(3, 5), rational(4, 5)
     rotation = matrix_from_rows([[three, -four], [four, three]])
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "50")
-    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_CLOSURE"):
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "50")
+    with pytest.raises(ClosureOverflowError, match="GATEGROUPS_MAX_ENUMERATION"):
         closure([rotation])
 
 
 def test_environment_capacity_override(monkeypatch):
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "100")
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "100")
     from gategroups.config import limit
 
-    assert limit("MAX_CLOSURE") == 100
+    assert limit("MAX_ENUMERATION") == 100
     c = catalog()
     with pytest.raises(ClosureOverflowError):
         closure([c.hadamard, c.phase])  # order 192 > overridden budget
@@ -405,7 +405,7 @@ def _group_files(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_group_files())
 def test_any_matrix_group_file_loads_or_names_its_line(tmp_path, monkeypatch, text):
-    monkeypatch.setenv("GATEGROUPS_MAX_CLOSURE", "64")
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "64")
     path = tmp_path / "any.group"
     path.write_text(text, encoding="ascii")
     try:
