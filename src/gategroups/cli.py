@@ -19,7 +19,6 @@ what it uses.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from gategroups import claims as claims_mod
@@ -28,6 +27,8 @@ from gategroups.errors import BudgetExceededError, CapacityError, GategroupsErro
 
 
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gategroups",
         description="Exact structure engine for quantum gate groups and its claims ledger.",

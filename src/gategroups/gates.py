@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from gategroups import cyclo
 from gategroups.matrix import (
-    UnitaryMatrix,
     closure,
     diagonal_matrix,
     identity_matrix,
@@ -28,18 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GateCatalog:
-    """The exact gate matrices everything else is generated from."""
-
-    sigma0: UnitaryMatrix
-    sigma_x: UnitaryMatrix
-    sigma_y: UnitaryMatrix
-    sigma_z: UnitaryMatrix
-    hadamard: UnitaryMatrix
-    phase: UnitaryMatrix
-    cz: UnitaryMatrix
-    bell: UnitaryMatrix
+# The exact gate matrices everything else is generated from.
+GateCatalog = namedtuple("GateCatalog", "sigma0 sigma_x sigma_y sigma_z hadamard phase cz bell")
 
 
 _CATALOG = None

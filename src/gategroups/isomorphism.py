@@ -1,16 +1,18 @@
 """Isomorphism testing, automorphism groups, commutator sets, complements.
 
 Isomorphisms, automorphisms and complements are found by one backtracking
-search over the images of a greedily chosen minimal generating sequence,
-pruning candidates by element order (and, between groups of one order,
-conjugacy class size) and pairwise product/commutation relations; every
-accepted assignment is verified as an injective homomorphism on the full
-element table, so a positive answer is always a checked witness.  A
-complement of N in G is the image of a section of G -> G/N, so it is
-searched as an injective homomorphism from G/N whose generator images lie
-in their cosets.  Every search runs under ``SEARCH_NODE_BUDGET`` and
-raises ``BudgetExceededError`` when it runs out, so a negative answer is
-always exhaustive.  Each image chosen is pushed with its right and left
+search over the images of a greedily chosen minimal generating sequence.
+A candidate is pruned by its order, and against each image already chosen
+by whether the two commute and by the order of their product; between
+groups of one order, class sizes of the candidate and of the product must
+match too.  Every accepted assignment is verified as an injective
+homomorphism on the full element table, so a positive answer is always a
+checked witness.  A complement of N in G is the image of a section of
+G -> G/N, so it is searched as an injective homomorphism from G/N whose
+generator images lie in their cosets; class sizes in G/N and in G differ,
+so that search compares orders alone.  Every search runs under
+``SEARCH_NODE_BUDGET`` and raises ``BudgetExceededError`` when it runs
+out, so a negative answer is always exhaustive.  Each image chosen is pushed with its right and left
 multiplication columns, which give both its products and whether it
 commutes with a later image or a centralizer candidate.  Candidates for
 one image that are conjugate under the centralizer of the images already
@@ -27,7 +29,6 @@ candidates outside it are searched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from gategroups.config import limit
@@ -99,6 +100,12 @@ def _hom_image(gcols, hcols, target_order=None):
     return img if len(queue) == n else None
 
 
+def _class_keys(table):
+    """(order, class size) of every element of a table."""
+    class_of, _, sizes = table.class_partition()
+    return list(zip(table.element_orders(), map(sizes.__getitem__, class_of)))
+
+
 class _Search:
     """Shared backtracking state for isomorphism, automorphism and section
     searches: injective homomorphisms from the table ``tg`` into ``th``.
@@ -121,31 +128,37 @@ class _Search:
         self.h_orders = th.element_orders()
         self.nodes = 0
         self.budget = limit("SEARCH_NODE_BUDGET")
-        # g_rel[pos][q]: (order of x_q * x_pos, whether x_q and x_pos commute)
+        # a section of G -> G/N need not keep class sizes, an isomorphism does
+        if tg.n == th.n:
+            self.g_keys, self.h_keys = _class_keys(tg), _class_keys(th)
+        else:
+            self.g_keys, self.h_keys = self.g_orders, self.h_orders
+        # g_rel[pos][q]: (key of x_q * x_pos, whether x_q and x_pos commute)
         self.g_rel = [[] for _ in seq]
         for pos, x in enumerate(seq):
             for xq in seq[:pos]:
                 xq_x = tg.mult(xq, x)
-                self.g_rel[pos].append((self.g_orders[xq_x], xq_x == tg.mult(x, xq)))
+                self.g_rel[pos].append((self.g_keys[xq_x], xq_x == tg.mult(x, xq)))
         self.gcols = [tg.column(x) for x in seq]
         self.chosen = []
         self.h_rcols = []
         self.h_lcols = []
 
     def candidates(self, x):
-        """The elements of h with the order and class size of x in g."""
-        g_class, _, g_sizes = self.tg.class_partition()
-        h_class, _, h_sizes = self.th.class_partition()
-        key = (self.g_orders[x], g_sizes[g_class[x]])
-        h_orders = self.h_orders
-        return [j for j in range(1, self.th.n) if (h_orders[j], h_sizes[h_class[j]]) == key]
+        """The elements of h with the order and class size of x in g (tables
+        of one order)."""
+        key, h_keys = self.g_keys[x], self.h_keys
+        return [j for j in range(1, self.th.n) if h_keys[j] == key]
 
     def compatible(self, pos, y):
-        """Whether y may follow ``chosen`` as the image of ``seq[pos]``."""
-        h_orders = self.h_orders
-        for (order, commutes), rcol, lcol in zip(self.g_rel[pos], self.h_rcols, self.h_lcols):
+        """Whether y may follow ``chosen`` as the image of ``seq[pos]``: for
+        each chosen y_q, y_q * y has the key of x_q * x (its order and,
+        between tables of one order, its class size) and y_q commutes with
+        y iff x_q commutes with x."""
+        h_keys = self.h_keys
+        for (key, commutes), rcol, lcol in zip(self.g_rel[pos], self.h_rcols, self.h_lcols):
             yq_y = lcol[y]
-            if h_orders[yq_y] != order or (yq_y == rcol[y]) != commutes:
+            if h_keys[yq_y] != key or (yq_y == rcol[y]) != commutes:
                 return False
         return True
 
@@ -182,11 +195,11 @@ class _Search:
             )
 
 
-@dataclass
 class IsomorphismResult:
-    isomorphic: bool
-    generators: list | None = None  # generating sequence of g
-    images: list | None = None  # their images in h
+    def __init__(self, isomorphic, generators=None, images=None):
+        self.isomorphic = isomorphic
+        self.generators = generators  # generating sequence of g, or None
+        self.images = images  # their images in h
 
     def __bool__(self):
         return self.isomorphic
@@ -227,7 +240,6 @@ def isomorphic(g, h):
     return IsomorphismResult(True, gen_perms, img_perms)
 
 
-@dataclass
 class AutomorphismGroup:
     """|Aut(G)| and |Inn(G)| of a group, counted by ``automorphism_group``.
 
@@ -237,10 +249,11 @@ class AutomorphismGroup:
     Aut(G); ``group`` is built from them on first access.
     """
 
-    order: int
-    inner_order: int
-    table: object  # the group's own element table
-    generators: list  # image arrays of automorphisms generating Aut(G)
+    def __init__(self, order, inner_order, table, generators):
+        self.order = order
+        self.inner_order = inner_order
+        self.table = table  # the group's own element table
+        self.generators = generators  # image arrays of automorphisms generating Aut(G)
 
     def outer_order(self):
         return self.order // self.inner_order
@@ -390,12 +403,12 @@ def is_perfect(g):
     return len(members) == table.n
 
 
-@dataclass
 class CommutatorSet:
-    indices: frozenset  # element indices of K(G) in the group's own table
-    derived_order: int
-    equals_derived: bool
-    deficiency: int  # |G'| - |K(G)|
+    def __init__(self, indices, derived_order):
+        self.indices = indices  # frozenset of the indices of K(G) in the group's own table
+        self.derived_order = derived_order
+        self.equals_derived = len(indices) == derived_order
+        self.deficiency = derived_order - len(indices)  # |G'| - |K(G)|
 
 
 def commutator_set(g):
@@ -409,18 +422,13 @@ def commutator_set(g):
     derived, _ = table.derived_data()
     if not k <= derived:
         raise AssertionError("commutator set escaped the derived subgroup")
-    return CommutatorSet(
-        indices=frozenset(k),
-        derived_order=len(derived),
-        equals_derived=k == derived,
-        deficiency=len(derived) - len(k),
-    )
+    return CommutatorSet(frozenset(k), len(derived))
 
 
-@dataclass
 class ComplementResult:
-    status: str  # "found" or "not-found"; a search out of nodes raises instead
-    complement: PermGroup | None
+    def __init__(self, status, complement):
+        self.status = status  # "found" or "not-found"; a search out of nodes raises instead
+        self.complement = complement  # a PermGroup, or None
 
     def __bool__(self):
         return self.status == "found"

@@ -13,8 +13,6 @@ groups, and only the ledger states their expected values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError
 from gategroups.gates import pauli_operator
@@ -32,12 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass
 class PauliGraph:
-    n: int
-    labels: list  # operator names over {I, X, Y, Z}^n
-    representatives: list  # canonical phase-class representative matrices
-    neighbors: list = field(repr=False)  # adjacency as sets of vertex ids
+    def __init__(self, n, labels, representatives, neighbors):
+        self.n = n
+        self.labels = labels  # operator names over {I, X, Y, Z}^n
+        self.representatives = representatives  # canonical phase-class representative matrices
+        self.neighbors = neighbors  # adjacency as sets of vertex ids
 
     @property
     def vertex_count(self):
@@ -101,41 +99,40 @@ def pauli_graph(n):
 
 
 # -- exact maximum independent set ----------------------------------------
+# Branch and bound on int bit masks: bit v of a vertex set stands for
+# vertex v, and nbm[v] is the mask of v's neighbours.
 
 
-def _clique_cover_bound(cands, neighbors):
-    """Greedy clique partition of the candidates; each clique holds <= 1 pick."""
-    remaining = list(cands)
+def _clique_cover_bound(cands, nbm):
+    """Greedy clique partition of the candidate mask, each clique grown in
+    ascending vertex order; each clique holds <= 1 pick."""
     bound = 0
-    taken = set()
-    for v in remaining:
-        if v in taken:
-            continue
+    while cands:
         bound += 1
-        clique = [v]
-        taken.add(v)
-        for u in remaining:
-            if u in taken:
-                continue
-            if all(u in neighbors[c] for c in clique):
-                clique.append(u)
-                taken.add(u)
+        low = cands & -cands
+        cands ^= low
+        common = cands & nbm[low.bit_length() - 1]  # joined to the whole clique
+        while common:
+            low = common & -common
+            cands ^= low
+            common &= nbm[low.bit_length() - 1]
     return bound
 
 
-def _best_set(cands, neighbors, chosen, best):
-    """The largest independent set extending ``chosen`` within ``cands``
-    if it beats ``best``, else ``best``.  Including a vertex is tried
-    before excluding it, so among sets of one size the lexicographically
-    least is found first, and a later one replaces it only when larger."""
+def _best_set(cands, nbm, chosen, best):
+    """The largest independent set extending ``chosen`` within the mask
+    ``cands`` if it beats ``best``, else ``best``.  Including the least
+    candidate is tried before excluding it, so among sets of one size the
+    lexicographically least is found first, and a later one replaces it
+    only when larger."""
     if not cands:
         return chosen if len(chosen) > len(best) else best
-    if len(chosen) + _clique_cover_bound(cands, neighbors) <= len(best):
+    if len(chosen) + _clique_cover_bound(cands, nbm) <= len(best):
         return best
-    v = cands[0]
-    rest = [u for u in cands[1:] if u not in neighbors[v]]
-    best = _best_set(rest, neighbors, chosen + [v], best)
-    return _best_set(cands[1:], neighbors, chosen, best)
+    low = cands & -cands
+    v = low.bit_length() - 1
+    best = _best_set(cands & ~low & ~nbm[v], nbm, chosen + [v], best)
+    return _best_set(cands ^ low, nbm, chosen, best)
 
 
 def maximum_independent_set(neighbors):
@@ -143,8 +140,10 @@ def maximum_independent_set(neighbors):
 
     ``neighbors`` is a list of adjacency sets; vertices are 0..n-1 in
     their canonical order, which pins the returned set deterministically.
+    The search runs on bit masks of the vertex sets.
     """
-    return _best_set(list(range(len(neighbors))), neighbors, [], [])
+    nbm = [sum(1 << u for u in nb) for nb in neighbors]
+    return _best_set((1 << len(neighbors)) - 1, nbm, [], [])
 
 
 # -- graph isomorphism / automorphisms -------------------------------------

@@ -8,7 +8,7 @@ fingerprints.  Groups above the enumeration cap raise CapacityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from gategroups.perm import PermGroup
 
@@ -64,12 +64,12 @@ def coset_action(group, normal):
     return PermGroup(quotient.n, quotient._perms, order=quotient.n, table=quotient)
 
 
-@dataclass
 class NormalSubgroups:
-    all: list
-    trivial: PermGroup
-    full: PermGroup
-    proper_nontrivial: list
+    def __init__(self, all, trivial, full, proper_nontrivial):
+        self.all = all
+        self.trivial = trivial
+        self.full = full
+        self.proper_nontrivial = proper_nontrivial
 
     def orders(self):
         return sorted(sub.order() for sub in self.all)
@@ -101,16 +101,13 @@ def abelian_invariants(group):
     return group.own_table().abelian_invariants()
 
 
-@dataclass(frozen=True)
-class GroupFingerprint:
-    """Isomorphism-invariant summary; unequal fingerprints mean non-isomorphic."""
-
-    order: int
-    element_orders: tuple  # sorted (element order, multiplicity) pairs
-    class_sizes: tuple
-    center_order: int
-    derived_series: tuple  # orders of G, G', G'', ... until stable
-    abelian_invariants: tuple
+# Isomorphism-invariant summary; unequal fingerprints mean non-isomorphic.
+# element_orders holds sorted (element order, multiplicity) pairs, and
+# derived_series the orders of G, G', G'', ... until stable.
+GroupFingerprint = namedtuple(
+    "GroupFingerprint",
+    "order element_orders class_sizes center_order derived_series abelian_invariants",
+)
 
 
 def fingerprint(group):

@@ -12,9 +12,13 @@ samples each pair of classes over a prefix of the smaller one, and the subgroup-
 oracle reads whole parent columns where the engine replays a word over
 the members.  The commutator-set oracle visits all ordered pairs where
 the engine visits class representatives.  The search-compatibility oracle replays words
-where the search reads columns.  The leaf-count automorphism oracle
-visits one search leaf per class of automorphisms modulo the inner ones,
-where the engine grows orbits of the automorphisms it has found.  The
+where the search reads columns, and it closes a class under conjugation
+by words where the search reads the class partition.  The leaf-count
+automorphism oracle prunes by the orders of products alone and visits one
+search leaf per class of automorphisms modulo the inner ones, where the
+engine also prunes by the class sizes of products and grows orbits of the
+automorphisms it has found.  The independent-set oracle runs the engine's
+branch and bound on Python sets where the engine runs it on bit masks.  The
 key-orbit oracle maps a base-image key by one action per generator where
 ``cayley.orbit`` takes all the images of a key in one call, and the
 class-partition oracle conjugates through the multiplication columns one
@@ -45,6 +49,7 @@ import cmath
 import itertools
 import math
 import os
+import weakref
 
 import pytest
 
@@ -284,10 +289,31 @@ def commutator_set_all_pairs(table):
     return out
 
 
-def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
-    """Whether y may follow ``chosen`` as the image of x in an isomorphism
-    or automorphism search, by word-replayed products and commutators
-    (oracle for the column form of ``_Search.compatible``)."""
+_CLASS_SIZES = weakref.WeakKeyDictionary()  # table -> {element: class size}
+
+
+def class_size_by_words(table, e):
+    """Size of the conjugacy class of x_e: {x_e} closed under conjugation by
+    the table's generators, with word-replayed products (oracle)."""
+    sizes = _CLASS_SIZES.setdefault(table, {})
+    if e not in sizes:
+        inv = table.inverses()
+        orbit = {e}
+        queue = [e]
+        for x in queue:
+            for g in table.gen_indices:
+                y = table.mult(table.mult(inv[g], x), g)
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        sizes.update(dict.fromkeys(orbit, len(orbit)))
+    return sizes[e]
+
+
+def order_commute_oracle(tg, th, seq_prefix, chosen, x, y):
+    """Whether, for each x_q and its chosen image y_q, x_q * x and y_q * y
+    have one order and x_q commutes with x iff y_q commutes with y, by
+    word-replayed products and commutators (oracle)."""
     g_orders, h_orders = tg.element_orders(), th.element_orders()
     for xq, yq in zip(seq_prefix, chosen):
         if g_orders[tg.mult(xq, x)] != h_orders[th.mult(yq, y)]:
@@ -297,6 +323,26 @@ def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
     return True
 
 
+def products_share_class_sizes(tg, th, seq_prefix, chosen, x, y):
+    """Whether, for each x_q and its chosen image y_q, x_q * x and y_q * y
+    have one class size, by ``class_size_by_words`` (oracle)."""
+    return all(
+        class_size_by_words(tg, tg.mult(xq, x)) == class_size_by_words(th, th.mult(yq, y))
+        for xq, yq in zip(seq_prefix, chosen)
+    )
+
+
+def search_compatible_oracle(tg, th, seq_prefix, chosen, x, y):
+    """Whether y may follow ``chosen`` as the image of x in an isomorphism,
+    automorphism or section search (oracle for the column form of
+    ``_Search.compatible``): the order-and-commute rule, and, between tables
+    of one order, one class size for x_q * x and y_q * y."""
+    args = (tg, th, seq_prefix, chosen, x, y)
+    return order_commute_oracle(*args) and (
+        tg.n != th.n or products_share_class_sizes(*args)
+    )
+
+
 def leaf_count_automorphisms(table):
     """(|Aut|, |Inn|) of the group of an element table (oracle).
 
@@ -304,8 +350,10 @@ def leaf_count_automorphisms(table):
     the generator-image backtracking, candidates split into orbits under
     conjugation by the centralizer K of the images chosen so far, and an
     orbit contributes |orbit| times the count at its representative.  Every
-    leaf is verified with ``_hom_image``.  |Inn| is the number of distinct
-    conjugation maps, told apart by the images of the generating sequence.
+    leaf is verified with ``_hom_image``.  Candidates are pruned by
+    ``order_commute_oracle`` alone, never by the class sizes of products.
+    |Inn| is the number of distinct conjugation maps, told apart by the
+    images of the generating sequence.
     """
     seq = _min_generating_sequence(table)
     if not seq:
@@ -317,7 +365,11 @@ def leaf_count_automorphisms(table):
     def count(pos, K):
         if pos == len(seq):
             return int(_hom_image(gcols, search.h_rcols) is not None)
-        unseen = {y for y in cands[pos] if search.compatible(pos, y)}
+        unseen = {
+            y
+            for y in cands[pos]
+            if order_commute_oracle(table, table, seq[:pos], search.chosen, seq[pos], y)
+        }
         subtotal = 0
         while unseen:
             rep = min(unseen)
@@ -473,6 +525,41 @@ def wreath_all_copies_generators(m, h):
     for p in h.generators:
         gens.append(Permutation([p.imgs[c] * dm + i for c in range(k) for i in range(dm)]))
     return gens
+
+
+def _clique_cover_bound_on_sets(cands, neighbors):
+    """Greedy clique partition of the candidate list; each clique holds <= 1 pick."""
+    bound = 0
+    taken = set()
+    for v in cands:
+        if v in taken:
+            continue
+        bound += 1
+        clique = [v]
+        taken.add(v)
+        for u in cands:
+            if u not in taken and all(u in neighbors[c] for c in clique):
+                clique.append(u)
+                taken.add(u)
+    return bound
+
+
+def _best_set_on_sets(cands, neighbors, chosen, best):
+    if not cands:
+        return chosen if len(chosen) > len(best) else best
+    if len(chosen) + _clique_cover_bound_on_sets(cands, neighbors) <= len(best):
+        return best
+    v = cands[0]
+    rest = [u for u in cands[1:] if u not in neighbors[v]]
+    best = _best_set_on_sets(rest, neighbors, chosen + [v], best)
+    return _best_set_on_sets(cands[1:], neighbors, chosen, best)
+
+
+def independent_set_on_sets(neighbors):
+    """The lexicographically least maximum independent set, by the branch
+    and bound of ``maximum_independent_set`` on candidate lists and
+    adjacency sets in place of bit masks (oracle)."""
+    return _best_set_on_sets(list(range(len(neighbors))), neighbors, [], [])
 
 
 def small_corpus():

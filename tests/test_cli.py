@@ -401,7 +401,15 @@ def test_start_up_loads_no_engine_module():
         "parse_ledger(default_ledger_text())"
     )
     assert {"gategroups.cli", "gategroups.claims"} <= loaded
-    assert loaded.isdisjoint({f"gategroups.{m}" for m in ENGINE_MODULES} | {"dataclasses"})
+    assert loaded.isdisjoint(
+        {f"gategroups.{m}" for m in ENGINE_MODULES} | {"dataclasses", "argparse"}
+    )
+
+
+def test_engine_modules_load_no_dataclasses():
+    loaded = modules_loaded_by("\n".join(f"import gategroups.{m}" for m in ENGINE_MODULES))
+    assert {f"gategroups.{m}" for m in ENGINE_MODULES} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_graph_and_formula_rows_load_no_group_engine_module(tmp_path):

@@ -10,6 +10,7 @@ from conftest import (
     complement_scan_oracle,
     conj_by_gen,
     leaf_count_automorphisms,
+    products_share_class_sizes,
     search_compatible_oracle,
     small_corpus,
     subgroup_closure_oracle,
@@ -563,6 +564,40 @@ def test_c2_central_quotient_does_not_split_over_its_normal_16(gate_ev):
     res = find_complement(q, n)
     assert res.status == "not-found"
     assert complement_scan_oracle(q.own_table(), q.indices_of(n)) is None
+
+
+def _checked_section_search(monkeypatch, g, n):
+    """``find_complement(g, n)`` and its (answer, oracle arguments) pairs,
+    every compatibility answer checked against the word oracle."""
+    answers = []
+    column_form = _Search.compatible
+
+    def checked(search, pos, y):
+        got = column_form(search, pos, y)
+        args = (search.tg, search.th, search.seq[:pos], search.chosen[:pos], search.seq[pos], y)
+        assert got == search_compatible_oracle(*args), args[2:]
+        answers.append((got, args))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "compatible", checked)
+        return find_complement(g, n), answers
+
+
+def test_section_search_compares_no_class_sizes(gate_ev, monkeypatch):
+    """A section maps Q = G/N into G, where class sizes differ from those in
+    Q, so between tables of two orders the search compares the orders of
+    products alone: the complement of B2/Z's normal 16 has an image whose
+    products change class size."""
+    q, n = _normal_16(gate_ev, "b2")
+    res, answers = _checked_section_search(monkeypatch, q, n)
+    _assert_complement(q, n, res)
+    assert any(got and not products_share_class_sizes(*args) for got, args in answers)
+    q, n = _normal_16(gate_ev, "c2")
+    res, answers = _checked_section_search(monkeypatch, q, n)
+    assert res.status == "not-found" and answers
+    res, _ = _checked_section_search(monkeypatch, gate_ev.group("b2"), gate_ev.group("p2"))
+    assert res.status == "not-found"
 
 
 @pytest.mark.long

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import independent_set_on_sets
 from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError
 from gategroups.matrix import matmul
@@ -99,6 +100,32 @@ def test_max_independent_set_matches_a_subset_scan():
                 neighbors[a].add(b)
                 neighbors[b].add(a)
         assert maximum_independent_set(neighbors) == _least_maximum_independent_set(neighbors)
+
+
+def test_bit_mask_independent_set_matches_the_set_search():
+    """Graphs past the reach of the subset scan, against the same branch
+    and bound run on sets: one search tree, so one answer."""
+    rng = random.Random(34)
+    for _ in range(100):
+        n = rng.randint(13, 40)
+        density = rng.uniform(0.1, 0.9)
+        neighbors = [set() for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            if rng.random() < density:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+        assert maximum_independent_set(neighbors) == independent_set_on_sets(neighbors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_graph_independent_sets_match_the_set_search(n):
+    neighbors = pauli_graph(n).neighbors
+    assert maximum_independent_set(neighbors) == independent_set_on_sets(neighbors)
+
+
+def test_three_qubit_independent_set_is_pinned():
+    """``mub(3, k)`` takes the first k operators of this set."""
+    assert maximum_independent_set(pauli_graph(3).neighbors) == [0, 7, 10, 24, 30, 58, 62]
 
 
 def test_max_independent_sets_of_pauli_graphs():
