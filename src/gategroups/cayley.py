@@ -104,11 +104,14 @@ def orbit(seeds, gens, act, cap):
 
 
 class ElementTable:
-    def __init__(self, n, gen_indices, rmul):
-        """``rmul`` holds a list per generator, which the table keeps, not copies."""
-        self.n = n
-        self.gen_indices = list(gen_indices)
+    def __init__(self, rmul):
+        """``rmul`` holds the right multiplication column of each generator,
+        which the table keeps, not copies.  Element 0 is the identity, so
+        the column of generator g heads with g's own index; no generators
+        generate the trivial group."""
         self._rmul = list(rmul)
+        self.n = len(self._rmul[0]) if self._rmul else 1
+        self.gen_indices = [col[0] for col in self._rmul]
         self._lmul = None
         self._conj = None  # conjugation column of every generator
         self._inv = None
@@ -147,7 +150,7 @@ class ElementTable:
         else:
             gens, act = perms, _compose
         index, rmul, tree = orbit([encode(base)], gens, act, cap)
-        table = cls(len(index), [col[0] for col in rmul], rmul)
+        table = cls(rmul)
         table._perms, table._base, table._encode = perms, base, encode
         table.key_index, table._bfs = index, tree
         return table
@@ -501,7 +504,7 @@ class ElementTable:
                     genpos.append(g)
                 qcol.append(c)
         n = len(blocks)
-        quotient = ElementTable(n, [col[0] for col in qperms], qperms)
+        quotient = ElementTable(qperms)
         quotient._perms, quotient._base = list(map(tuple, qperms)), (0,)
         quotient._encode = encode = _encoding(n)
         quotient.key_index = dict(zip(map(encode, zip(range(n))), range(n)))
@@ -652,7 +655,7 @@ class ElementTable:
         elems = sorted(members)
         pos = {e: p for p, e in enumerate(elems)}
         cols = [list(map(pos.__getitem__, self.products(g, elems))) for g in gen_indices]
-        return ElementTable(len(elems), [pos[g] for g in gen_indices], cols)
+        return ElementTable(cols)
 
     # -- commutator sets -------------------------------------------------------
 

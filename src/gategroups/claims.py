@@ -17,9 +17,10 @@ argument kinds and its code.  Bad text raises ValueError before any group
 argument of the recipe is evaluated.  The ``Evaluator`` memoises every result.
 
 The ``pg_*`` and ``mub_*`` recipes compute every Pauli-graph and MUB-chain
-fact, from one independent set, one set of quadrangle lines and one group
-per prefix, each memoised; the ``graph`` and ``mub-chain`` commands print
-them, and only the ledger states what they should be.
+fact, from one graph per n, one independent set, one set of quadrangle
+lines and one group per prefix, each memoised; the ``graph`` and
+``mub-chain`` commands print them, and only the ledger states what they
+should be.
 
 Parsing a ledger and writing a report need no engine module.  A recipe
 imports the engine modules it calls when it runs and calls through the
@@ -164,10 +165,6 @@ def _engine(name):
     return import_module(f"gategroups.{name}")
 
 
-def _graph(n):
-    return _engine("pauligraph").pauli_graph(n)
-
-
 def _uniform(values, what):
     """The one value of ``values``; ValueError listing them if they differ."""
     values = set(values)
@@ -216,9 +213,9 @@ def _yang_baxter(ev, atom):
     return gates.yang_baxter_check(matrices[atom])
 
 
-def _quadrangle(n):
+def _quadrangle(ev, n):
     """The two-qubit graph; the recipes of its lines refuse any other n."""
-    graph = _graph(n)
+    graph = ev._graph(n)
     if n != 2:
         raise ValueError("the quadrangle report is defined for the two-qubit graph")
     return graph
@@ -226,12 +223,12 @@ def _quadrangle(n):
 
 def _lines_per_point(ev, n):
     lines = ev._lines(n)
-    counts = [sum(v in line for line in lines) for v in range(_graph(n).vertex_count)]
+    counts = [sum(v in line for line in lines) for v in range(ev._graph(n).vertex_count)]
     return _uniform(counts, "incidence is not uniform:")
 
 
 def _complement_petersen(ev, n):
-    neighbors = _quadrangle(n).neighbors
+    neighbors = _quadrangle(ev, n).neighbors
     return _engine("pauligraph").complement_is_petersen(neighbors, ev._independent_set(n))
 
 
@@ -283,13 +280,14 @@ _VALUE_RECIPES = {
     "mub_same": (  # the prefix groups nest, so equal orders mean equal groups
         "ii", lambda ev, n, k: ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
     ),
-    "pg_vertices": ("i", lambda ev, n: _graph(n).vertex_count),
+    "pg_vertices": ("i", lambda ev, n: ev._graph(n).vertex_count),
     "pg_uniform_degree": (
-        "i", lambda ev, n: _uniform(_graph(n).degree_sequence(), "graph is not regular: degrees")
+        "i",
+        lambda ev, n: _uniform(ev._graph(n).degree_sequence(), "graph is not regular: degrees"),
     ),
     "pg_max_independent": ("i", lambda ev, n: len(ev._independent_set(n))),
     "pg_aut_count": (
-        "i", lambda ev, n: _engine("pauligraph").graph_automorphism_count(_graph(n).neighbors)
+        "i", lambda ev, n: _engine("pauligraph").graph_automorphism_count(ev._graph(n).neighbors)
     ),
     "pg_lines": ("i", lambda ev, n: len(ev._lines(n))),
     "pg_line_size": (
@@ -376,13 +374,16 @@ class Evaluator:
     def _commutators(self, group):
         return self._cached(("commutators", group), _engine("isomorphism").commutator_set, group)
 
+    def _graph(self, n):
+        return self._cached(("graph", n), _engine("pauligraph").pauli_graph, n)
+
     def _independent_set(self, n):
         mis = _engine("pauligraph").maximum_independent_set
-        return self._cached(("independent_set", n), mis, _graph(n).neighbors)
+        return self._cached(("independent_set", n), mis, self._graph(n).neighbors)
 
     def _lines(self, n):
         """The lines of the two-qubit quadrangle: the maximal cliques of its graph."""
-        neighbors = _quadrangle(n).neighbors
+        neighbors = _quadrangle(self, n).neighbors
         return self._cached(("lines", n), _engine("pauligraph").maximal_cliques, neighbors)
 
     def _mub_group(self, n, k):
@@ -392,11 +393,16 @@ class Evaluator:
             raise ValueError(f"the number of operators must not be negative, found {k}")
         if k > len(mis):
             raise ValueError(f"the {n}-qubit independent set has only {len(mis)} operators")
-        matrix = _engine("matrix")
-        operators = [_graph(n).representatives[v] for v in mis[:k]]
-        # no operators generate the trivial group on the n-qubit space
-        gens = operators or [matrix.identity_matrix(2**n)]
-        return self._cached(("mub_group", n, k), matrix.closure, gens)
+
+        def closure():
+            matrix, labels = _engine("matrix"), self._graph(n).labels
+            # The plain tensor products are the +1 Hermitian lifts: they square
+            # to the identity, which pins the extraspecial type of the chain groups.
+            gens = [_engine("gates").pauli_operator(labels[v]) for v in mis[:k]]
+            # no operators generate the trivial group on the n-qubit space
+            return matrix.closure(gens or [matrix.identity_matrix(2**n)])
+
+        return self._cached(("mub_group", n, k), closure)
 
 
 def _status_for(claim, computed, failed):

@@ -5,7 +5,7 @@ Commands:
     gategroups analyze EXPR
     gategroups claims run [--suite core|long|extended] [--ledger FILE] [--report FILE]
     gategroups graph pauli -n N [--dot FILE]
-    gategroups mub-chain -n N [--no-aut]
+    gategroups mub-chain -n N
 
 Capacity limits honour GATEGROUPS_* environment variables (see config).
 Errors the package raises (``GategroupsError``), other bad input
@@ -67,7 +67,6 @@ def _build_parser():
 
     m = sub.add_parser("mub-chain", help="groups generated by the canonical independent set")
     m.add_argument("-n", type=int, required=True, choices=(2, 3))
-    m.add_argument("--no-aut", action="store_true", help="skip automorphism orders")
 
     return parser
 
@@ -171,13 +170,13 @@ def _cmd_claims_run(args):
 def _cmd_graph(args):
     from gategroups import pauligraph
 
-    graph = pauligraph.pauli_graph(args.n)
+    ev = Evaluator()
+    graph = ev._graph(args.n)
     degrees = sorted(set(graph.degree_sequence()))
     print(f"pauli graph n={args.n}: {graph.vertex_count} vertices, degrees {degrees}")
-    mis = pauligraph.maximum_independent_set(graph.neighbors)
+    mis = ev._independent_set(args.n)
     print(f"maximum independent set ({len(mis)}): {[graph.labels[v] for v in mis]}")
     if args.n == 2:
-        ev = Evaluator()
         print(
             f"lines: {ev.value('pg_lines(2)')} (size [{ev.value('pg_line_size(2)')}]), "
             f"lines per point [{ev.value('pg_lines_per_point(2)')}], "
@@ -194,14 +193,12 @@ def _cmd_mub_chain(args):
     ev, n = Evaluator(), args.n
     for k in range(2, ev.value(f"pg_max_independent({n})") + 1):
         order = ev.value(f"mub_order({n}, {k})")
-        aut = "(skipped)"
-        if not args.no_aut:
-            try:
-                aut = ev.value(f"mub_aut_order({n}, {k})")
-            except CapacityError:
-                pass
-            except BudgetExceededError:
-                aut = "(inconclusive)"
+        try:
+            aut = ev.value(f"mub_aut_order({n}, {k})")
+        except CapacityError:
+            aut = "(skipped)"
+        except BudgetExceededError:
+            aut = "(inconclusive)"
         note = "  (= previous)" if ev.value(f"mub_same({n}, {k})") else ""
         print(f"g{k}: order {order:6}  aut {aut}{note}")
     return 0

@@ -1,9 +1,11 @@
 """Pauli commutation graphs and the graph searches run on them.
 
-Vertices are the 4^n - 1 nonidentity Pauli tensor operators modulo phase,
-ordered by their symplectic label (X-part then Z-part, leftmost wire most
-significant); two vertices are joined iff representatives commute, which
-is independent of the chosen phases.
+The n-qubit graph is the symplectic polar space W(2n - 1, 2), built from
+the codes of its vertices alone: the nonidentity Pauli operators modulo
+phase, each named by its symplectic code x * 2^n + z (X-part then Z-part,
+leftmost wire most significant), are joined iff the symplectic form of
+their codes vanishes, that is iff they commute.  No operator matrix is
+built.
 
 The searches are the maximum independent set, the maximal cliques (the
 lines of the two-qubit quadrangle), automorphism counts and the Petersen
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError
-from gategroups.gates import pauli_operator
 
 __all__ = [
     "PauliGraph",
@@ -31,10 +32,9 @@ __all__ = [
 
 
 class PauliGraph:
-    def __init__(self, n, labels, representatives, neighbors):
+    def __init__(self, n, labels, neighbors):
         self.n = n
         self.labels = labels  # operator names over {I, X, Y, Z}^n
-        self.representatives = representatives  # canonical phase-class representative matrices
         self.neighbors = neighbors  # adjacency as sets of vertex ids
 
     @property
@@ -44,58 +44,27 @@ class PauliGraph:
     def degree_sequence(self):
         return [len(nb) for nb in self.neighbors]
 
-    def edges(self):
-        return [
-            (a, b)
-            for a in range(len(self.neighbors))
-            for b in self.neighbors[a]
-            if a < b
-        ]
-
-
-_CHARS = "IXYZ"
-
-
-def _label_bits(label):
-    """Symplectic label of an operator name: (x bits, z bits) as integers."""
-    x = z = 0
-    for ch in label:
-        x = (x << 1) | (ch in "XY")
-        z = (z << 1) | (ch in "ZY")
-    return x, z
-
-
-_GRAPHS = {}
-
 
 def pauli_graph(n):
+    """The n-qubit commutation graph.  Vertex v - 1 is the operator of code
+    v = x * 2^n + z for v = 1 .. 4^n - 1, named one letter per wire by
+    ``"IZXY"[2 * xbit + zbit]``."""
     if not 1 <= n <= 3:
         raise ValueError("pauli_graph supports 1..3 qubits")
-    if n in _GRAPHS:
-        return _GRAPHS[n]
-    labels = []
-    for code in range(4**n):
-        label = "".join(_CHARS[(code >> (2 * (n - 1 - w))) & 3] for w in range(n))
-        if set(label) != {"I"}:
-            labels.append(label)
-    labels.sort(key=_label_bits)
-    # The plain tensor products are the Hermitian lifts with phase +1: they
-    # square to the identity, which pins the extraspecial type of the chain
-    # groups of the independent set (the +-i lifts square to -1 and
-    # generate the other type, whose automorphism group is smaller).
-    reps = [pauli_operator(lb) for lb in labels]
-    bits = [_label_bits(lb) for lb in labels]
-    neighbors = [set() for _ in labels]
-    for a, (xa, za) in enumerate(bits):
-        for b in range(a + 1, len(labels)):
-            xb, zb = bits[b]
+    codes = [(v >> n, v & ((1 << n) - 1)) for v in range(1, 4**n)]
+    labels = [
+        "".join("IZXY"[2 * (x >> w & 1) + (z >> w & 1)] for w in reversed(range(n)))
+        for x, z in codes
+    ]
+    neighbors = [set() for _ in codes]
+    for a, (xa, za) in enumerate(codes):
+        for b in range(a + 1, len(codes)):
+            xb, zb = codes[b]
             # operators commute iff their symplectic form vanishes
             if not bin((xa & zb) ^ (xb & za)).count("1") % 2:
                 neighbors[a].add(b)
                 neighbors[b].add(a)
-    graph = PauliGraph(n, labels, reps, neighbors)
-    _GRAPHS[n] = graph
-    return graph
+    return PauliGraph(n, labels, neighbors)
 
 
 # -- exact maximum independent set ----------------------------------------
@@ -249,6 +218,8 @@ def write_dot(graph, path):
         fh.write(f"graph pauli{graph.n} {{\n")
         for label in graph.labels:
             fh.write(f'  "{label}";\n')
-        for a, b in graph.edges():
-            fh.write(f'  "{graph.labels[a]}" -- "{graph.labels[b]}";\n')
+        for a, nb in enumerate(graph.neighbors):
+            for b in nb:
+                if a < b:
+                    fh.write(f'  "{graph.labels[a]}" -- "{graph.labels[b]}";\n')
         fh.write("}\n")

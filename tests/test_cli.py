@@ -111,16 +111,6 @@ def test_mub_chain_command(capsys):
     assert "(= previous)" in out
 
 
-def test_mub_chain_without_aut(capsys):
-    assert main(["mub-chain", "-n", "2", "--no-aut"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "g2: order      8  aut (skipped)",
-        "g3: order     16  aut (skipped)",
-        "g4: order     32  aut (skipped)",
-        "g5: order     32  aut (skipped)  (= previous)",
-    ]
-
-
 def test_mub_chain_capacity_and_budget(monkeypatch, capsys):
     """A group past the automorphism cap is skipped; a search out of nodes is inconclusive."""
     monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "128")
@@ -413,19 +403,24 @@ def test_engine_modules_load_no_dataclasses():
 
 
 def test_graph_and_formula_rows_load_no_group_engine_module(tmp_path):
-    ledger = tmp_path / "graph.ledger"
-    ledger.write_text(
+    graph_rows = (
         "a | core | pg_vertices(2) | 15 | derived | -\n"
-        "b | core | clifford_formula(2) | 92160 | derived | -\n"
+        "c | core | pg_max_independent(3) | 7 | derived | -\n"
     )
-    loaded = modules_loaded_by(
-        "from gategroups.cli import main\n"
-        "assert main(['claims', 'run', '--ledger', sys.argv[1]]) == 0",
-        str(ledger),
-    )
+    group_engine = {"gategroups.groups", "gategroups.structure", "gategroups.isomorphism"}
+    run = ("from gategroups.cli import main\n"
+           "assert main(['claims', 'run', '--ledger', sys.argv[1]]) == 0")
+    ledger = tmp_path / "graph.ledger"
+    ledger.write_text(graph_rows + "b | core | clifford_formula(2) | 92160 | derived | -\n")
+    loaded = modules_loaded_by(run, str(ledger))
     assert "gategroups.pauligraph" in loaded
-    assert loaded.isdisjoint({"gategroups.groups", "gategroups.structure",
-                              "gategroups.isomorphism"})
+    assert loaded.isdisjoint(group_engine)
+    # the graph is built from its symplectic codes: no operator matrix
+    ledger.write_text(graph_rows)
+    loaded = modules_loaded_by(run, str(ledger))
+    assert "gategroups.pauligraph" in loaded
+    assert loaded.isdisjoint(group_engine | {"gategroups.gates", "gategroups.matrix",
+                                             "gategroups.cyclo", "gategroups.perm"})
 
 
 def test_permutation_rows_load_no_matrix_module(tmp_path):

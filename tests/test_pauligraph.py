@@ -8,6 +8,7 @@ import pytest
 from conftest import independent_set_on_sets
 from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError
+from gategroups.gates import pauli_operator
 from gategroups.matrix import matmul
 from gategroups.pauligraph import (
     complement_is_petersen,
@@ -29,40 +30,49 @@ def test_one_qubit_graph_is_empty():
     assert g.labels == ["Z", "X", "Y"]
 
 
+def _label_code(label):
+    """(x bits, z bits) read off the letters of an operator name, leftmost
+    wire most significant: X and Y carry an x bit, Z and Y a z bit."""
+    x = z = 0
+    for ch in label:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "ZY")
+    return x, z
+
+
 def test_two_qubit_graph():
     g = pauli_graph(2)
     assert g.vertex_count == 15
     assert set(g.degree_sequence()) == {6}
-    # symplectic cross-check: commuting iff the symplectic form vanishes
-    from gategroups.pauligraph import _label_bits
-
-    def sympl(a, b):
-        xa, za = _label_bits(g.labels[a])
-        xb, zb = _label_bits(g.labels[b])
-        return (bin(xa & zb).count("1") + bin(xb & za).count("1")) % 2
-
-    for a in range(15):
-        for b in range(a + 1, 15):
-            commuting = b in g.neighbors[a]
-            assert commuting == (sympl(a, b) == 0)
+    # symplectic cross-check on every supported n: commuting iff the
+    # symplectic form of the codes read off the labels vanishes
+    for n in (1, 2, 3):
+        g = pauli_graph(n)
+        codes = [_label_code(lb) for lb in g.labels]
+        for a, (xa, za) in enumerate(codes):
+            for b in range(a + 1, g.vertex_count):
+                xb, zb = codes[b]
+                sympl = (bin(xa & zb).count("1") + bin(xb & za).count("1")) % 2
+                assert (b in g.neighbors[a]) == (sympl == 0)
 
 
 def test_vertex_order_is_symplectic_label_order():
-    g = pauli_graph(2)
-    from gategroups.pauligraph import _label_bits
-
-    keys = [_label_bits(lb) for lb in g.labels]
-    assert keys == sorted(keys)
+    for n in (1, 2, 3):
+        g = pauli_graph(n)
+        keys = [_label_code(lb) for lb in g.labels]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == 4**n - 1 and (0, 0) not in keys
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_representatives_commute_iff_edges(n):
+def test_pauli_operators_commute_iff_edges(n):
     """Exact-product oracle for the symplectic edge rule."""
     g = pauli_graph(n)
+    ops = [pauli_operator(lb) for lb in g.labels]
     for a in range(g.vertex_count):
         for b in range(a + 1, g.vertex_count):
-            lhs = matmul(g.representatives[a], g.representatives[b])
-            rhs = matmul(g.representatives[b], g.representatives[a])
+            lhs = matmul(ops[a], ops[b])
+            rhs = matmul(ops[b], ops[a])
             assert (lhs == rhs) == (b in g.neighbors[a])
 
 
