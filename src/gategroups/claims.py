@@ -30,6 +30,7 @@ double installed on a module attribute is honoured.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections import namedtuple
@@ -213,6 +214,21 @@ def _yang_baxter(ev, atom):
     return gates.yang_baxter_check(matrices[atom])
 
 
+def _clifford_formula(ev, n):
+    """The order 2^(n^2+2n+3) * prod_j (4^j - 1) of the n-qubit Clifford group."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return 2 ** (n * n + 2 * n + 3) * math.prod(4**j - 1 for j in range(1, n + 1))
+
+
+def _mub_same(ev, n, k):
+    """Whether the k-th operator adds nothing; the prefix groups nest, so
+    equal orders mean equal groups."""
+    if k < 1:
+        raise ValueError(f"mub_same needs at least one operator, found {k}")
+    return ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
+
+
 def _quadrangle(ev, n):
     """The two-qubit graph; the recipes of its lines refuse any other n."""
     graph = ev._graph(n)
@@ -271,15 +287,13 @@ _VALUE_RECIPES = {
     "commutators_equal_derived": ("e", lambda ev, g: ev._commutators(g).equals_derived),
     "commutator_deficiency": ("e", lambda ev, g: ev._commutators(g).deficiency),
     "yang_baxter": ("a", _yang_baxter),
-    "clifford_formula": ("i", lambda ev, n: _engine("gates").clifford_order_formula(n)),
+    "clifford_formula": ("i", _clifford_formula),
     "subgroup_index": ("ee", lambda ev, g, h: g.order() // len(g.indices_of(h))),
     "is_subgroup": ("aa", _is_subgroup),  # the parent group is evaluated first
     "is_normal": ("ee", lambda ev, g, h: g.own_table().is_normal_set(g.indices_of(h))),
     "mub_order": ("ii", lambda ev, n, k: ev._mub_group(n, k).order()),
     "mub_aut_order": ("ii", lambda ev, n, k: ev._aut(ev._mub_group(n, k).perm_group()).order),
-    "mub_same": (  # the prefix groups nest, so equal orders mean equal groups
-        "ii", lambda ev, n, k: ev._mub_group(n, k).order() == ev._mub_group(n, k - 1).order()
-    ),
+    "mub_same": ("ii", _mub_same),
     "pg_vertices": ("i", lambda ev, n: ev._graph(n).vertex_count),
     "pg_uniform_degree": (
         "i",

@@ -29,6 +29,7 @@ Q(zeta_n), so ``1+E(n)`` for a large n would not fit in memory.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +41,6 @@ __all__ = [
     "root_of_unity",
     "sqrt2",
     "rational",
-    "arith",
     "parse",
 ]
 
@@ -448,21 +448,6 @@ def rational(value, denominator=None):
     return _build(1, {0: Fraction(value)})
 
 
-def arith(a, b, op):
-    """Apply one of add/sub/mul/div to two values."""
-    a = Cyclotomic(a)
-    b = Cyclotomic(b)
-    if op == "add":
-        return _add(a, b)
-    if op == "sub":
-        return _add(a, _neg(b))
-    if op == "mul":
-        return _mul(a, b)
-    if op == "div":
-        return _mul(a, _inv(b))
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # -- parser ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(ER|E)|([()+\-*/^]))")
@@ -502,13 +487,22 @@ def _bounded_power(x, exponent):
     return x**exponent
 
 
-def _bounded_arith(a, b, op):
-    """``arith(a, b, op)``, with ValueError when a and b lie in no common
-    field of conductor at most ``_MAX_CONDUCTOR``."""
+_BINARY = {
+    "+": ("add", operator.add),
+    "-": ("sub", operator.sub),
+    "*": ("mul", operator.mul),
+    "/": ("div", operator.truediv),
+}
+
+
+def _bounded_arith(a, b, symbol):
+    """``a symbol b``, with ValueError when a and b lie in no common field of
+    conductor at most ``_MAX_CONDUCTOR``."""
+    op, apply = _BINARY[symbol]
     m = math.lcm(a.conductor, b.conductor)
     if m > _MAX_CONDUCTOR:
         raise ValueError(f"{op} needs conductor {m}, above {_MAX_CONDUCTOR}")
-    return arith(a, b, op)
+    return apply(a, b)
 
 
 class _Parser:
@@ -550,15 +544,15 @@ class _Parser:
     def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
-            op = "add" if self.take() == "+" else "sub"
-            value = _bounded_arith(value, self.term(), op)
+            symbol = self.take()
+            value = _bounded_arith(value, self.term(), symbol)
         return value
 
     def term(self):
         value = self.unary()
         while self.peek() in ("*", "/"):
-            op = "mul" if self.take() == "*" else "div"
-            value = _bounded_arith(value, self.unary(), op)
+            symbol = self.take()
+            value = _bounded_arith(value, self.unary(), symbol)
         return value
 
     def unary(self):

@@ -22,7 +22,6 @@ __all__ = [
     "pauli2_pair_generators",
     "clifford_group",
     "bell_group",
-    "clifford_order_formula",
     "yang_baxter_check",
 ]
 
@@ -135,16 +134,6 @@ def bell_group():
         gens = [kron(c.hadamard, c.hadamard), kron(c.hadamard, c.phase), c.bell]
         _GROUPS[key] = closure(gens)
     return _GROUPS[key]
-
-
-def clifford_order_formula(n):
-    """Order of the n-qubit Clifford group: 2^(n^2+2n+3) * prod_j (4^j - 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    value = 2 ** (n * n + 2 * n + 3)
-    for j in range(1, n + 1):
-        value *= 4**j - 1
-    return value
 
 
 def yang_baxter_check(r):

@@ -1,13 +1,21 @@
 """Reference group constructors.
 
-Every constructor realizes the group as permutations and checks the order
-against the formula for its kind.  Dihedral groups are named by ORDER:
+Every constructor realizes the group as permutations and refuses a degree
+above GATEGROUPS_MAX_ENUMERATION before it builds any permutation.  The
+families (``cyclic``, ``dihedral``, ``symmetric``, ``alternating``,
+``direct``) state the closed form of their order; the constructions
+(``quaternion8``, ``sl23``, ``wreath``, ``semidirect``) check the order they
+realise.  ``quaternion8`` and ``sl23`` are the action of their generators on
+a list of points (``_action``).  Dihedral groups are named by ORDER:
 ``dihedral(12)`` is the symmetry group of the hexagon.  Text such as
 ``wreath(cyclic(2), symmetric(5))`` is parsed by the claims ``Evaluator``,
 which calls these constructors by name.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from math import factorial
 
 from gategroups.config import limit
 from gategroups.errors import CapacityError
@@ -36,12 +44,27 @@ def _check_degree(name, degree):
         )
 
 
+def _checked(name, group, order):
+    """``group``, once its realised order is checked to be ``order``."""
+    if group.order() != order:
+        raise AssertionError(f"{name}() realised order {group.order()}, not {order}")
+    return group
+
+
+def _action(name, points, act, gens, order):
+    """The group of order ``order`` that ``gens`` induce on ``points``, each
+    point p carried to ``act(p, g)``; the degree is capped before any
+    permutation is built."""
+    _check_degree(name, len(points))
+    index = {p: i for i, p in enumerate(points)}
+    perms = [Permutation([index[act(p, g)] for p in points]) for g in gens]
+    return _checked(name, PermGroup(len(points), perms), order)
+
+
 def cyclic(n):
     if n < 1:
         raise ValueError("cyclic group order must be positive")
     _check_degree("cyclic", n)
-    if n == 1:
-        return PermGroup(1, [Permutation.identity(1)], order=1)
     return PermGroup(n, [Permutation(tuple(range(1, n)) + (0,))], order=n)
 
 
@@ -53,10 +76,7 @@ def symmetric(n):
         return PermGroup(1, [Permutation.identity(1)], order=1)
     cycle = Permutation(tuple(range(1, n)) + (0,))
     swap = Permutation((1, 0) + tuple(range(2, n)))
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-    return PermGroup(n, [swap, cycle], order=order)
+    return PermGroup(n, [swap, cycle], order=factorial(n))
 
 
 def alternating(n):
@@ -72,10 +92,7 @@ def alternating(n):
         gens = [three, Permutation.from_cycles([tuple(range(1, n + 1))], n)]
     else:
         gens = [three, Permutation.from_cycles([tuple(range(2, n + 1))], n)]
-    order = 1
-    for k in range(3, n + 1):
-        order *= k
-    return PermGroup(n, gens, order=order)
+    return PermGroup(n, gens, order=factorial(n) // 2)
 
 
 def dihedral(order):
@@ -93,70 +110,37 @@ def dihedral(order):
     return PermGroup(n, [rot, ref], order=order)
 
 
-_QUNITS = ("1", "i", "j", "k")
-_QMUL = {
-    ("i", "i"): (-1, "1"),
-    ("j", "j"): (-1, "1"),
-    ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"),
-    ("j", "k"): (1, "i"),
-    ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"),
-    ("k", "j"): (-1, "i"),
-    ("i", "k"): (-1, "j"),
-}
-
-
-def _qmul(a, b):
-    sa, ua = a
-    sb, ub = b
-    if ua == "1":
-        return (sa * sb, ub)
-    if ub == "1":
-        return (sa * sb, ua)
-    s, u = _QMUL[(ua, ub)]
-    return (sa * sb * s, u)
+def _hamilton(p, q):
+    """The Hamilton product of two quaternions, as coefficients on 1, i, j, k."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
 
 
 def quaternion8():
-    """Q8 in its right-regular representation on the eight unit quaternions."""
-    elements = [(s, u) for u in _QUNITS for s in (1, -1)]
-    index = {e: p for p, e in enumerate(elements)}
-    gens = []
-    for unit in ("i", "j"):
-        g = (1, unit)
-        gens.append(Permutation([index[_qmul(e, g)] for e in elements]))
-    return PermGroup(8, gens, order=8)
+    """Q8 in its right-regular action on the unit quaternions 1, -1, i, -i,
+    j, -j, k, -k, generated by i and j."""
+    units = [tuple(s * (u == c) for c in range(4)) for u in range(4) for s in (1, -1)]
+    return _action("quaternion8", units, _hamilton, [units[2], units[4]], 8)
+
+
+def _gf3_product(m, g):
+    """The product of two 2x2 matrices (a, b, c, d) over GF(3)."""
+    a, b, c, d = m
+    e, f, gg, h = g
+    return tuple(x % 3 for x in (a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h))
 
 
 def sl23():
-    """SL(2,3) in its right-regular representation on its 24 elements."""
-    elements = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    if (a * d - b * c) % 3 == 1:
-                        elements.append((a, b, c, d))
-    index = {m: p for p, m in enumerate(elements)}
-
-    def mul(m, g):
-        a, b, c, d = m
-        e, f, gg, h = g
-        return (
-            (a * e + b * gg) % 3,
-            (a * f + b * h) % 3,
-            (c * e + d * gg) % 3,
-            (c * f + d * h) % 3,
-        )
-
-    gens = []
-    for g in ((1, 1, 0, 1), (0, 2, 1, 0)):
-        gens.append(Permutation([index[mul(m, g)] for m in elements]))
-    group = PermGroup(24, gens)
-    if group.order() != 24:
-        raise AssertionError("SL(2,3) construction is broken")
-    return group
+    """SL(2,3) in its right-regular action on its 24 matrices (a, b, c, d),
+    in lexicographic order."""
+    mats = [m for m in product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    return _action("sl23", mats, _gf3_product, [(1, 1, 0, 1), (0, 2, 1, 0)], 24)
 
 
 def _shift(perm, offset, degree):
@@ -216,11 +200,7 @@ def wreath(m, h):
             for i in range(dm):
                 imgs[copy * dm + i] = target * dm + i
         gens.append(Permutation(imgs))
-    order = m.order() ** k * h.order()
-    group = PermGroup(degree, gens)
-    if group.order() != order:
-        raise AssertionError("wreath product order check failed")
-    return group
+    return _checked("wreath", PermGroup(degree, gens), m.order() ** k * h.order())
 
 
 def semidirect(n, h, action):

@@ -167,10 +167,11 @@ class _Search:
         rcol, lcol = self.h_rcols[-1], self.h_lcols[-1]
         return [z for z in K if rcol[z] == lcol[z]]
 
-    def push(self, y):
-        """Choose y as the image of the next sequence element but the last."""
+    def push(self, y, rcol):
+        """Choose y, whose right column is ``rcol``, as the image of the next
+        sequence element but the last."""
         self.chosen.append(y)
-        self.h_rcols.append(self.th.column(y))
+        self.h_rcols.append(rcol)
         self.h_lcols.append(self.th.lcolumn(y))
 
     def pop(self):
@@ -319,7 +320,7 @@ def _subtree(search, cands, K, y):
     """
     if len(search.chosen) == len(search.seq) - 1:
         return search.leaf(y)
-    search.push(y)
+    search.push(y, search.th.column(y))
     img = _first_leaf(search, cands, search.centralizing(K))
     search.pop()
     return img
@@ -360,8 +361,8 @@ def automorphism_group(g):
 
     # the identity path: K_k is the centralizer of x_0, ..., x_{k-1}
     centralizers = [range(n)]
-    for x in seq[:-1]:
-        search.push(x)
+    for x, col in zip(seq[:-1], search.gcols):  # x maps to itself: its column is in gcols
+        search.push(x, col)
         centralizers.append(search.centralizing(centralizers[-1]))
 
     inv = table.inverses()

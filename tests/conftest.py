@@ -373,7 +373,7 @@ def leaf_count_automorphisms(table):
         subtotal = 0
         while unseen:
             rep = min(unseen)
-            search.push(rep)
+            search.push(rep, search.th.column(rep))
             conj = table.lazy_conj_column(rep)
             orbit = {conj[z] for z in K} & unseen
             subtotal += len(orbit) * count(pos + 1, [z for z in K if conj[z] == rep])

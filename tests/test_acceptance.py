@@ -36,7 +36,6 @@ from gategroups.gates import (
     bell_group,
     catalog,
     clifford_group,
-    clifford_order_formula,
     pauli_group,
     yang_baxter_check,
 )
@@ -79,8 +78,8 @@ def test_criterion_1_orders_and_formula():
         assert pauli_group(2).order() == 64
         assert clifford_group(1).order() == 192
         assert bell_group().order() == 15360
-        assert clifford_order_formula(1) == clifford_group(1).order()
-        assert clifford_order_formula(2) == clifford_group(2).order()
+        assert _EV.value("clifford_formula(1)") == clifford_group(1).order()
+        assert _EV.value("clifford_formula(2)") == clifford_group(2).order()
 
 
 def test_criterion_2_c1_structure():

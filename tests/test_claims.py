@@ -418,6 +418,7 @@ def test_an_empty_argument_list_is_no_argument():
         ("mub_order(2,-1)", "the number of operators must not be negative, found -1"),
         ("order(mub(2,-3))", "the number of operators must not be negative, found -3"),
         ("mub_order(2,6)", "the 2-qubit independent set has only 5 operators"),
+        ("mub_same(2,0)", "mub_same needs at least one operator, found 0"),
         ("frobnicate(c1)", "unknown recipe 'frobnicate(c1)'"),
         ("order(order(c1))", "unknown group spec 'order(c1)'"),
     ],

@@ -188,6 +188,12 @@ def test_spec_degrees_are_capped_before_any_permutation_is_built(monkeypatch, ca
     ]:
         assert main(["analyze", spec]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name}() needs degree 6, above the cap 5")
+    for name, degree in [("quaternion8", 8), ("sl23", 24)]:
+        assert main(["analyze", name]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name}() needs degree {degree}, above the cap 5 set by"
+            " GATEGROUPS_MAX_ENUMERATION\n"
+        )
     assert main(["analyze", "cyclic(5)"]) == 0
 
 
@@ -411,12 +417,9 @@ def test_graph_and_formula_rows_load_no_group_engine_module(tmp_path):
     run = ("from gategroups.cli import main\n"
            "assert main(['claims', 'run', '--ledger', sys.argv[1]]) == 0")
     ledger = tmp_path / "graph.ledger"
+    # the graph is built from its symplectic codes and the formula is integer
+    # arithmetic: no operator matrix
     ledger.write_text(graph_rows + "b | core | clifford_formula(2) | 92160 | derived | -\n")
-    loaded = modules_loaded_by(run, str(ledger))
-    assert "gategroups.pauligraph" in loaded
-    assert loaded.isdisjoint(group_engine)
-    # the graph is built from its symplectic codes: no operator matrix
-    ledger.write_text(graph_rows)
     loaded = modules_loaded_by(run, str(ledger))
     assert "gategroups.pauligraph" in loaded
     assert loaded.isdisjoint(group_engine | {"gategroups.gates", "gategroups.matrix",

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from gategroups.claims import Evaluator
 from gategroups.cyclo import root_of_unity
 from gategroups.gates import (
     bell_group,
     catalog,
     clifford_group,
-    clifford_order_formula,
     pauli2_pair_generators,
     pauli_group,
     pauli_operator,
@@ -107,14 +107,15 @@ def test_bell_group():
 
 
 def test_order_formula():
-    assert clifford_order_formula(1) == 192
-    assert clifford_order_formula(2) == 92160
+    formula = Evaluator().value
+    assert formula("clifford_formula(1)") == 192
+    assert formula("clifford_formula(2)") == 92160
     # independent big-integer evaluation for n=3
     expected = (2**18) * 3 * 15 * 63
     assert expected == 743178240
-    assert clifford_order_formula(3) == expected
+    assert formula("clifford_formula(3)") == expected
     with pytest.raises(ValueError):
-        clifford_order_formula(0)
+        formula("clifford_formula(0)")
 
 
 def test_yang_baxter():

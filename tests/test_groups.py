@@ -40,6 +40,19 @@ def test_quaternion8():
     assert len(table.center_set()) == 2
 
 
+def test_reference_generators_are_pinned():
+    """The element lists keep their order: 1, -1, i, -i, j, -j, k, -k for Q8
+    and the lexicographic matrices (a, b, c, d) for SL(2,3)."""
+    assert [p.imgs for p in groups.quaternion8().generators] == [
+        (2, 3, 1, 0, 7, 6, 4, 5),
+        (4, 5, 6, 7, 1, 0, 3, 2),
+    ]
+    assert [p.imgs for p in groups.sl23().generators] == [
+        (2, 0, 1, 4, 5, 3, 9, 10, 11, 12, 13, 14, 6, 7, 8, 21, 22, 23, 15, 16, 17, 18, 19, 20),
+        (6, 7, 8, 15, 16, 17, 3, 5, 4, 13, 14, 12, 22, 21, 23, 0, 2, 1, 11, 10, 9, 20, 18, 19),
+    ]
+
+
 def test_sl23_against_gf3_enumeration():
     """Oracle: enumerate 2x2 matrices over the 3-element field with det 1."""
     mats = [

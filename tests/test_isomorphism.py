@@ -186,7 +186,7 @@ def test_first_leaf_answers_every_prefix():
                 if len(prefix) == len(seq):  # a leaf: the last image is never pushed
                     assert (search.leaf(y) is not None) == (prefix in extends), (g, prefix)
                     continue
-                search.push(y)
+                search.push(y, search.th.column(y))
                 K = [z for z in range(table.n)
                      if all(table.mult(z, c) == table.mult(c, z) for c in prefix)]
                 found = _first_leaf(search, cands, K) is not None
@@ -335,7 +335,7 @@ def test_centralizing_matches_word_oracle(monkeypatch):
         pos = len(search.chosen)
         for y in cands[pos] if pos < len(search.seq) - 1 else ():
             if search.compatible(pos, y):
-                search.push(y)
+                search.push(y, search.th.column(y))
                 walk(search, cands, search.centralizing(K))
                 search.pop()
 
@@ -638,7 +638,7 @@ def _last_level_prefixes(search, cands):
         return
     for y in cands[pos]:
         if search.compatible(pos, y):
-            search.push(y)
+            search.push(y, search.th.column(y))
             yield from _last_level_prefixes(search, cands)
             search.pop()
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gategroups import config
+from gategroups import claims, config, groups
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gategroups").glob("*.py"))
@@ -38,3 +38,13 @@ def test_every_limit_is_read_and_documented():
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Capacity limits"))
     named = set(re.findall(r"GATEGROUPS_([A-Z_]+)", paragraph))
     assert named == set(config._DEFAULTS)
+
+
+def test_every_constructor_is_one_recipe_and_documented():
+    """Each ``groups`` constructor is a group recipe of the claims grammar and
+    is named in the README's list of group expressions."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("the `groups` constructors")
+    listed = set(re.findall(r"`(\w+)", readme[start:readme.index("\n  - ", start)]))
+    assert [name for name in groups.__all__ if name not in claims._GROUP_RECIPES] == []
+    assert [name for name in groups.__all__ if name not in listed] == []
