@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from gategroups import cyclo
+from gategroups.config import limit
 from gategroups.matrix import (
     closure,
     diagonal_matrix,
@@ -82,6 +83,16 @@ def pauli_operator(label):
 _GROUPS = {}
 
 
+def _cached(key, generators):
+    """The closure of ``generators()``, kept for the life of the process
+    under ``key`` and the enumeration cap in effect: a lower cap builds
+    afresh and fails as a first build does."""
+    key += (limit("MAX_ENUMERATION"),)
+    if key not in _GROUPS:
+        _GROUPS[key] = closure(generators())
+    return _GROUPS[key]
+
+
 def pauli_group(n):
     """The n-qubit Pauli group, generated by the single-wire Pauli matrices.
 
@@ -90,11 +101,8 @@ def pauli_group(n):
     """
     if not 1 <= n <= 3:
         raise ValueError("pauli_group supports 1..3 qubits")
-    key = ("pauli", n)
-    if key not in _GROUPS:
-        single_wire = ["I" * wire + ch + "I" * (n - 1 - wire) for wire in range(n) for ch in "XYZ"]
-        _GROUPS[key] = closure(map(pauli_operator, single_wire))
-    return _GROUPS[key]
+    single_wire = ["I" * wire + ch + "I" * (n - 1 - wire) for wire in range(n) for ch in "XYZ"]
+    return _cached(("pauli", n), lambda: map(pauli_operator, single_wire))
 
 
 def pauli2_pair_generators():
@@ -111,29 +119,20 @@ def clifford_group(n):
     """The n-qubit Clifford group (n = 1 or 2), via its standard generators."""
     if n not in (1, 2):
         raise ValueError("clifford_group supports 1 or 2 qubits")
-    key = ("clifford", n)
-    if key not in _GROUPS:
-        c = catalog()
-        if n == 1:
-            gens = [c.hadamard, c.phase]
-        else:
-            gens = [
-                kron(c.hadamard, c.hadamard),
-                kron(c.hadamard, c.phase),
-                c.cz,
-            ]
-        _GROUPS[key] = closure(gens)
-    return _GROUPS[key]
+    c = catalog()
+    if n == 1:
+        return _cached(("clifford", 1), lambda: [c.hadamard, c.phase])
+    return _cached(
+        ("clifford", 2), lambda: [kron(c.hadamard, c.hadamard), kron(c.hadamard, c.phase), c.cz]
+    )
 
 
 def bell_group():
     """Subgroup of the two-qubit Clifford group with the Bell matrix as third generator."""
-    key = ("bell",)
-    if key not in _GROUPS:
-        c = catalog()
-        gens = [kron(c.hadamard, c.hadamard), kron(c.hadamard, c.phase), c.bell]
-        _GROUPS[key] = closure(gens)
-    return _GROUPS[key]
+    c = catalog()
+    return _cached(
+        ("bell",), lambda: [kron(c.hadamard, c.hadamard), kron(c.hadamard, c.phase), c.bell]
+    )
 
 
 def yang_baxter_check(r):

@@ -19,7 +19,7 @@ from math import factorial
 
 from gategroups.config import limit
 from gategroups.errors import CapacityError
-from gategroups.perm import Permutation, PermGroup
+from gategroups.perm import Permutation, PermGroup, _bfs, orbit
 
 __all__ = [
     "cyclic",
@@ -56,8 +56,7 @@ def _action(name, points, act, gens, order):
     point p carried to ``act(p, g)``; the degree is capped before any
     permutation is built."""
     _check_degree(name, len(points))
-    index = {p: i for i, p in enumerate(points)}
-    perms = [Permutation([index[act(p, g)] for p in points]) for g in gens]
+    _, perms, _ = orbit(points, gens, act, len(points))
     return _checked(name, PermGroup(len(points), perms), order)
 
 
@@ -180,19 +179,11 @@ def wreath(m, h):
     _check_degree("wreath", degree)
     gens = []
     reached = set()
+    tops = [p.imgs for p in h.generators]
     for copy in range(k):
-        if copy in reached:
-            continue
-        reached.add(copy)
-        queue = [copy]
-        for c in queue:
-            for p in h.generators:
-                d = p.imgs[c]
-                if d not in reached:
-                    reached.add(d)
-                    queue.append(d)
-        for p in m.generators:
-            gens.append(_shift(p, copy * dm, degree))
+        if copy not in reached:
+            reached.update(_bfs([copy], tops, k)[0])
+            gens += [_shift(p, copy * dm, degree) for p in m.generators]
     for p in h.generators:
         imgs = [0] * degree
         for copy in range(k):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from gategroups.config import limit
 from gategroups.errors import BudgetExceededError, CapacityError
-from gategroups.perm import Permutation, PermGroup
+from gategroups.perm import Permutation, PermGroup, _bfs
 from gategroups.structure import _fingerprint_of
 
 __all__ = [
@@ -266,19 +266,6 @@ class AutomorphismGroup:
         return PermGroup(n, gens or [Permutation.identity(n)], order=self.order)
 
 
-def _orbit(points, gens):
-    """Orbit of a set of element indices under image arrays."""
-    orbit = set(points)
-    queue = list(orbit)
-    for x in queue:
-        for img in gens:
-            y = img[x]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return orbit
-
-
 def _first_leaf(search, cands, K):
     """Image array of the first verified leaf below ``search.chosen``, or None.
 
@@ -377,7 +364,7 @@ def automorphism_group(g):
                 kgens = table._extend(members, elems, kgens, [z])
                 # conjugation by z: x_i -> z^-1 x_i z
                 gens.append(list(map(table.lcolumn(inv[z]).__getitem__, table.column(z))))
-        orbit = _orbit([seq[k]], gens)
+        orbit = set(_bfs([seq[k]], gens, n)[0])
         refuted = set()
         for y in cands[k]:
             if y in orbit or y in refuted:
@@ -387,10 +374,10 @@ def automorphism_group(g):
                 continue
             img = _subtree(search, cands, K, y)
             if img is None:
-                refuted |= _orbit([y], gens)
+                refuted.update(_bfs([y], gens, n)[0])
             else:
                 gens.append(img)
-                orbit = _orbit(orbit, gens)
+                orbit = set(_bfs(orbit, gens, n)[0])
         order *= len(orbit)
         if k:
             search.pop()

@@ -16,8 +16,8 @@ import re
 
 from gategroups import cyclo
 from gategroups.config import limit
-from gategroups.errors import GroupFileError
-from gategroups.perm import PermGroup, group_file_lines, positive_count
+from gategroups.errors import ClosureOverflowError, GroupFileError
+from gategroups.perm import PermGroup, group_file_lines, orbit, positive_count
 
 __all__ = [
     "UnitaryMatrix",
@@ -80,18 +80,9 @@ class UnitaryMatrix:
                     out[j] += x * y
         return tuple(out)
 
-    def __mul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return UnitaryMatrix(self.dim, tuple(-e for e in self.entries))
-
     def scaled(self, scalar):
         s = cyclo.Cyclotomic(scalar)
         return UnitaryMatrix(self.dim, tuple(s * e for e in self.entries))
-
-    def dagger(self):
-        return dagger(self)
 
     def is_unitary(self):
         return matmul(self, dagger(self)) == identity_matrix(self.dim)
@@ -236,7 +227,7 @@ def closure(generators):
     (or dim * ``MAX_ENUMERATION`` rows) appear, which signals wrong
     generators or a non-finite group.
     """
-    from gategroups.cayley import ElementTable, orbit
+    from gategroups.cayley import ElementTable
 
     budget = limit("MAX_ENUMERATION")
     gens = list(generators)
@@ -249,9 +240,15 @@ def closure(generators):
         if not g.is_unitary():
             raise ValueError("generators must be unitary")
     d = gens[0].dim
-    row_index, row_perms, _ = orbit(
-        identity_matrix(d).rows(), gens, lambda v, g: g.row_times(v), d * budget
-    )
+    try:
+        row_index, row_perms, _ = orbit(
+            identity_matrix(d).rows(), gens, lambda v, g: g.row_times(v), d * budget
+        )
+    except ClosureOverflowError:
+        raise ClosureOverflowError(
+            f"row orbit exceeded {d} x {budget} rows, the cap set by"
+            f" GATEGROUPS_MAX_ENUMERATION={budget}"
+        ) from None
     table = ElementTable.from_permutations(row_perms, range(d), budget)
     table.rows = row_index
     return MatrixGroup(gens, table)

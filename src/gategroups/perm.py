@@ -6,6 +6,13 @@ The stabilizer chain uses the deterministic Schreier-Sims procedure with
 the smallest-moved-point base rule, and stops early when the group order
 is already known (groups enumerated by base images, such as matrix groups
 acting on their rows).
+
+This bottom layer also holds the two breadth-first searches the engine
+runs on: ``orbit`` for points of any kind, named by a dict as they are
+found, and ``_bfs`` for points 0..n-1 under index maps, with no dict.
+Groups are enumerated, quotients and reference groups built, by
+``orbit``; spanning trees, Schreier vectors and the orbits of
+automorphisms and of wreath copies are ``_bfs``.
 """
 
 from __future__ import annotations
@@ -14,9 +21,73 @@ import re
 from operator import itemgetter
 
 from gategroups.config import limit
-from gategroups.errors import CapacityError, GroupFileError
+from gategroups.errors import CapacityError, ClosureOverflowError, GroupFileError
 
-__all__ = ["Permutation", "PermGroup", "StabilizerChain", "write_perm_group", "read_perm_group"]
+__all__ = [
+    "Permutation", "PermGroup", "StabilizerChain", "orbit", "write_perm_group", "read_perm_group"
+]
+
+
+def orbit(seeds, gens, act, cap):
+    """Breadth-first orbit of the seed points under the generators ``gens``.
+
+    ``act(x, g)`` is the image of the point x under the generator g.
+    Returns ``(index, columns, tree)``: the points mapped to their
+    positions in discovery order, seeds first; for every generator the
+    column ``i -> position of the image of point i``; and the spanning
+    tree ``(range(n), prev, genpos)`` of ``_bfs``, where point i
+    past the seeds was first reached as the image of point prev[i] under
+    generator genpos[i] (a seed is its own prev, with genpos -1).  Raises
+    ClosureOverflowError once more than ``cap`` points appear.
+    """
+    points = list(seeds)
+    index = {p: i for i, p in enumerate(points)}
+    columns = [[] for _ in gens]
+    prev = list(range(len(points)))
+    genpos = [-1] * len(points)
+    steps = list(zip(range(len(gens)), gens, columns))
+    for x in points:
+        i = index[x]  # the int the columns hold, which prev then shares
+        for g, t, col in steps:
+            y = act(x, t)
+            j = index.get(y)
+            if j is None:
+                if len(points) >= cap:
+                    raise ClosureOverflowError(
+                        f"enumeration exceeded {cap}, the cap set by GATEGROUPS_MAX_ENUMERATION"
+                    )
+                j = index[y] = len(points)
+                points.append(y)
+                prev.append(i)
+                genpos.append(g)
+            col.append(j)
+    return index, columns, (range(len(points)), prev, genpos)
+
+
+def _bfs(seeds, maps, n):
+    """Breadth-first search from the seeds along index maps on 0..n-1.
+
+    Returns ``(order, prev, genpos)``: the points reached, in discovery
+    order with the distinct seeds first; and for every point the point it
+    was reached from and the position of the map that reached it, point
+    j = maps[genpos[j]][prev[j]].  A seed is its own prev, with genpos
+    -1, and a point not reached has prev -1.
+    """
+    prev = [-1] * n
+    genpos = [-1] * n
+    order = []
+    for s in seeds:
+        if prev[s] < 0:
+            prev[s] = s
+            order.append(s)
+    for i in order:
+        for g, m in enumerate(maps):
+            j = m[i]
+            if prev[j] < 0:
+                prev[j] = i
+                genpos[j] = g
+                order.append(j)
+    return order, prev, genpos
 
 
 class Permutation:
@@ -157,12 +228,13 @@ class _Done(Exception):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit")
+    __slots__ = ("base", "gens", "orbit", "maps", "prev", "genpos")
 
     def __init__(self, base):
         self.base = base
         self.gens = []  # (perm, inverse) pairs first placed at this level
-        self.orbit = {base: None}  # point -> (perm, inverse, previous point)
+        # _rebuild_orbit sets the orbit of the base and its Schreier vector over maps
+        self.orbit = self.maps = self.prev = self.genpos = None
 
 
 class StabilizerChain:
@@ -215,29 +287,18 @@ class StabilizerChain:
         """An element u with u(base) = point, from the Schreier vector."""
         steps = []
         while point != level.base:
-            g, _, prev = level.orbit[point]
-            steps.append(g)
-            point = prev
+            steps.append(level.maps[level.genpos[point]])
+            point = level.prev[point]
         u = self._ident
         for g in reversed(steps):
             u = _compose(u, g)
         return u
 
     def _rebuild_orbit(self, i):
+        """The orbit of level i's base under [g1, g1^-1, g2, g2^-1, ...]."""
         level = self.levels[i]
-        gens = self._gens_at(i)
-        level.orbit = {level.base: None}
-        queue = [level.base]
-        for a in queue:
-            for g, ginv in gens:
-                b = g[a]
-                if b not in level.orbit:
-                    level.orbit[b] = (g, ginv, a)
-                    queue.append(b)
-                b = ginv[a]
-                if b not in level.orbit:
-                    level.orbit[b] = (ginv, g, a)
-                    queue.append(b)
+        level.maps = [p for pair in self._gens_at(i) for p in pair]
+        level.orbit, level.prev, level.genpos = _bfs([level.base], level.maps, self.degree)
 
     def _sift(self, p, lvl):
         for i in range(lvl, len(self.levels)):
@@ -245,7 +306,7 @@ class StabilizerChain:
             beta = p[level.base]
             if beta == level.base:
                 continue
-            if beta not in level.orbit:
+            if level.prev[beta] < 0:
                 return p, i
             u = self._transversal(level, beta)
             p = _compose(p, _invert(u))

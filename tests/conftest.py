@@ -20,7 +20,7 @@ engine also prunes by the class sizes of products and grows orbits of the
 automorphisms it has found.  The independent-set oracle runs the engine's
 branch and bound on Python sets where the engine runs it on bit masks.  The
 key-orbit oracle maps a base-image key by one action per generator where
-``cayley.orbit`` takes all the images of a key in one call, and the
+``perm.orbit`` takes all the images of a key in one call, and the
 class-partition oracle conjugates through the multiplication columns one
 step at a time where the engine reads precomputed conjugation columns.
 The all-copies wreath oracle puts m's generators on every copy of m where

@@ -120,7 +120,7 @@ ENUMERATIONS = [
 @pytest.mark.parametrize("build", ENUMERATIONS)
 def test_enumeration_matches_the_key_orbit_oracle(build):
     """Same keys in the same order, same columns and same classes as one action per generator,
-    and the spanning tree of the enumeration is the one its columns give."""
+    and the spanning tree ``orbit`` walked is the one ``_bfs`` gives on its columns."""
     perms, base = build()
     cap = 10**6
     table = ElementTable.from_permutations(perms, base, cap)
@@ -421,7 +421,8 @@ def _gate_quotients():
 
 def test_quotient_tables_match_from_permutations():
     """The table the coset search builds, field by field, against enumerating
-    its action on the cosets again with ``from_permutations``."""
+    its action on the cosets again with ``from_permutations``: the oracle's
+    action, and the quotient's own generators on base point 0."""
     cases = list(_normal_pairs_of_the_corpus()) + list(_gate_quotients())
     for name, table, members in cases:
         quotient, coset_of, reps = table.coset_action(members)
@@ -434,6 +435,10 @@ def test_quotient_tables_match_from_permutations():
         assert list(quotient.key_index.values()) == list(range(quotient.n)), name
         assert quotient._perms == expected._perms and quotient._base == expected._base, name
         assert quotient._bfs == expected._bfs, name
+        again = ElementTable.from_permutations(quotient._perms, (0,), quotient.n)
+        assert again._rmul == quotient._rmul, name
+        assert list(again.key_index.items()) == list(quotient.key_index.items()), name
+        assert again._bfs == quotient._bfs, name
     assert {name for name, _, _ in cases} >= {"C2/Z", "C2/P2", "B2/Z", "S4/4", "A4/4"}
 
 

@@ -105,6 +105,14 @@ def test_capacity_marks_inconclusive(monkeypatch):
     assert exit_code == 0
 
 
+def test_a_cached_gate_group_obeys_a_lowered_cap(monkeypatch):
+    """C1 built under the default cap is not handed out under a cap of 100."""
+    assert Evaluator().value("order(c1)") == 192
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "100")
+    reports, _ = run_claims(suite="core", ledger_text="a | core | order(c1) | 192 | derived | -\n")
+    assert reports[0].status == "inconclusive"
+
+
 def test_inconclusive_rows_carry_their_reason(monkeypatch, tmp_path):
     monkeypatch.setenv("GATEGROUPS_MAX_AUT_ORDER", "10")
     ledger = (

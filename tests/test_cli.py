@@ -243,9 +243,6 @@ def test_report_is_opened_before_any_claim_runs(monkeypatch, tmp_path, capsys):
 
 
 def test_closure_overflow_is_a_clean_error(monkeypatch, tmp_path, capsys):
-    from gategroups import gates
-
-    monkeypatch.setattr(gates, "_GROUPS", {})  # build c1 afresh under the small cap
     monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "100")
     assert main(["build", "c1"]) == 2
     err = capsys.readouterr().err
@@ -255,6 +252,14 @@ def test_closure_overflow_is_a_clean_error(monkeypatch, tmp_path, capsys):
     ledger.write_text("a | core | order(c1) | 192 | derived | -\n")
     assert main(["claims", "run", "--ledger", str(ledger)]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_row_orbit_overflow_names_the_cap_that_is_set(monkeypatch, capsys):
+    """C2's 480 rows pass 4 x 100: the message states the 100 the variable holds."""
+    monkeypatch.setenv("GATEGROUPS_MAX_ENUMERATION", "100")
+    assert main(["build", "c2"]) == 2
+    err = capsys.readouterr().err
+    assert "GATEGROUPS_MAX_ENUMERATION=100" in err and "400" not in err
 
 
 def test_bad_limit_is_a_clean_error(monkeypatch, capsys):

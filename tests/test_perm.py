@@ -13,6 +13,7 @@ from gategroups.perm import (
     PermGroup,
     Permutation,
     StabilizerChain,
+    _bfs,
     _compose,
     read_perm_group,
     write_perm_group,
@@ -115,6 +116,79 @@ def test_known_order_shortcut_consistency():
     fast = PermGroup(5, gens, order=120)
     slow = PermGroup(5, gens)
     assert fast.order() == slow.order() == 120
+
+
+# the level orbits of each corpus group's chain in discovery order, with or
+# without a known order, as the chain with a dict per level for its Schreier
+# vector built them: the bases are their first points, the level orbit
+# lengths their lengths
+CHAIN_ORBITS = {
+    "Z12": [[0, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7, 6]],
+    "V4": [[0, 1], [2, 3]],
+    "S3": [[0, 1, 2], [1, 2]],
+    "S4": [[0, 1, 2, 3], [1, 2, 3], [2, 3]],
+    "S5": [[0, 1, 2, 4, 3], [1, 2, 4, 3], [2, 3, 4], [3, 4]],
+    "S6": [[0, 1, 2, 5, 3, 4], [1, 2, 5, 3, 4], [2, 3, 5, 4], [4, 5, 3], [3, 5]],
+    "A4": [[0, 1, 2, 3], [1, 2, 3]],
+    "A5": [[0, 1, 2, 3, 4], [2, 3, 4, 1], [1, 3, 4]],
+    "A6": [[0, 1, 2, 5, 3, 4], [1, 2, 5, 3, 4], [2, 4, 3, 5], [3, 4, 5]],
+    "D8": [[0, 1, 3, 2], [1, 3]],
+    "D12": [[0, 1, 5, 2, 4, 3], [1, 5]],
+    "Q8": [[0, 2, 3, 4, 5, 1, 6, 7]],
+    "SL23": [
+        [0, 2, 1, 6, 15, 8, 16, 7, 17, 9, 12, 3]
+        + [21, 18, 11, 14, 4, 22, 19, 10, 13, 5, 23, 20]
+    ],
+    "Z2wrS3": [[0, 1, 2, 3, 4, 5], [2, 4, 3, 5], [4, 5]],
+    "Z2wrS4": [[0, 1, 2, 3, 4, 6, 5, 7], [2, 4, 6, 3, 7, 5], [4, 6, 7, 5], [6, 7]],
+    "Z3xS4": [[0, 1, 2], [3, 4, 5, 6], [4, 5, 6], [5, 6]],
+}
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["unknown", "known"])
+@pytest.mark.parametrize("name, group", small_corpus(), ids=[n for n, _ in small_corpus()])
+def test_chain_bases_and_level_orbits_are_pinned(name, group, known):
+    chain = StabilizerChain(group.degree, group.generators, group.order() if known else None)
+    orbits = CHAIN_ORBITS[name]
+    assert chain.base() == [orbit[0] for orbit in orbits]
+    assert [len(level.orbit) for level in chain.levels] == list(map(len, orbits))
+    assert [level.orbit for level in chain.levels] == orbits
+
+
+def _distances(seeds, maps, n):
+    """Distance of every point from the seeds, by growing the reached set one
+    step of all maps at a time (oracle); None for a point never reached."""
+    dist = dict.fromkeys(seeds, 0)
+    frontier, d = set(dist), 0
+    while frontier:
+        d += 1
+        frontier = {m[x] for m in maps for x in frontier} - set(dist)
+        dist.update(dict.fromkeys(frontier, d))
+    return [dist.get(x) for x in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bfs_matches_a_set_closure(data):
+    """Arbitrary maps (not bijections), several seeds and one seed repeated: the
+    points reached are the closure, in order of distance, each reached from an
+    earlier point by the map its genpos names."""
+    n = data.draw(st.integers(1, 25))
+    maps = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=4))
+    seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    seeds += seeds[:1]
+    order, prev, genpos = _bfs(seeds, maps, n)
+    dist = _distances(seeds, maps, n)
+    distinct = list(dict.fromkeys(seeds))
+    assert sorted(order) == [x for x in range(n) if dist[x] is not None]
+    assert order[: len(distinct)] == distinct
+    assert [dist[x] for x in order] == sorted(dist[x] for x in order)
+    assert all(prev[s] == s and genpos[s] == -1 for s in distinct)
+    position = {x: i for i, x in enumerate(order)}
+    for y in order[len(distinct) :]:
+        assert maps[genpos[y]][prev[y]] == y
+        assert position[prev[y]] < position[y] and dist[y] == dist[prev[y]] + 1
+    assert all(prev[x] == genpos[x] == -1 for x in range(n) if dist[x] is None)
 
 
 def test_group_file_round_trip(tmp_path):

@@ -1,6 +1,9 @@
 """Checks over the package's source files themselves."""
 
+import os
 import re
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -48,3 +51,18 @@ def test_every_constructor_is_one_recipe_and_documented():
     listed = set(re.findall(r"`(\w+)", readme[start:readme.index("\n  - ", start)]))
     assert [name for name in groups.__all__ if name not in claims._GROUP_RECIPES] == []
     assert [name for name in groups.__all__ if name not in listed] == []
+
+
+def test_perm_is_the_bottom_layer():
+    """``perm`` holds ``orbit``, which ``cayley`` imports from it: importing
+    ``perm`` in a fresh interpreter loads no engine module above it."""
+    code = "import sys, gategroups.perm; print(*sorted(m for m in sys.modules if 'gategroups' in m))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out == ["gategroups", "gategroups.config", "gategroups.errors", "gategroups.perm"]
