@@ -62,11 +62,11 @@ def _build_parser():
     g = sub.add_parser("graph", help="commutation graph exports")
     gsub = g.add_subparsers(dest="graph_kind", required=True)
     gp = gsub.add_parser("pauli", help="the n-qubit Pauli commutation graph")
-    gp.add_argument("-n", type=int, required=True, choices=(1, 2, 3))
+    gp.add_argument("-n", type=int, required=True)
     gp.add_argument("--dot", metavar="FILE", help="write a DOT file")
 
     m = sub.add_parser("mub-chain", help="groups generated by the canonical independent set")
-    m.add_argument("-n", type=int, required=True, choices=(2, 3))
+    m.add_argument("-n", type=int, required=True)
 
     return parser
 

@@ -184,9 +184,6 @@ class MatrixGroup:
     def order(self):
         return self._table.n
 
-    def __len__(self):
-        return self._table.n
-
     def _key(self, m):
         return self._table.key_of(map(self._table.rows.get, m.rows()))
 

@@ -49,8 +49,8 @@ def pauli_graph(n):
     """The n-qubit commutation graph.  Vertex v - 1 is the operator of code
     v = x * 2^n + z for v = 1 .. 4^n - 1, named one letter per wire by
     ``"IZXY"[2 * xbit + zbit]``."""
-    if not 1 <= n <= 3:
-        raise ValueError("pauli_graph supports 1..3 qubits")
+    if not 1 <= n <= 4:
+        raise ValueError("pauli_graph supports 1..4 qubits")
     codes = [(v >> n, v & ((1 << n) - 1)) for v in range(1, 4**n)]
     labels = [
         "".join("IZXY"[2 * (x >> w & 1) + (z >> w & 1)] for w in reversed(range(n)))
@@ -118,59 +118,63 @@ def maximum_independent_set(neighbors):
 # -- graph isomorphism / automorphisms -------------------------------------
 
 
-def _graph_maps(nb1, nb2, count_all):
-    """Backtracking embeddings of graph 1 onto graph 2 (same size, bijective).
-
-    Raises BudgetExceededError after ``SEARCH_NODE_BUDGET`` nodes.
-    """
-    n = len(nb1)
-    if len(nb2) != n:
-        return 0
-    deg1 = [len(s) for s in nb1]
-    deg2 = [len(s) for s in nb2]
-    if sorted(deg1) != sorted(deg2):
-        return 0
-    img = [-1] * n
-    used = [False] * n
-    found = nodes = 0
+def _first_map(nb1, nb2, prefix, nodes):
+    """The first bijection of graph 1 onto graph 2 that keeps degrees, edges
+    and non-edges and maps each vertex i < len(prefix) to prefix[i], or None.
+    A prefix image is the only candidate of its vertex, so a returned map was
+    checked on every pair.  Each accepted placement counts in ``nodes[0]``
+    against ``SEARCH_NODE_BUDGET``."""
+    n, img, used = len(nb1), [-1] * len(nb1), [False] * len(nb1)
     budget = limit("SEARCH_NODE_BUDGET")
 
-    def backtrack(v):
-        nonlocal found, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
+    def place(v):
         if v == n:
-            found += 1
-            return not count_all
-        for w in range(n):
-            if used[w] or deg1[v] != deg2[w]:
+            return True
+        for w in prefix[v : v + 1] or range(n):
+            if used[w] or len(nb1[v]) != len(nb2[w]) or any(
+                (u in nb1[v]) != (img[u] in nb2[w]) for u in range(v)
+            ):
                 continue
-            ok = True
-            for u in range(v):
-                if (u in nb1[v]) != (img[u] in nb2[w]):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                if backtrack(v + 1):
-                    return True
-                used[w] = False
-                img[v] = -1
+            nodes[0] += 1
+            if nodes[0] > budget:
+                raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
+            img[v], used[w] = w, True
+            if place(v + 1):
+                return True
+            used[w] = False
         return False
 
-    backtrack(0)
-    return found
+    return img if len(nb2) == n and place(0) else None
 
 
 def graphs_isomorphic(nb1, nb2):
-    return _graph_maps([set(s) for s in nb1], [set(s) for s in nb2], False) > 0
+    nb1, nb2 = [set(s) for s in nb1], [set(s) for s in nb2]
+    return _first_map(nb1, nb2, [], [0]) is not None
+
+
+def _orbit(point, maps):
+    """The orbit of ``point`` under the maps, each a list of images."""
+    orbit = [point]
+    for x in orbit:
+        orbit += [y for y in {g[x] for g in maps} if y not in orbit]
+    return orbit
 
 
 def graph_automorphism_count(neighbors):
+    """|Aut| as the product of the orbit lengths along the base 0, 1, ..., n-1,
+    walked from its end, so that every map found so far fixes 0..k-1 at base
+    point k.  A vertex w > k outside the orbit of k is searched as its image
+    with 0..k-1 fixed: a map found grows the orbit, else the search refutes w."""
     nb = [set(s) for s in neighbors]
-    return _graph_maps(nb, nb, True)
+    n, nodes, maps, count = len(nb), [0], [], 1
+    for k in reversed(range(n)):
+        orbit = _orbit(k, maps)
+        for w in range(k + 1, n):
+            if w not in orbit and (g := _first_map(nb, nb, [*range(k), w], nodes)):
+                maps.append(g)
+                orbit = _orbit(k, maps)
+        count *= len(orbit)
+    return count
 
 
 def petersen_graph():

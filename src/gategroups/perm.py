@@ -391,14 +391,8 @@ class PermGroup:
             self._order = self.stabilizer_chain().order()
         return self._order
 
-    def __len__(self):
-        return self.order()
-
     def contains(self, perm):
         return self.stabilizer_chain().contains(perm)
-
-    def __contains__(self, perm):
-        return self.contains(perm)
 
     # -- element indices ----------------------------------------------------
 
@@ -463,7 +457,8 @@ class PermGroup:
         try:
             return {self._pos[a] for a in ambient}
         except KeyError:
-            raise ValueError("permutation is not an element of the group") from None
+            kind = "permutation" if self._table.rows is None else "matrix"
+            raise ValueError(f"{kind} is not an element of the group") from None
 
     def subgroup_from_indices(self, gen_indices, members):
         """The subgroup with the given generators and members (own indices)."""

@@ -28,8 +28,9 @@ __all__ = [
 
 def center(group):
     """Subgroup of elements commuting with everything; normal in the group."""
-    members = group.own_table().center_set()
-    return group.subgroup_from_indices([i for i in members if i != 0], members)
+    own = group.own_table()
+    members = own.center_set()
+    return group.subgroup_from_indices(own._extend({0}, [0], [], members), members)
 
 
 def derived_subgroup(group):

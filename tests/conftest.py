@@ -40,7 +40,9 @@ the nonzero ones; and the inverse oracle multiplies all the Galois
 conjugates of a cyclotomic number where ``cyclo._inv`` takes its norm one
 cyclic factor of the Galois group at a time.  The complement-scan oracle
 closes every lift tuple of the quotient's generating sequence, one lift
-per coset, where ``find_complement`` backtracks over sections.
+per coset, where ``find_complement`` backtracks over sections.  The
+graph-map oracle counts graph automorphisms one search leaf each, where
+``graph_automorphism_count`` multiplies orbit lengths along a base.
 ``embed``, the complex value of a cyclotomic number, is the one
 floating-point routine, and it lives here so that ``src/`` stays exact.
 """
@@ -55,7 +57,9 @@ import pytest
 
 from gategroups import groups
 from gategroups.cayley import ElementTable
+from gategroups.config import limit
 from gategroups.cyclo import ONE, ZERO, _mul, rational
+from gategroups.errors import BudgetExceededError
 from gategroups.isomorphism import _hom_image, _min_generating_sequence, _Search
 from gategroups.matrix import UnitaryMatrix, identity_matrix
 from gategroups.perm import PermGroup, Permutation
@@ -560,6 +564,52 @@ def independent_set_on_sets(neighbors):
     and bound of ``maximum_independent_set`` on candidate lists and
     adjacency sets in place of bit masks (oracle)."""
     return _best_set_on_sets(list(range(len(neighbors))), neighbors, [], [])
+
+
+def _graph_maps(nb1, nb2, count_all):
+    """Backtracking embeddings of graph 1 onto graph 2 (same size, bijective).
+
+    Raises BudgetExceededError after ``SEARCH_NODE_BUDGET`` nodes.
+    """
+    n = len(nb1)
+    if len(nb2) != n:
+        return 0
+    deg1 = [len(s) for s in nb1]
+    deg2 = [len(s) for s in nb2]
+    if sorted(deg1) != sorted(deg2):
+        return 0
+    img = [-1] * n
+    used = [False] * n
+    found = nodes = 0
+    budget = limit("SEARCH_NODE_BUDGET")
+
+    def backtrack(v):
+        nonlocal found, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
+        if v == n:
+            found += 1
+            return not count_all
+        for w in range(n):
+            if used[w] or deg1[v] != deg2[w]:
+                continue
+            ok = True
+            for u in range(v):
+                if (u in nb1[v]) != (img[u] in nb2[w]):
+                    ok = False
+                    break
+            if ok:
+                img[v] = w
+                used[w] = True
+                if backtrack(v + 1):
+                    return True
+                used[w] = False
+                img[v] = -1
+        return False
+
+    backtrack(0)
+    return found
 
 
 def small_corpus():

@@ -420,7 +420,9 @@ def test_an_empty_argument_list_is_no_argument():
         ("pg_bogus(2)", "unknown recipe 'pg_bogus(2)'"),
         ("pg_bogus(x)", "unknown recipe 'pg_bogus(x)'"),
         ("pg_lines(1)", "the quadrangle report is defined for the two-qubit graph"),
-        ("pg_vertices(5)", "pauli_graph supports 1..3 qubits"),
+        ("pg_vertices(5)", "pauli_graph supports 1..4 qubits"),
+        ("is_normal(center(c2), p2)", "matrix is not an element of the group"),
+        ("subgroup_index(center(c2), p2)", "matrix is not an element of the group"),
         ("yang_baxter(xx)", "unknown matrix atom 'xx'"),
         ("order(direct())", "direct() needs at least one factor"),
         ("mub_order(2,-1)", "the number of operators must not be negative, found -1"),

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import independent_set_on_sets
+from conftest import _graph_maps, independent_set_on_sets
 from gategroups.claims import Evaluator, run_claims
 from gategroups.errors import BudgetExceededError
 from gategroups.gates import pauli_operator
@@ -28,6 +28,7 @@ def test_one_qubit_graph_is_empty():
     assert g.degree_sequence() == [0, 0, 0]
     # sorted by symplectic label (X-part, Z-part): Z=(0,1), X=(1,0), Y=(1,1)
     assert g.labels == ["Z", "X", "Y"]
+    assert graph_automorphism_count(g.neighbors) == 6
 
 
 def _label_code(label):
@@ -46,7 +47,7 @@ def test_two_qubit_graph():
     assert set(g.degree_sequence()) == {6}
     # symplectic cross-check on every supported n: commuting iff the
     # symplectic form of the codes read off the labels vanishes
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = pauli_graph(n)
         codes = [_label_code(lb) for lb in g.labels]
         for a, (xa, za) in enumerate(codes):
@@ -57,7 +58,7 @@ def test_two_qubit_graph():
 
 
 def test_vertex_order_is_symplectic_label_order():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = pauli_graph(n)
         keys = [_label_code(lb) for lb in g.labels]
         assert keys == sorted(keys)
@@ -87,6 +88,15 @@ def test_max_independent_set_generic_graphs():
     assert maximum_independent_set([set(), set(), set()]) == [0, 1, 2]
 
 
+def _random_graph(rng, n, density):
+    neighbors = [set() for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        if rng.random() < density:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    return neighbors
+
+
 def _least_maximum_independent_set(neighbors):
     """Brute force: the first independent subset, scanning sizes downward
     and each size in lexicographic order."""
@@ -102,13 +112,7 @@ def test_max_independent_set_matches_a_subset_scan():
     itself, not only its size, must be the lexicographically least."""
     rng = random.Random(2008)
     for _ in range(150):
-        n = rng.randint(0, 12)
-        density = rng.random()
-        neighbors = [set() for _ in range(n)]
-        for a, b in combinations(range(n), 2):
-            if rng.random() < density:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
+        neighbors = _random_graph(rng, rng.randint(0, 12), rng.random())
         assert maximum_independent_set(neighbors) == _least_maximum_independent_set(neighbors)
 
 
@@ -117,13 +121,7 @@ def test_bit_mask_independent_set_matches_the_set_search():
     and bound run on sets: one search tree, so one answer."""
     rng = random.Random(34)
     for _ in range(100):
-        n = rng.randint(13, 40)
-        density = rng.uniform(0.1, 0.9)
-        neighbors = [set() for _ in range(n)]
-        for a, b in combinations(range(n), 2):
-            if rng.random() < density:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
+        neighbors = _random_graph(rng, rng.randint(13, 40), rng.uniform(0.1, 0.9))
         assert maximum_independent_set(neighbors) == independent_set_on_sets(neighbors)
 
 
@@ -166,11 +164,31 @@ def test_petersen_graph_shape():
     assert graph_automorphism_count(p) == 120
 
 
+def test_graph_searches_match_the_leaf_counting_oracle():
+    """Counts along the base equal the leaf count of ``_graph_maps`` on the
+    empty and complete graphs of 0-7 vertices and on random graphs of 0-9; a
+    relabelled copy tests isomorphic, and a random pair of one size gets the
+    oracle's answer."""
+    rng = random.Random(39)
+    graphs = [_random_graph(rng, n, density) for n in range(8) for density in (0.0, 1.0)]
+    graphs += [_random_graph(rng, rng.randint(0, 9), rng.random()) for _ in range(200)]
+    for g in graphs:
+        n = len(g)
+        assert graph_automorphism_count(g) == _graph_maps(g, g, True)
+        relabel = rng.sample(range(n), n)
+        copy = [set() for _ in range(n)]
+        for a, nb in enumerate(g):
+            copy[relabel[a]] = {relabel[b] for b in nb}
+        assert graphs_isomorphic(g, copy)
+        other = _random_graph(rng, n, rng.random())
+        assert graphs_isomorphic(g, other) == (_graph_maps(g, other, False) > 0)
+
+
 def test_graph_automorphism_count_stops_at_the_node_budget(monkeypatch):
-    """Counting the 1451520 automorphisms of the three-qubit graph would take hours;
-    the search stops at the node budget and the ledger row is inconclusive."""
-    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "100")
-    with pytest.raises(BudgetExceededError, match="exceeded 100 nodes"):
+    """Counting the 1451520 automorphisms of the three-qubit graph takes minutes;
+    under a small budget the search stops and the ledger row is inconclusive."""
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "50")
+    with pytest.raises(BudgetExceededError, match="exceeded 50 nodes"):
         graph_automorphism_count(petersen_graph())
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1000")
     reports, exit_code = run_claims(ledger_text="a | core | pg_aut_count(3) | 1 | derived | -\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_force_elements, small_corpus
+from conftest import brute_force_elements, center_set_oracle, small_corpus
 from gategroups import groups
 from gategroups.errors import CapacityError
 from gategroups.perm import PermGroup, Permutation
@@ -22,6 +22,14 @@ def test_center_examples():
     assert center(groups.symmetric(3)).order() == 1
     assert center(groups.quaternion8()).order() == 2
     assert center(groups.dihedral(12)).order() == 2
+
+
+def test_center_keeps_only_the_generators_its_closure_takes():
+    """The center of a cyclic group is the whole group, generated by one element."""
+    group = groups.cyclic(600)
+    z = center(group)
+    assert len(z.generators) == 1
+    assert sorted(group.indices_of(z)) == center_set_oracle(group.own_table())
 
 
 def test_center_elements_commute_with_random_elements():
