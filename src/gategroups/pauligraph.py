@@ -122,8 +122,8 @@ def _first_map(nb1, nb2, prefix, nodes):
     """The first bijection of graph 1 onto graph 2 that keeps degrees, edges
     and non-edges and maps each vertex i < len(prefix) to prefix[i], or None.
     A prefix image is the only candidate of its vertex, so a returned map was
-    checked on every pair.  Each accepted placement counts in ``nodes[0]``
-    against ``SEARCH_NODE_BUDGET``."""
+    checked on every pair.  Each candidate tried counts in ``nodes[0]``
+    against ``SEARCH_NODE_BUDGET``, so the budget bounds the work."""
     n, img, used = len(nb1), [-1] * len(nb1), [False] * len(nb1)
     budget = limit("SEARCH_NODE_BUDGET")
 
@@ -131,13 +131,13 @@ def _first_map(nb1, nb2, prefix, nodes):
         if v == n:
             return True
         for w in prefix[v : v + 1] or range(n):
+            nodes[0] += 1
+            if nodes[0] > budget:
+                raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
             if used[w] or len(nb1[v]) != len(nb2[w]) or any(
                 (u in nb1[v]) != (img[u] in nb2[w]) for u in range(v)
             ):
                 continue
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise BudgetExceededError(f"backtracking search exceeded {budget} nodes")
             img[v], used[w] = w, True
             if place(v + 1):
                 return True
@@ -149,15 +149,8 @@ def _first_map(nb1, nb2, prefix, nodes):
 
 def graphs_isomorphic(nb1, nb2):
     nb1, nb2 = [set(s) for s in nb1], [set(s) for s in nb2]
-    return _first_map(nb1, nb2, [], [0]) is not None
-
-
-def _orbit(point, maps):
-    """The orbit of ``point`` under the maps, each a list of images."""
-    orbit = [point]
-    for x in orbit:
-        orbit += [y for y in {g[x] for g in maps} if y not in orbit]
-    return orbit
+    same_degrees = sorted(map(len, nb1)) == sorted(map(len, nb2))
+    return same_degrees and _first_map(nb1, nb2, [], [0]) is not None
 
 
 def graph_automorphism_count(neighbors):
@@ -165,14 +158,16 @@ def graph_automorphism_count(neighbors):
     walked from its end, so that every map found so far fixes 0..k-1 at base
     point k.  A vertex w > k outside the orbit of k is searched as its image
     with 0..k-1 fixed: a map found grows the orbit, else the search refutes w."""
+    from gategroups.perm import _bfs
+
     nb = [set(s) for s in neighbors]
     n, nodes, maps, count = len(nb), [0], [], 1
     for k in reversed(range(n)):
-        orbit = _orbit(k, maps)
+        orbit = _bfs([k], maps, n)[0]
         for w in range(k + 1, n):
             if w not in orbit and (g := _first_map(nb, nb, [*range(k), w], nodes)):
                 maps.append(g)
-                orbit = _orbit(k, maps)
+                orbit = _bfs([k], maps, n)[0]
         count *= len(orbit)
     return count
 

@@ -187,8 +187,8 @@ def test_graph_searches_match_the_leaf_counting_oracle():
 def test_graph_automorphism_count_stops_at_the_node_budget(monkeypatch):
     """Counting the 1451520 automorphisms of the three-qubit graph takes minutes;
     under a small budget the search stops and the ledger row is inconclusive."""
-    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "50")
-    with pytest.raises(BudgetExceededError, match="exceeded 50 nodes"):
+    monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "100")
+    with pytest.raises(BudgetExceededError, match="exceeded 100 nodes"):
         graph_automorphism_count(petersen_graph())
     monkeypatch.setenv("GATEGROUPS_SEARCH_NODE_BUDGET", "1000")
     reports, exit_code = run_claims(ledger_text="a | core | pg_aut_count(3) | 1 | derived | -\n")
@@ -204,6 +204,9 @@ def test_graphs_isomorphic_sanity():
     assert graphs_isomorphic(k3, tri)
     path = [{1}, {0, 2}, {1}]
     assert not graphs_isomorphic(k3, path)
+    for n in (12, 13):  # unequal degrees are refuted before any search
+        one_edge = [{1}, {0}] + [set() for _ in range(n - 2)]
+        assert not graphs_isomorphic([set() for _ in range(n)], one_edge)
 
 
 def test_quadrangle_lines_and_ovoid():
